@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import AuditReport, audit_all, classify_product, classify_sum
-from .errors import ExpressionError, NotAProjectorError, PhysicsError, ScenarioError
+from .errors import NotAProjectorError, PhysicsError, ScenarioError
 from .expr import evaluate, parse
 from .linalg import STRUCT_TOL, is_projector
 from .meter import MeterConfig, measure_pointer, weak_limit_estimate
@@ -61,25 +61,36 @@ def fmt_complex(z: complex) -> str:
     return f"{fmt_real(re)}{sign}{fmt_real(abs(im))}i"
 
 
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
+def _cell(value) -> str:
+    """Table text of one payload value."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):  # before numbers: bool is an int
+        return "true" if value else "false"
+    if isinstance(value, complex):
+        return fmt_complex(value)
+    if isinstance(value, list):
+        return ",".join(fmt_real(x) for x in value)
+    return fmt_real(value)
 
 
-def _table(rows: list[tuple[str, str]]) -> str:
-    width = max(len(key) for key, _ in rows)
-    return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
+def _json_default(obj):
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(args, payload: dict, rows: list[tuple[str, str]]) -> int:
+def _emit(args, payload: dict, rows: list[tuple[str, str]] | None = None) -> int:
+    """Print the payload as JSON, or as a table of ``rows`` (by default one
+    row per payload field)."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(_table(rows))
+        print(json.dumps(payload, indent=2, default=_json_default))
+        return 0
+    if rows is None:
+        rows = [(key, _cell(value)) for key, value in payload.items()]
+    width = max(len(key) for key, _ in rows)
+    print("\n".join(f"{key:<{width}}  {value}" for key, value in rows))
     return 0
-
-
-def _complex_field(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
 
 
 def _resolve_scenario(args) -> Scenario:
@@ -140,47 +151,28 @@ def _cmd_show(args) -> int:
 def _cmd_strong(args) -> int:
     s = _resolve_scenario(args)
     p = _projector(s, args.expr)
-    born = born_prob(s.pre_state, p)
-    cond = cond_prob_post(s, p)
-    abl = abl_prob(s, p)
-    residual = bayes_check(s, p)
     payload = {
         "scenario": s.name,
         "expression": args.expr,
-        "born": born,
-        "cond_post": cond,
-        "abl": abl,
-        "bayes_residual": residual,
+        "born": born_prob(s.pre_state, p),
+        "cond_post": cond_prob_post(s, p),
+        "abl": abl_prob(s, p),
+        "bayes_residual": bayes_check(s, p),
     }
-    rows = [
-        ("scenario", s.name),
-        ("expression", args.expr),
-        ("born", fmt_real(born)),
-        ("cond_post", fmt_real(cond)),
-        ("abl", fmt_real(abl)),
-        ("bayes_residual", fmt_real(residual)),
-    ]
-    return _emit(args, payload, rows)
+    return _emit(args, payload)
 
 
 def _cmd_abl(args) -> int:
     s = _resolve_scenario(args)
     p = _projector(s, args.expr)
     value = abl_prob(s, p)
-    complement = 1.0 - value
     payload = {
         "scenario": s.name,
         "expression": args.expr,
         "abl": value,
-        "abl_complement": complement,
+        "abl_complement": 1.0 - value,
     }
-    rows = [
-        ("scenario", s.name),
-        ("expression", args.expr),
-        ("abl", fmt_real(value)),
-        ("abl_complement", fmt_real(complement)),
-    ]
-    return _emit(args, payload, rows)
+    return _emit(args, payload)
 
 
 def _cmd_weak(args) -> int:
@@ -189,22 +181,13 @@ def _cmd_weak(args) -> int:
     payload = {
         "scenario": s.name,
         "expression": args.expr,
-        "value": _complex_field(w.value),
-        "numerator": _complex_field(w.numerator),
-        "denominator": _complex_field(w.denominator),
+        "value": w.value,
+        "numerator": w.numerator,
+        "denominator": w.denominator,
         "is_zero": w.is_zero,
         "near_pole": w.near_pole,
     }
-    rows = [
-        ("scenario", s.name),
-        ("expression", args.expr),
-        ("value", fmt_complex(w.value)),
-        ("numerator", fmt_complex(w.numerator)),
-        ("denominator", fmt_complex(w.denominator)),
-        ("is_zero", _bool(w.is_zero)),
-        ("near_pole", _bool(w.near_pole)),
-    ]
-    return _emit(args, payload, rows)
+    return _emit(args, payload)
 
 
 def _verdict_rows(kind: str, expr_a: str, expr_b: str, verdict) -> list[tuple[str, str]]:
@@ -214,24 +197,24 @@ def _verdict_rows(kind: str, expr_a: str, expr_b: str, verdict) -> list[tuple[st
         ("kind", kind),
         ("expr_a", expr_a),
         ("expr_b", expr_b),
-        ("weak_a", f"{fmt_complex(wa.value)} (zero={_bool(wa.is_zero)})"),
-        ("weak_b", f"{fmt_complex(wb.value)} (zero={_bool(wb.is_zero)})"),
-        (combined, f"{fmt_complex(wc.value)} (zero={_bool(wc.is_zero)})"),
+        ("weak_a", f"{fmt_complex(wa.value)} (zero={_cell(wa.is_zero)})"),
+        ("weak_b", f"{fmt_complex(wb.value)} (zero={_cell(wb.is_zero)})"),
+        (combined, f"{fmt_complex(wc.value)} (zero={_cell(wc.is_zero)})"),
         ("case", verdict.case.value),
-        ("consistent", _bool(verdict.consistent)),
+        ("consistent", _cell(verdict.consistent)),
         ("narrative", verdict.narrative),
     ]
 
 
-def _cmd_audit_pair(args, kind: str) -> int:
+def _cmd_audit_pair(args) -> int:
     s = _resolve_scenario(args)
     pa = _operator(s, args.expr)
     pb = _operator(s, args.expr2)
-    classify = classify_sum if kind == "sum" else classify_product
+    classify = classify_sum if args.kind == "sum" else classify_product
     verdict = classify(s, pa, pb)
     payload = {"scenario": s.name, "expr_a": args.expr, "expr_b": args.expr2}
     payload.update(verdict.to_dict())
-    rows = [("scenario", s.name)] + _verdict_rows(kind, args.expr, args.expr2, verdict)
+    rows = [("scenario", s.name)] + _verdict_rows(args.kind, args.expr, args.expr2, verdict)
     return _emit(args, payload, rows)
 
 
@@ -289,29 +272,18 @@ def _cmd_meter(args) -> int:
     if (args.g is None) == (args.sweep is None):
         raise _UsageError("exactly one of --g or --sweep is required")
     if args.sweep is not None:
-        sweep = args.sweep
-        estimate = weak_limit_estimate(s, p, args.sigma, sweep)
+        estimate = weak_limit_estimate(s, p, args.sigma, args.sweep)
         exact = weak_value(s, p).value
-        error = abs(estimate - exact)
         payload = {
             "scenario": s.name,
             "expression": args.expr,
             "sigma": args.sigma,
-            "sweep": sweep,
-            "estimate": _complex_field(estimate),
-            "weak_value": _complex_field(exact),
-            "abs_error": error,
+            "sweep": args.sweep,
+            "estimate": estimate,
+            "weak_value": exact,
+            "abs_error": abs(estimate - exact),
         }
-        rows = [
-            ("scenario", s.name),
-            ("expression", args.expr),
-            ("sigma", fmt_real(args.sigma)),
-            ("sweep", ",".join(fmt_real(g) for g in sweep)),
-            ("estimate", fmt_complex(estimate)),
-            ("weak_value", fmt_complex(exact)),
-            ("abs_error", fmt_real(error)),
-        ]
-        return _emit(args, payload, rows)
+        return _emit(args, payload)
     stats = measure_pointer(s, p, MeterConfig(sigma=args.sigma, g=args.g))
     payload = {
         "scenario": s.name,
@@ -322,16 +294,7 @@ def _cmd_meter(args) -> int:
         "mean_p": stats.mean_p,
         "success_prob": stats.success_prob,
     }
-    rows = [
-        ("scenario", s.name),
-        ("expression", args.expr),
-        ("sigma", fmt_real(args.sigma)),
-        ("g", fmt_real(args.g)),
-        ("mean_q", fmt_real(stats.mean_q)),
-        ("mean_p", fmt_real(stats.mean_p)),
-        ("success_prob", fmt_real(stats.success_prob)),
-    ]
-    return _emit(args, payload, rows)
+    return _emit(args, payload)
 
 
 def _sweep_csv(text: str) -> list[float]:
@@ -395,17 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_weak.add_argument("--expr", required=True, help="operator expression")
     p_weak.set_defaults(handler=_cmd_weak)
 
-    p_asum = sub.add_parser("audit-sum", help="audit an OR combination (sum)")
-    _add_scenario_args(p_asum)
-    p_asum.add_argument("--expr", required=True, help="first projector expression")
-    p_asum.add_argument("--expr2", required=True, help="second projector expression")
-    p_asum.set_defaults(handler=lambda args: _cmd_audit_pair(args, "sum"))
-
-    p_aprod = sub.add_parser("audit-product", help="audit an AND combination (product)")
-    _add_scenario_args(p_aprod)
-    p_aprod.add_argument("--expr", required=True, help="first projector expression")
-    p_aprod.add_argument("--expr2", required=True, help="second projector expression")
-    p_aprod.set_defaults(handler=lambda args: _cmd_audit_pair(args, "product"))
+    for kind, logic in (("sum", "OR"), ("product", "AND")):
+        p_pair = sub.add_parser(f"audit-{kind}", help=f"audit an {logic} combination ({kind})")
+        _add_scenario_args(p_pair)
+        p_pair.add_argument("--expr", required=True, help="first projector expression")
+        p_pair.add_argument("--expr2", required=True, help="second projector expression")
+        p_pair.set_defaults(handler=_cmd_audit_pair, kind=kind)
 
     p_all = sub.add_parser("audit-all", help="run a scenario's audit-pair batch")
     _add_scenario_args(p_all)
@@ -430,28 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ExpressionError, ScenarioError) as exc:
+    except (_UsageError, ValueError) as exc:  # ExpressionError, ScenarioError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PhysicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

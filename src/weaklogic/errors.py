@@ -55,7 +55,7 @@ class ConsistencyError(PhysicsError):
 
 
 class MeterGridError(PhysicsError):
-    """Pointer grid too narrow for the requested coupling."""
+    """Pointer grid too coarse for the pointer spread sigma."""
 
 
 class SweepDivergenceError(PhysicsError):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,13 @@ THREE_BOX_FILE = {
     "post": [[1, 0], [1, 0], [-1, 0]],
     "channels": {"A": {"basis": ["A"]}, "C": {"basis": ["C"]}},
 }
+
+#: stdout bytes and exit codes of the README command lines, each in table
+#: and json form (recorded by perfbench/capture_cli_oracle.py)
+README_GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cli_readme.json")
+    .read_text(encoding="utf-8")
+)
 
 
 def run(capsys, *argv):
@@ -205,6 +213,37 @@ class TestMeterCommand:
         )
         assert code == 1
         assert "exactly one" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--g", "inf"),
+            ("--sigma", "inf", "--g", "0.1"),
+            ("--sigma", "1e-200", "--g", "0"),
+            ("--sigma", "1e200", "--g", "0.1"),
+        ],
+    )
+    def test_unusable_sigma_or_g_is_exit_1(self, capsys, flags):
+        code, out, err = run(capsys, "meter", "--scenario", "three-box", "--expr", "C", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_coarse_grid_is_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "meter", "--scenario", "three-box", "--expr", "C",
+            "--sigma", "0.001", "--g", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "coarse" in err
+
+
+@pytest.mark.parametrize("entry", README_GOLDEN, ids=lambda e: " ".join(e["argv"]))
+def test_readme_command_output_is_byte_identical(capsys, entry):
+    code, out, _ = run(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    assert out.encode("utf-8") == entry["stdout"].encode("utf-8")
 
 
 class TestScenarioIO:

@@ -31,7 +31,6 @@ class TestMeterConfig:
     def test_default_halfwidth_tracks_sigma_and_g(self):
         cfg = MeterConfig(sigma=0.5, g=0.25)
         assert cfg.halfwidth == pytest.approx(12 * 0.5 + 2 * 0.25)
-        assert MeterConfig(sigma=1, g=0, grid_halfwidth=7.0).halfwidth == 7.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -40,6 +39,14 @@ class TestMeterConfig:
             MeterConfig(sigma=1.0, g=-0.1)
         with pytest.raises(ValueError):
             MeterConfig(sigma=1.0, g=0.1, grid_points=4)
+
+    @pytest.mark.parametrize(
+        "sigma,g", [(1.0, float("inf")), (float("inf"), 0.1), (1e-200, 0.0), (1e200, 0.1)]
+    )
+    def test_unusable_sigma_or_g_rejected(self, sigma, g):
+        # 1e-200 and 1e200 are finite, but their squares under- and overflow
+        with pytest.raises(ValueError):
+            MeterConfig(sigma=sigma, g=g)
 
 
 class TestMeasurePointer:
@@ -113,11 +120,23 @@ class TestMeasurePointer:
         with pytest.raises(NotAProjectorError):
             measure_pointer(s, 2.0 * identity(3), MeterConfig(sigma=1.0, g=0.1))
 
-    def test_narrow_grid_rejected(self):
+    def test_coarse_grid_rejected(self):
+        # g / sigma = 3000 spreads 4096 points ~3 sigma apart; the quadrature
+        # would report mean_q 0.745 where the closed form gives 0.6
         s = catalog("three-box")
-        cfg = MeterConfig(sigma=1.0, g=0.1, grid_halfwidth=2.0)
+        with pytest.raises(MeterGridError, match="coarse"):
+            measure_pointer(s, s.channel("C"), MeterConfig(sigma=1e-3, g=3.0))
+
+    def test_grid_at_the_spacing_limit_matches_oracle(self):
+        s = catalog("three-box")
+        p = s.channel("C")
+        # 52 points put the spacing at 0.494 sigma, 51 points at 0.504 sigma
+        stats = measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.3, grid_points=52))
+        expected = pointer_oracle(*split_amplitudes(s, p), 0.3, 1.0)
+        got = (stats.mean_q, stats.mean_p, stats.success_prob)
+        assert got == pytest.approx(expected, abs=1e-14)
         with pytest.raises(MeterGridError):
-            measure_pointer(s, s.channel("A"), cfg)
+            measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.3, grid_points=51))
 
     def test_extinguished_postselection(self):
         s = build_scenario("dead", ("a", "b"), [1, 0], [0, 1])
@@ -157,6 +176,17 @@ class TestWeakLimitEstimate:
             weak_limit_estimate(s, p, 1.0, [1e-2, 0.0])
         with pytest.raises(ValueError, match="at least two"):
             weak_limit_estimate(s, p, 1.0, [1e-2])
+
+    @pytest.mark.parametrize("channel", ["same12", "diff12"])
+    def test_rounding_noise_is_not_divergence(self, channel):
+        # weak values 0 and 1: the estimates agree to rounding noise, which
+        # 1/g amplifies to ~1e-12 at g = 1e-4
+        s = catalog("pigeonhole2")
+        p = s.channel(channel)
+        exact = weak_value(s, p).value
+        for sigma in np.linspace(0.5, 2.0, 16):
+            estimate = weak_limit_estimate(s, p, float(sigma), SWEEP)
+            assert estimate == pytest.approx(exact, abs=1e-9)
 
     def test_divergent_sweep_near_pole_reported(self):
         eps = 1e-6
