@@ -40,7 +40,6 @@ from .linalg import (
     SCALAR_TOL,
     State,
     add,
-    adjoint,
     apply,
     basis_projector,
     commutes,
@@ -49,7 +48,6 @@ from .linalg import (
     inner,
     is_projector,
     orthogonal,
-    tensor,
 )
 from .meter import (
     MeterConfig,
@@ -65,7 +63,6 @@ from .scenario import (
     catalog,
     default_audit_pairs,
     effective_bra,
-    hardy_beamsplitter,
     load_scenario,
     parse_audit_pairs,
     scenario_document,

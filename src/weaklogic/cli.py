@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .audit import AuditReport, audit_all, classify_product, classify_sum
-from .errors import NotAProjectorError, PhysicsError, ScenarioError
+from .errors import PhysicsError, ScenarioError
 from .expr import evaluate, parse
-from .linalg import STRUCT_TOL, is_projector
+from .linalg import require_projector
 from .meter import MeterConfig, measure_pointer, weak_limit_estimate
 from .scenario import (
     CATALOG_NAMES,
@@ -111,10 +111,9 @@ def _operator(s: Scenario, text: str) -> np.ndarray:
 
 
 def _projector(s: Scenario, text: str) -> np.ndarray:
-    op = _operator(s, text)
-    if not is_projector(op, STRUCT_TOL):
-        raise NotAProjectorError(f"expression {text!r} does not evaluate to a projector")
-    return op
+    """The expression's operator, checked here because strong and abl
+    assume a projector without checking."""
+    return require_projector(_operator(s, text), f"expression {text!r}")
 
 
 def _cmd_list(args) -> int:
@@ -268,9 +267,9 @@ def _cmd_audit_all(args) -> int:
 
 def _cmd_meter(args) -> int:
     s = _resolve_scenario(args)
-    p = _projector(s, args.expr)
     if (args.g is None) == (args.sweep is None):
         raise _UsageError("exactly one of --g or --sweep is required")
+    p = _operator(s, args.expr)
     if args.sweep is not None:
         estimate = weak_limit_estimate(s, p, args.sigma, args.sweep)
         exact = weak_value(s, p).value

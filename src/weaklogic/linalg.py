@@ -11,8 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Separator used when tensoring labelled states.
-TENSOR_SEPARATOR = "."
+from .errors import NotAProjectorError
 
 #: Tolerance for structural matrix checks (projector, commutation, orthogonality).
 STRUCT_TOL = 1e-10
@@ -37,15 +36,10 @@ def as_operator(entries, what: str = "operator") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Complex amplitudes over a labelled basis.
-
-    ``normalized`` records whether the amplitudes are certified to have unit
-    norm; raw results of applying an operator are flagged unnormalized.
-    """
+    """Complex amplitudes over a labelled basis."""
 
     amps: np.ndarray
     labels: tuple[str, ...]
-    normalized: bool = False
 
     def __post_init__(self):
         amps = np.array(self.amps, dtype=complex)
@@ -75,7 +69,7 @@ class State:
         n = self.norm
         if n < SCALAR_TOL:
             raise ValueError("cannot normalize a zero state")
-        return State(self.amps / n, self.labels, normalized=True)
+        return State(self.amps / n, self.labels)
 
     def __repr__(self) -> str:
         terms = ", ".join(
@@ -97,31 +91,12 @@ def inner(u: State, v: State) -> complex:
     return complex(np.vdot(u.amps, v.amps))
 
 
-def tensor(a, b):
-    """Kronecker product of two states or two operators.
-
-    State labels are joined with ``TENSOR_SEPARATOR``.
-    """
-    if isinstance(a, State) and isinstance(b, State):
-        labels = tuple(
-            f"{la}{TENSOR_SEPARATOR}{lb}" for la in a.labels for lb in b.labels
-        )
-        return State(
-            np.kron(a.amps, b.amps),
-            labels,
-            normalized=a.normalized and b.normalized,
-        )
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.kron(as_operator(a), as_operator(b))
-    raise TypeError("tensor requires two states or two operator matrices")
-
-
 def apply(op: np.ndarray, v: State) -> State:
-    """Apply an operator to a state; the result is flagged unnormalized."""
+    """Apply an operator to a state; the result is not renormalized."""
     m = as_operator(op)
     if m.shape[0] != v.dim:
         raise ValueError(f"dimension mismatch: operator {m.shape[0]} vs state {v.dim}")
-    return State(m @ v.amps, v.labels, normalized=False)
+    return State(m @ v.amps, v.labels)
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -144,10 +119,6 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return as_operator(a).conj().T
-
-
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
@@ -164,24 +135,33 @@ def basis_projector(labels: Sequence[str], members: Iterable[str]) -> np.ndarray
     return p
 
 
-def is_projector(p: np.ndarray, tol: float = STRUCT_TOL) -> bool:
+def is_projector(p: np.ndarray) -> bool:
     """Entrywise check of idempotence and self-adjointness."""
     p = as_operator(p)
-    if np.max(np.abs(p @ p - p)) > tol:
+    if np.max(np.abs(p @ p - p)) > STRUCT_TOL:
         return False
-    return bool(np.max(np.abs(p - p.conj().T)) <= tol)
+    return bool(np.max(np.abs(p - p.conj().T)) <= STRUCT_TOL)
 
 
-def commutes(a: np.ndarray, b: np.ndarray, tol: float = STRUCT_TOL) -> bool:
+def require_projector(p, what: str) -> np.ndarray:
+    """The operator as a square complex matrix; NotAProjectorError if it is
+    not a projector."""
+    p = as_operator(p, what)
+    if not is_projector(p):
+        raise NotAProjectorError(f"{what} is not a projector")
+    return p
+
+
+def commutes(a: np.ndarray, b: np.ndarray) -> bool:
     a = as_operator(a)
     b = as_operator(b)
     _check_same_dim(a, b)
-    return bool(np.max(np.abs(a @ b - b @ a)) <= tol)
+    return bool(np.max(np.abs(a @ b - b @ a)) <= STRUCT_TOL)
 
 
-def orthogonal(p: np.ndarray, q: np.ndarray, tol: float = STRUCT_TOL) -> bool:
+def orthogonal(p: np.ndarray, q: np.ndarray) -> bool:
     """True when the operator product p.q vanishes entrywise."""
     p = as_operator(p)
     q = as_operator(q)
     _check_same_dim(p, q)
-    return bool(np.max(np.abs(p @ q)) <= tol)
+    return bool(np.max(np.abs(p @ q)) <= STRUCT_TOL)

@@ -13,7 +13,9 @@ Pointer statistics are quadratures on a uniform grid over
 [-(12 sigma + 2 g), 12 sigma + 2 g]. The grid spacing must not exceed
 sigma / 2, or MeterGridError is raised: up to that spacing the trapezoid
 sums match the closed-form moments to about 1e-16, at a spacing near sigma
-they can be off by 1e-7, and beyond it the readouts are wrong. The
+they can be off by 1e-7, and beyond it the readouts are wrong. A non-zero
+coupling at or below eps * halfwidth raises MeterGridError too: there
+q - g rounds to q on the grid and the shift is lost. The
 q-derivative needed for the momentum mean is evaluated from the exact
 derivative of the Gaussian components; finite differences at the default
 grid resolution bias the momentum readout by more than the advertised
@@ -33,14 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MeterGridError,
-    NotAProjectorError,
-    PostselectionLostError,
-    SweepDivergenceError,
-)
-from .linalg import STRUCT_TOL, apply, as_operator, identity, inner, is_projector
-from .scenario import Scenario, effective_bra
+from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
+from .linalg import identity, require_projector
+from .scenario import Scenario, amplitude
 
 #: Success weights at or below this count as extinguished postselection.
 _EXTINCT = 1e-14
@@ -88,6 +85,12 @@ class PointerStats:
 
 
 def _grid(cfg: MeterConfig) -> np.ndarray:
+    floor = np.finfo(float).eps * cfg.halfwidth
+    if 0.0 < cfg.g <= floor:
+        raise MeterGridError(
+            f"coupling g = {cfg.g:.3e} is at or below the grid's rounding floor "
+            f"eps * halfwidth = {floor:.3e}; the pointer shift is lost"
+        )
     q, spacing = np.linspace(-cfg.halfwidth, cfg.halfwidth, cfg.grid_points, retstep=True)
     if spacing > cfg.sigma / 2:
         raise MeterGridError(
@@ -106,19 +109,10 @@ def _packet_pair(cfg: MeterConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, _packet(q, cfg.sigma), _packet(q - cfg.g, cfg.sigma)
 
 
-def _split_amplitudes(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
-    p = as_operator(p)
-    if not is_projector(p, STRUCT_TOL):
-        raise NotAProjectorError("meter coupling requires a projector observable")
-    bra = effective_bra(s)
-    beta = inner(bra, apply(p, s.pre_state))
-    alpha = inner(bra, s.pre_state) - beta
-    return alpha, beta
-
-
 def measure_pointer(s: Scenario, p: np.ndarray, cfg: MeterConfig) -> PointerStats:
     """Postselected pointer statistics for a single projector coupling."""
-    alpha, beta = _split_amplitudes(s, p)
+    beta = amplitude(s, require_projector(p, "meter coupling"))
+    alpha = amplitude(s) - beta
     q, phi0, phig = _packet_pair(cfg)
     psi = alpha * phi0 + beta * phig
     density = np.abs(psi) ** 2
@@ -194,23 +188,15 @@ def sequential_disturbance(
     """
     if g <= 0:
         raise ValueError("coupling strength g must be positive")
-    p1 = as_operator(p1)
-    p2 = as_operator(p2)
-    for which, p in (("first", p1), ("second", p2)):
-        if not is_projector(p, STRUCT_TOL):
-            raise NotAProjectorError(f"{which} meter coupling requires a projector")
+    p1 = require_projector(p1, "first meter coupling")
+    p2 = require_projector(p2, "second meter coupling")
     if not np.any(p1):
         return 0.0  # no first coupling at all
 
-    bra = effective_bra(s)
     one = identity(s.dim)
     splits1 = (one - p1, p1)
     splits2 = (one - p2, p2)
-    coeff = np.empty((2, 2), dtype=complex)
-    for j, pj in enumerate(splits1):
-        first = apply(pj, s.pre_state)
-        for k, pk in enumerate(splits2):
-            coeff[j, k] = inner(bra, apply(pk, first))
+    coeff = np.array([[amplitude(s, pk, pj) for pk in splits2] for pj in splits1])
 
     cfg = MeterConfig(sigma=sigma, g=g, grid_points=grid_points)
     q, phi0, phig = _packet_pair(cfg)
@@ -232,7 +218,7 @@ def sequential_disturbance(
         / weight
     )
 
-    solo = np.array([inner(bra, apply(pk, s.pre_state)) for pk in splits2])
+    solo = np.array([amplitude(s, pk) for pk in splits2])
     weight0 = np.einsum("K,k,Kk->", solo.conj(), solo, overlap).real
     if weight0 <= _EXTINCT:
         raise PostselectionLostError(

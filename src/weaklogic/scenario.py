@@ -7,6 +7,7 @@ and a table of named channel projectors that expressions can reference.
 
 from __future__ import annotations
 
+import cmath
 import json
 import re
 from dataclasses import dataclass
@@ -37,8 +38,11 @@ _CHANNEL_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 class Scenario:
     """Validated, immutable pre/postselected setup.
 
-    ``post_overlap`` is the postselection amplitude <post|U|pre>, recorded
-    once at validation time. ``evolution`` of ``None`` means identity.
+    ``post_overlap`` is the postselection amplitude <post|U|pre> and ``bra``
+    the postselected state pulled back through the evolution, U^dagger
+    |post>, against which intermediate-time matrix elements are taken; both
+    are recorded once at validation time. ``evolution`` of ``None`` means
+    identity, and then ``bra`` is ``post_state`` itself.
     """
 
     name: str
@@ -49,6 +53,7 @@ class Scenario:
     evolution: np.ndarray | None
     channels: Mapping[str, np.ndarray]
     post_overlap: complex
+    bra: State
 
     def channel(self, name: str) -> np.ndarray:
         try:
@@ -61,14 +66,30 @@ class Scenario:
 
 
 def effective_bra(s: Scenario) -> State:
-    """State against which intermediate-time matrix elements are taken.
+    """State against which intermediate-time matrix elements are taken:
+    U^dagger |post>, or |post> itself under identity evolution."""
+    return s.bra
 
-    Returns the postselected state pulled back through the evolution,
-    i.e. U^dagger |post>; with identity evolution this is |post| itself.
+
+def amplitude(s: Scenario, *ops) -> complex:
+    """Matrix element <bra|ops[0] ... ops[-1]|pre>, i.e. <post|U ops|pre>;
+    the last operator acts first.
+
+    Every weak-value numerator, ABL amplitude and meter split is one of
+    these. Each operator is checked once: square, finite, of the scenario's
+    dimension; a product that overflows raises ValueError. With no operators this is <post|U|pre> taken through the bra,
+    which may differ from ``post_overlap`` in the last bits.
     """
-    if s.evolution is None:
-        return s.post_state
-    return State(s.evolution.conj().T @ s.post_state.amps, s.labels, normalized=True)
+    ket = s.pre_state.amps
+    for op in reversed(ops):
+        m = as_operator(op)
+        if m.shape[0] != s.dim:
+            raise ValueError(f"dimension mismatch: operator {m.shape[0]} vs state {s.dim}")
+        ket = m @ ket
+    value = complex(np.vdot(s.bra.amps, ket))
+    if not cmath.isfinite(value):
+        raise ValueError("matrix element is not finite: the operator product overflows")
+    return value
 
 
 def build_scenario(
@@ -123,13 +144,14 @@ def build_scenario(
         p = as_operator(entries, f"channel {ch_name!r}")
         if p.shape != (dim, dim):
             raise ScenarioError(f"channel {ch_name!r} must be {dim}x{dim}")
-        if not is_projector(p, STRUCT_TOL):
+        if not is_projector(p):
             raise ScenarioError(f"channel {ch_name!r} is not a projector")
         p.setflags(write=False)
         table[ch_name] = p
 
     evolved = apply(ev, pre_state) if ev is not None else pre_state
     overlap = inner(post_state, evolved)
+    bra = post_state if ev is None else State(ev.conj().T @ post_state.amps, labels)
 
     return Scenario(
         name=str(name),
@@ -140,6 +162,7 @@ def build_scenario(
         evolution=ev,
         channels=MappingProxyType(table),
         post_overlap=overlap,
+        bra=bra,
     )
 
 
@@ -274,34 +297,17 @@ def scenario_document(s: Scenario) -> dict:
     return doc
 
 
-def hardy_beamsplitter() -> np.ndarray:
-    """Single-particle 50-50 beamsplitter used by the hardy catalog entry.
-
-    Matrix rows index the outgoing detector basis (bright, dark), columns the
-    incoming arm basis (non-interacting, interacting). The overall sign is
-    pinned by requiring all printed forms of the hardy preselected state to
-    coincide; the catalog's two-particle evolution is this matrix tensored
-    with itself.
-    """
-    return -np.array([[1j, 1.0], [1.0, 1j]], dtype=complex) / np.sqrt(2.0)
-
-
 def _data_text(kind: str, name: str) -> str:
-    res = resources.files("weaklogic").joinpath(f"data/{kind}/{name}.json")
-    try:
-        return res.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ScenarioError(
-            f"unknown scenario {name!r} (catalog: {', '.join(CATALOG_NAMES)})"
-        ) from None
-
-
-def catalog(name: str) -> Scenario:
-    """Load one of the built-in scenarios by name."""
     if name not in CATALOG_NAMES:
         raise ScenarioError(
             f"unknown scenario {name!r} (catalog: {', '.join(CATALOG_NAMES)})"
         )
+    res = resources.files("weaklogic").joinpath(f"data/{kind}/{name}.json")
+    return res.read_text(encoding="utf-8")
+
+
+def catalog(name: str) -> Scenario:
+    """Load one of the built-in scenarios by name."""
     return load_scenario(_data_text("scenarios", name))
 
 
@@ -327,8 +333,4 @@ def parse_audit_pairs(text: str) -> tuple[tuple[str, str, str], ...]:
 
 def default_audit_pairs(name: str) -> tuple[tuple[str, str, str], ...]:
     """Built-in audit pairs shipped alongside each catalog scenario."""
-    if name not in CATALOG_NAMES:
-        raise ScenarioError(
-            f"unknown scenario {name!r} (catalog: {', '.join(CATALOG_NAMES)})"
-        )
     return parse_audit_pairs(_data_text("audits", name))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AblUndefinedError, ConsistencyError, ZeroProbabilityError
-from .linalg import State, apply, as_operator, identity, inner
-from .scenario import Scenario, effective_bra
+from .linalg import State, apply, as_operator, identity
+from .scenario import Scenario, amplitude
 
 _BOUNDS_TOL = 1e-10
 _REAL_TOL = 1e-12
@@ -64,8 +64,7 @@ def cond_prob_post(s: Scenario, p: np.ndarray) -> float:
     outcome and the final postselection; it factorizes as
     prob(post | outcome) * prob(outcome | pre).
     """
-    amp = inner(effective_bra(s), apply(p, s.pre_state))
-    return _checked_probability(abs(amp) ** 2, "conditional probability")
+    return _checked_probability(abs(amplitude(s, p)) ** 2, "conditional probability")
 
 
 def abl_prob(s: Scenario, p: np.ndarray) -> float:

@@ -9,8 +9,7 @@ import numpy as np
 
 from .errors import NearPoleWarning, PostselectionLostError
 from .expr import evaluate, parse
-from .linalg import apply, inner
-from .scenario import Scenario, effective_bra
+from .scenario import Scenario, amplitude
 
 #: Numerator magnitudes at or below this count as a vanishing weak value.
 ZERO_TOL = 1e-12
@@ -45,7 +44,7 @@ def weak_value(s: Scenario, op: np.ndarray) -> WeakValue:
         raise PostselectionLostError(
             "postselection overlap vanishes; no weak value exists"
         )
-    numerator = inner(effective_bra(s), apply(op, s.pre_state))
+    numerator = amplitude(s, op)
     near_pole = abs(denominator) < POLE_TOL
     if near_pole:
         warnings.warn(

@@ -73,6 +73,18 @@ def rephased(s, pre_phase=1.0, post_phase=1.0):
     )
 
 
+def hardy_beamsplitter():
+    """Single-particle 50-50 beamsplitter behind the hardy catalog entry.
+
+    Matrix rows index the outgoing detector basis (bright, dark), columns the
+    incoming arm basis (non-interacting, interacting). The overall sign is
+    pinned by requiring all printed forms of the hardy preselected state to
+    coincide; the catalog's two-particle evolution is this matrix tensored
+    with itself.
+    """
+    return -np.array([[1j, 1.0], [1.0, 1j]], dtype=complex) / np.sqrt(2.0)
+
+
 def dproj(dim, idxs):
     """Diagonal projector onto the listed basis indices."""
     p = np.zeros((dim, dim), dtype=complex)

@@ -21,7 +21,6 @@ from weaklogic import (
     classify_sum,
     cond_prob_post,
     evaluate_text,
-    hardy_beamsplitter,
     identity,
     measure_pointer,
     sequential_disturbance,
@@ -31,6 +30,7 @@ from weaklogic import (
 )
 from helpers import (
     dproj,
+    hardy_beamsplitter,
     pointer_oracle,
     random_basis_projector,
     random_projector_family,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaklogic import (
     AuditPreconditionError,
@@ -105,6 +107,42 @@ class TestClassifySum:
             assert ws.value == pytest.approx(wa.value + wb.value, abs=1e-10)
             zeros = (wa.is_zero, wb.is_zero, ws.is_zero)
             assert zeros not in {(True, True, False), (True, False, True), (False, True, True)}
+
+
+class TestSumAtTheZeroThreshold:
+    """Operand numerators ~x/sqrt(3) on labels A, B around ZERO_TOL = 1e-12."""
+
+    @staticmethod
+    def _verdict(x, y):
+        s = build_scenario("tiny", ("A", "B", "C"), [1, 1, 1], [x, y, 1])
+        return classify_sum(s, dproj(3, [0]), dproj(3, [1]))
+
+    def test_operands_below_sum_above_is_case_one(self):
+        # operand numerators 9.0e-13 each, their sum 1.8e-12
+        verdict = self._verdict(1.56e-12, 1.56e-12)
+        wa, wb, ws = verdict.weak_values
+        assert wa.is_zero and wb.is_zero
+        assert abs(ws.numerator) > 1e-12
+        assert ws.is_zero
+        assert ws.value == wa.value + wb.value
+        assert verdict.case is SumCase.I
+        assert verdict.consistent
+
+    @given(
+        st.floats(5e-13, 4e-12),
+        st.floats(5e-13, 4e-12),
+        st.sampled_from([1, -1, 1j, -1j]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_false_consistency_error(self, x, y, phase):
+        verdict = self._verdict(x, phase * y)
+        wa, wb, ws = verdict.weak_values
+        if wa.is_zero and wb.is_zero:
+            assert ws.is_zero and verdict.case is SumCase.I
+        elif wa.is_zero != wb.is_zero:
+            assert verdict.case is SumCase.DEGENERATE
+        else:
+            assert verdict.case is (SumCase.III if ws.is_zero else SumCase.II)
 
 
 class TestClassifyProduct:

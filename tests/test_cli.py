@@ -1,10 +1,14 @@
+import ast
+import dataclasses
+import importlib
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weaklogic import catalog, load_scenario
+from weaklogic import MeterConfig, catalog, load_scenario, sequential_disturbance
 from weaklogic.cli import fmt_complex, fmt_real, main
 
 THREE_BOX_FILE = {
@@ -16,12 +20,22 @@ THREE_BOX_FILE = {
     "channels": {"A": {"basis": ["A"]}, "C": {"basis": ["C"]}},
 }
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 #: stdout bytes and exit codes of the README command lines, each in table
 #: and json form (recorded by perfbench/capture_cli_oracle.py)
 README_GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cli_readme.json")
-    .read_text(encoding="utf-8")
+    (PERFBENCH / "data" / "cli_readme.json").read_text(encoding="utf-8")
 )
+
+
+def _traced():
+    """The (module, function, span) triples perfbench/tracing.py wraps."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TRACED")
 
 
 def run(capsys, *argv):
@@ -238,12 +252,36 @@ class TestMeterCommand:
         assert out == ""
         assert "coarse" in err
 
+    def test_coupling_below_rounding_floor_is_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "meter", "--scenario", "three-box", "--expr", "C",
+            "--sigma", "1e150", "--g", "0.1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "rounding floor" in err
+
 
 @pytest.mark.parametrize("entry", README_GOLDEN, ids=lambda e: " ".join(e["argv"]))
 def test_readme_command_output_is_byte_identical(capsys, entry):
     code, out, _ = run(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert out.encode("utf-8") == entry["stdout"].encode("utf-8")
+
+
+class TestBenchmarkHooks:
+    """Names the traced benchmark run looks up; it crashes without them."""
+
+    @pytest.mark.parametrize("module, function", [t[:2] for t in _traced()])
+    def test_traced_function_resolves(self, module, function):
+        assert callable(getattr(importlib.import_module(f"weaklogic.{module}"), function))
+
+    def test_grid_points_hooks(self):
+        # the tracer reads cfg.grid_points from measure_pointer's third
+        # argument and grid_points from sequential_disturbance's sixth
+        assert "grid_points" in {f.name for f in dataclasses.fields(MeterConfig)}
+        params = list(inspect.signature(sequential_disturbance).parameters)
+        assert params.index("grid_points") == 5
 
 
 class TestScenarioIO:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from weaklogic import (
+    NotAProjectorError,
     State,
     add,
-    adjoint,
     apply,
     basis_projector,
     commutes,
@@ -13,9 +13,9 @@ from weaklogic import (
     inner,
     is_projector,
     orthogonal,
-    tensor,
 )
-from helpers import random_basis_projector, random_unit, random_unitary
+from weaklogic.linalg import require_projector
+from helpers import random_basis_projector, random_unit
 
 BOX2 = ("LL", "LR", "RL", "RR")
 BOX3 = ("LLL", "LLR", "LRL", "LRR", "RLL", "RLR", "RRL", "RRR")
@@ -27,15 +27,12 @@ POST2 = np.array([1, 1j, 1j, -1]) / 2.0
 
 
 def _state(amps, labels):
-    return State(np.asarray(amps, dtype=complex), labels, normalized=True)
+    return State(np.asarray(amps, dtype=complex), labels)
 
 
 class TestState:
     def test_normalize(self):
-        st = State([3.0, 4.0], ("a", "b"))
-        assert not st.normalized
-        unit = st.normalize()
-        assert unit.normalized
+        unit = State([3.0, 4.0], ("a", "b")).normalize()
         assert unit.norm == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(unit.amps, [0.6, 0.8])
 
@@ -87,42 +84,11 @@ class TestInner:
             inner(_state([1, 0], ("a", "b")), _state([1, 0], ("a", "c")))
 
 
-class TestTensor:
-    def test_plus_plus_amplitudes(self):
-        plus = State(np.array([1.0, 1.0]) / np.sqrt(2), ("L", "R"), normalized=True)
-        both = tensor(plus, plus)
-        np.testing.assert_allclose(both.amps, np.ones(4) / 2.0, atol=1e-15)
-        assert both.labels == ("L.L", "L.R", "R.L", "R.R")
-        assert both.normalized
-
-    def test_identity_tensor_identity(self):
-        np.testing.assert_array_equal(tensor(identity(2), identity(2)), identity(4))
-
-    def test_rank_one_projector_placement(self):
-        left = basis_projector(("L", "R"), ["L"])
-        p = tensor(left, left)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = 1.0
-        np.testing.assert_array_equal(p, expected)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            tensor(identity(2), State([1, 0], ("a", "b")))
-
-    def test_associative_up_to_label_flattening(self):
-        rng = np.random.default_rng(5)
-        a, b, c = (random_unitary(rng, 2) for _ in range(3))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        np.testing.assert_allclose(left, right, atol=1e-12)
-
-
 class TestApply:
     def test_identity(self):
         v = _state(PRE2, BOX2)
         out = apply(identity(4), v)
         np.testing.assert_array_equal(out.amps, v.amps)
-        assert not out.normalized
 
     def test_same_boxes_projection(self):
         same12 = basis_projector(BOX2, ["LL", "RR"])
@@ -152,26 +118,13 @@ class TestOperatorAlgebra:
         p = basis_projector(BOX2, ["LL"])
         np.testing.assert_array_equal(add(p, np.zeros((4, 4))), p)
 
-    def test_adjoint_involution(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-    def test_adjoint_reverses_composition(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        np.testing.assert_allclose(
-            adjoint(compose(a, b)), compose(adjoint(b), adjoint(a)), atol=1e-12
-        )
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             compose(identity(2), identity(3))
         with pytest.raises(ValueError):
             add(identity(2), identity(3))
         with pytest.raises(ValueError, match="square"):
-            adjoint(np.ones((2, 3)))
+            is_projector(np.ones((2, 3)))
 
 
 class TestStructureChecks:
@@ -191,6 +144,17 @@ class TestStructureChecks:
     def test_non_projector_detected(self):
         assert not is_projector(2.0 * identity(3))
         assert not is_projector(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_require_projector_returns_complex_matrix(self):
+        p = require_projector([[1, 0], [0, 0]], "coupling")
+        assert p.dtype == complex
+        np.testing.assert_array_equal(p, basis_projector(("u", "d"), ["u"]))
+
+    def test_require_projector_names_the_operand(self):
+        with pytest.raises(NotAProjectorError, match="first operand is not a projector"):
+            require_projector(2.0 * identity(2), "first operand")
+        with pytest.raises(ValueError, match="coupling must be a square"):
+            require_projector(np.ones((2, 3)), "coupling")
 
     def test_non_commuting_detected(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
@@ -214,7 +178,7 @@ class TestRandomizedProperties:
         for _ in range(100):
             dim = int(rng.integers(2, 9))
             p = random_basis_projector(rng, dim)
-            assert is_projector(p, 1e-10)
+            assert is_projector(p)
             trace = np.trace(p).real
             assert trace >= -1e-9
             assert abs(trace - round(trace)) <= 1e-9

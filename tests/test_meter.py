@@ -127,6 +127,20 @@ class TestMeasurePointer:
         with pytest.raises(MeterGridError, match="coarse"):
             measure_pointer(s, s.channel("C"), MeterConfig(sigma=1e-3, g=3.0))
 
+    def test_coupling_below_rounding_floor_rejected(self):
+        # at sigma = 1e150, q - 0.1 == q on every grid point
+        s = catalog("three-box")
+        p = s.channel("C")
+        with pytest.raises(MeterGridError, match="rounding floor"):
+            measure_pointer(s, p, MeterConfig(sigma=1e150, g=0.1))
+        with pytest.raises(MeterGridError, match="rounding floor"):
+            sequential_disturbance(s, s.channel("A"), p, 1e150, 0.1)
+        floor = np.finfo(float).eps * MeterConfig(sigma=1.0, g=0.0).halfwidth
+        with pytest.raises(MeterGridError):
+            measure_pointer(s, p, MeterConfig(sigma=1.0, g=floor))
+        measure_pointer(s, p, MeterConfig(sigma=1.0, g=2 * floor))
+        measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.0))
+
     def test_grid_at_the_spacing_limit_matches_oracle(self):
         s = catalog("three-box")
         p = s.channel("C")

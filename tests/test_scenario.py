@@ -1,3 +1,4 @@
+import cmath
 import json
 
 import numpy as np
@@ -12,7 +13,6 @@ from weaklogic import (
     default_audit_pairs,
     effective_bra,
     evaluate_text,
-    hardy_beamsplitter,
     identity,
     inner,
     is_projector,
@@ -22,6 +22,8 @@ from weaklogic import (
     scenario_document,
 )
 from weaklogic.expr import Name
+from weaklogic.scenario import amplitude
+from helpers import hardy_beamsplitter
 
 THREE_BOX_TEXT = json.dumps(
     {
@@ -51,7 +53,8 @@ class TestLoadScenario:
         s = load_scenario(THREE_BOX_TEXT)
         assert s.name == "boxes"
         assert s.dim == 3
-        assert s.pre_state.normalized and s.post_state.normalized
+        assert s.pre_state.norm == pytest.approx(1.0, abs=1e-15)
+        assert s.post_state.norm == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(s.pre_state.amps, np.ones(3) / np.sqrt(3), atol=1e-15)
         np.testing.assert_allclose(
             s.post_state.amps, np.array([1, 1, -1]) / np.sqrt(3), atol=1e-15
@@ -184,7 +187,7 @@ class TestCatalog:
             assert abs(s.pre_state.norm - 1.0) <= 1e-12
             assert abs(s.post_state.norm - 1.0) <= 1e-12
             for channel in s.channels.values():
-                assert is_projector(channel, 1e-10)
+                assert is_projector(channel)
 
     def test_channel_names_are_expression_identifiers(self):
         for name in CATALOG_NAMES:
@@ -302,6 +305,49 @@ class TestEffectiveBra:
         bra = effective_bra(s)
         assert isinstance(bra, State)
         assert bra.norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_bra_is_pulled_back_once_at_build_time(self):
+        s = catalog("hardy")
+        assert effective_bra(s) is s.bra
+        np.testing.assert_array_equal(
+            s.bra.amps, s.evolution.conj().T @ s.post_state.amps
+        )
+
+
+class TestAmplitude:
+    def test_matches_raw_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        from helpers import random_scenario
+
+        s = random_scenario(rng, 5, with_evolution=True)
+        a, b = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(2))
+        bra, pre = s.bra.amps, s.pre_state.amps
+        assert amplitude(s) == complex(np.vdot(bra, pre))
+        assert amplitude(s, a) == complex(np.vdot(bra, a @ pre))
+        # the last operator acts first, and the products keep that order
+        assert amplitude(s, a, b) == complex(np.vdot(bra, a @ (b @ pre)))
+        assert amplitude(s) == pytest.approx(s.post_overlap, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "op, match",
+        [
+            (np.ones((3, 2)), "square"),
+            (np.full((3, 3), np.nan), "non-finite"),
+            (identity(4), "dimension mismatch"),
+        ],
+    )
+    def test_operator_checked(self, op, match):
+        s = catalog("three-box")
+        with pytest.raises(ValueError, match=match):
+            amplitude(s, identity(3), op)
+
+    def test_overflowing_product_rejected(self):
+        s = catalog("three-box")
+        huge = 1e308 * identity(3)
+        assert cmath.isfinite(amplitude(s, huge))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                amplitude(s, huge, huge)
 
 
 class TestAuditPairData:

@@ -64,7 +64,7 @@ class TestCollapse:
         assert outcome.probability == pytest.approx(0.5, abs=1e-12)
         expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
         np.testing.assert_allclose(outcome.state.amps, expected, atol=1e-12)
-        assert outcome.state.normalized
+        assert outcome.state.norm == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_collapse(self):
         s = catalog("three-box")
