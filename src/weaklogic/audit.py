@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
 from .expr import evaluate, parse
-from .linalg import STRUCT_TOL, add, commutes, compose, orthogonal, require_projector
+from .linalg import STRUCT_TOL, add, compose, orthogonal, require_projector
 from .scenario import Scenario
 from .weak import WeakValue, weak_value
 
@@ -186,11 +186,12 @@ def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdic
     """Audit the AND combination of two commuting, non-orthogonal projectors."""
     pa = require_projector(pa, "first operand")
     pb = require_projector(pb, "second operand")
-    if not commutes(pa, pb):
+    product = compose(pa, pb)
+    # (PQ)^dagger = QP: the product is self-adjoint exactly when P, Q commute
+    if np.max(np.abs(product - product.conj().T)) > STRUCT_TOL:
         raise AuditPreconditionError(
             "projectors do not commute; their product is not a projector"
         )
-    product = compose(pa, pb)
     if np.max(np.abs(product)) <= STRUCT_TOL:
         raise AuditPreconditionError(
             "projector product vanishes as an operator; the conjunction is "

@@ -18,7 +18,7 @@ import numpy as np
 
 from .audit import AuditReport, audit_all, classify_product, classify_sum
 from .errors import PhysicsError, ScenarioError
-from .expr import evaluate, parse
+from .expr import evaluate_text
 from .linalg import require_projector
 from .meter import MeterConfig, measure_pointer, weak_limit_estimate
 from .scenario import (
@@ -55,9 +55,7 @@ def fmt_complex(z: complex) -> str:
     """Render as a+bi with 12 significant digits per part."""
     z = complex(z)
     re, im = z.real, z.imag
-    if im == 0.0:
-        im = 0.0
-    sign = "-" if im < 0 else "+"
+    sign = "-" if im < 0 else "+"  # -0.0 < 0 is false: negative zero reads "+0"
     return f"{fmt_real(re)}{sign}{fmt_real(abs(im))}i"
 
 
@@ -106,14 +104,10 @@ def _resolve_scenario(args) -> Scenario:
     return load_scenario(text)
 
 
-def _operator(s: Scenario, text: str) -> np.ndarray:
-    return evaluate(parse(text), s.channels)
-
-
 def _projector(s: Scenario, text: str) -> np.ndarray:
     """The expression's operator, checked here because strong and abl
     assume a projector without checking."""
-    return require_projector(_operator(s, text), f"expression {text!r}")
+    return require_projector(evaluate_text(text, s.channels), f"expression {text!r}")
 
 
 def _cmd_list(args) -> int:
@@ -176,7 +170,7 @@ def _cmd_abl(args) -> int:
 
 def _cmd_weak(args) -> int:
     s = _resolve_scenario(args)
-    w = weak_value(s, _operator(s, args.expr))
+    w = weak_value(s, evaluate_text(args.expr, s.channels))
     payload = {
         "scenario": s.name,
         "expression": args.expr,
@@ -190,15 +184,15 @@ def _cmd_weak(args) -> int:
 
 
 def _verdict_rows(kind: str, expr_a: str, expr_b: str, verdict) -> list[tuple[str, str]]:
-    wa, wb, wc = verdict.weak_values
-    combined = "weak_sum" if kind == "sum" else "weak_product"
+    weak = [
+        (key, f"{fmt_complex(w.value)} (zero={_cell(w.is_zero)})")
+        for key, w in zip(("weak_a", "weak_b", f"weak_{kind}"), verdict.weak_values)
+    ]
     return [
         ("kind", kind),
         ("expr_a", expr_a),
         ("expr_b", expr_b),
-        ("weak_a", f"{fmt_complex(wa.value)} (zero={_cell(wa.is_zero)})"),
-        ("weak_b", f"{fmt_complex(wb.value)} (zero={_cell(wb.is_zero)})"),
-        (combined, f"{fmt_complex(wc.value)} (zero={_cell(wc.is_zero)})"),
+        *weak,
         ("case", verdict.case.value),
         ("consistent", _cell(verdict.consistent)),
         ("narrative", verdict.narrative),
@@ -207,8 +201,8 @@ def _verdict_rows(kind: str, expr_a: str, expr_b: str, verdict) -> list[tuple[st
 
 def _cmd_audit_pair(args) -> int:
     s = _resolve_scenario(args)
-    pa = _operator(s, args.expr)
-    pb = _operator(s, args.expr2)
+    pa = evaluate_text(args.expr, s.channels)
+    pb = evaluate_text(args.expr2, s.channels)
     classify = classify_sum if args.kind == "sum" else classify_product
     verdict = classify(s, pa, pb)
     payload = {"scenario": s.name, "expr_a": args.expr, "expr_b": args.expr2}
@@ -226,26 +220,18 @@ def _report_rows(report: AuditReport) -> list[tuple[str, str]]:
         ("pairs", str(len(report.entries))),
     ]
     for i, entry in enumerate(report.entries, start=1):
-        tag = f"[{i}]"
+        rows.append((f"[{i}]", f"{entry.kind}  {entry.expr_a} | {entry.expr_b}"))
         if entry.error is not None:
-            rows.append((tag, f"{entry.kind}  {entry.expr_a} | {entry.expr_b}"))
             rows.append(("", f"error: {entry.error}"))
             continue
         verdict = entry.verdict
-        wa, wb, wc = verdict.weak_values
-        rows.append((tag, f"{entry.kind}  {entry.expr_a} | {entry.expr_b}"))
-        rows.append(
-            (
-                "",
-                f"weak: {fmt_complex(wa.value)} / {fmt_complex(wb.value)} "
-                f"/ {fmt_complex(wc.value)}",
-            )
-        )
-        rows.append(
-            ("", f"case {verdict.case.value}: "
-                 f"{'consistent' if verdict.consistent else 'INCONSISTENT'}")
-        )
-        rows.append(("", verdict.narrative))
+        weak = " / ".join(fmt_complex(w.value) for w in verdict.weak_values)
+        word = "consistent" if verdict.consistent else "INCONSISTENT"
+        rows += [
+            ("", f"weak: {weak}"),
+            ("", f"case {verdict.case.value}: {word}"),
+            ("", verdict.narrative),
+        ]
     return rows
 
 
@@ -269,7 +255,7 @@ def _cmd_meter(args) -> int:
     s = _resolve_scenario(args)
     if (args.g is None) == (args.sweep is None):
         raise _UsageError("exactly one of --g or --sweep is required")
-    p = _operator(s, args.expr)
+    p = evaluate_text(args.expr, s.channels)
     if args.sweep is not None:
         estimate = weak_limit_estimate(s, p, args.sigma, args.sweep)
         exact = weak_value(s, p).value

@@ -10,13 +10,15 @@ Grammar (whitespace insignificant, both operators left-associative,
 
 A sum of projectors reads as a non-exclusive OR of the named channels, a
 product as an AND; evaluation performs no physics validation, so the result
-need not itself be a projector.
+need not itself be a projector. Parentheses may nest at most ``MAX_NESTING``
+deep; a chain of '+' or '*' may be of any length.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Union
 
 import numpy as np
@@ -49,19 +51,25 @@ class Group:
 
 Node = Union[Name, Sum, Product, Group]
 
+#: Deepest parenthesis nesting ``parse`` accepts.
+MAX_NESTING = 100
+
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _SINGLE = {"+": "PLUS", "*": "STAR", "(": "LPAREN", ")": "RPAREN"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(text):
         ch = text[pos]
         if ch.isspace():
             pos += 1
             continue
         if ch in _SINGLE:
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
             tokens.append((_SINGLE[ch], ch, pos))
             pos += 1
             continue
@@ -132,14 +140,23 @@ def parse(text: str) -> Node:
     return node
 
 
+def _operands(node: Union[Sum, Product]) -> list[Node]:
+    """Operands of a left-deep chain of one operator, left to right."""
+    kind = type(node)
+    rights = []
+    while type(node) is kind:
+        rights.append(node.right)
+        node = node.left
+    return [node, *reversed(rights)]
+
+
 def unparse(node: Node) -> str:
     """Render a tree back to canonical text; reparsing yields an equal tree."""
     if isinstance(node, Name):
         return node.ident
-    if isinstance(node, Sum):
-        return f"{unparse(node.left)} + {unparse(node.right)}"
-    if isinstance(node, Product):
-        return f"{unparse(node.left)}*{unparse(node.right)}"
+    if isinstance(node, (Sum, Product)):
+        separator = " + " if isinstance(node, Sum) else "*"
+        return separator.join(unparse(operand) for operand in _operands(node))
     if isinstance(node, Group):
         return f"({unparse(node.inner)})"
     raise TypeError(f"not an expression node: {node!r}")
@@ -157,10 +174,9 @@ def evaluate(node: Node, channels: Mapping[str, np.ndarray]) -> np.ndarray:
             return channels[node.ident]
         except KeyError:
             raise UnboundNameError(node.ident, channels.keys()) from None
-    if isinstance(node, Sum):
-        return add(evaluate(node.left, channels), evaluate(node.right, channels))
-    if isinstance(node, Product):
-        return compose(evaluate(node.left, channels), evaluate(node.right, channels))
+    if isinstance(node, (Sum, Product)):
+        combine = add if isinstance(node, Sum) else compose
+        return reduce(combine, (evaluate(op, channels) for op in _operands(node)))
     if isinstance(node, Group):
         return evaluate(node.inner, channels)
     raise TypeError(f"not an expression node: {node!r}")

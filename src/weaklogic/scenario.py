@@ -77,8 +77,9 @@ def amplitude(s: Scenario, *ops) -> complex:
 
     Every weak-value numerator, ABL amplitude and meter split is one of
     these. Each operator is checked once: square, finite, of the scenario's
-    dimension; a product that overflows raises ValueError. With no operators this is <post|U|pre> taken through the bra,
-    which may differ from ``post_overlap`` in the last bits.
+    dimension; a product that overflows raises ValueError. With no operators
+    this is <post|U|pre> taken through the bra, which may differ from
+    ``post_overlap`` in the last bits.
     """
     ket = s.pre_state.amps
     for op in reversed(ops):
@@ -166,33 +167,25 @@ def build_scenario(
     )
 
 
-def _complex_entry(obj, what: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        raise ScenarioError(f"{what} must be a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
-
-
-def _complex_vector(obj, dim: int, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise ScenarioError(f"{what} must be a list of {dim} [re, im] pairs")
-    return np.array([_complex_entry(x, what) for x in obj], dtype=complex)
-
-
-def _complex_matrix(obj, dim: int, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise ScenarioError(f"{what} must be a {dim}x{dim} array of [re, im] pairs")
-    return np.array([_complex_vector(row, dim, what) for row in obj], dtype=complex)
+def _complex_array(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A JSON field of [re, im] pairs, checked and converted as one array:
+    int or float leaves (not bool) nested as ``(*shape, 2)``, viewed as
+    complex so that every bit, signed zeros included, is kept."""
+    leaves = np.array(obj, dtype=object)
+    if leaves.shape != (*shape, 2) or not set(map(type, leaves.flat)) <= {int, float}:
+        layout = ("a list of {}" if len(shape) == 1 else "a {}x{} array of").format(*shape)
+        raise ScenarioError(f"{what} must be {layout} [re, im] pairs")
+    try:
+        return leaves.astype(float).view(complex).reshape(shape)
+    except OverflowError:
+        raise ScenarioError(f"{what} has a number beyond floating-point range") from None
 
 
 def _reject_duplicate_keys(pairs):
     seen = set()
     for key, _ in pairs:
         if key in seen:
-            raise ScenarioError(f"duplicate key {key!r} in scenario file")
+            raise ScenarioError(f"duplicate key {key!r} in JSON object")
         seen.add(key)
     return dict(pairs)
 
@@ -244,11 +237,11 @@ def load_scenario(text: str) -> Scenario:
     ):
         raise ScenarioError(f"'labels' must be a list of {dim} strings")
 
-    pre = _complex_vector(doc["pre"], dim, "'pre'")
-    post = _complex_vector(doc["post"], dim, "'post'")
+    pre = _complex_array(doc["pre"], (dim,), "'pre'")
+    post = _complex_array(doc["post"], (dim,), "'post'")
     evolution = None
     if "evolution" in doc and doc["evolution"] is not None:
-        evolution = _complex_matrix(doc["evolution"], dim, "'evolution'")
+        evolution = _complex_array(doc["evolution"], (dim, dim), "'evolution'")
 
     if not isinstance(doc["channels"], dict):
         raise ScenarioError("'channels' must be an object")
@@ -269,8 +262,8 @@ def load_scenario(text: str) -> Scenario:
             except ValueError as exc:
                 raise ScenarioError(f"channel {ch_name!r}: {exc}") from None
         else:
-            channels[ch_name] = _complex_matrix(
-                spec["matrix"], dim, f"channel {ch_name!r}"
+            channels[ch_name] = _complex_array(
+                spec["matrix"], (dim, dim), f"channel {ch_name!r}"
             )
 
     return build_scenario(name, labels, pre, post, evolution, channels)
@@ -314,7 +307,7 @@ def catalog(name: str) -> Scenario:
 def parse_audit_pairs(text: str) -> tuple[tuple[str, str, str], ...]:
     """Parse an audit-pair document: a JSON list of {a, b, kind} objects."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, list):

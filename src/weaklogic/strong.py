@@ -67,11 +67,16 @@ def cond_prob_post(s: Scenario, p: np.ndarray) -> float:
     return _checked_probability(abs(amplitude(s, p)) ** 2, "conditional probability")
 
 
+def _hit_miss(s: Scenario, p: np.ndarray) -> tuple[float, float]:
+    """``cond_prob_post`` of p and of 1 - p, each formed once for the
+    two-outcome measurement {p, 1 - p}."""
+    return cond_prob_post(s, p), cond_prob_post(s, identity(s.dim) - as_operator(p))
+
+
 def abl_prob(s: Scenario, p: np.ndarray) -> float:
     """Probability of the outcome p given both pre- and postselection,
     for the two-outcome measurement {p, 1 - p}."""
-    hit = cond_prob_post(s, p)
-    miss = cond_prob_post(s, identity(s.dim) - as_operator(p))
+    hit, miss = _hit_miss(s, p)
     denominator = hit + miss
     if denominator <= _NULL_PROB:
         raise AblUndefinedError(
@@ -93,11 +98,10 @@ def bayes_check(s: Scenario, p: np.ndarray) -> float:
     outcome_prob = born_prob(s.pre_state, p)
     if outcome_prob <= _NULL_PROB:
         return 0.0
-    hit = cond_prob_post(s, p)
-    miss = cond_prob_post(s, identity(s.dim) - as_operator(p))
+    hit, miss = _hit_miss(s, p)
     post_prob = hit + miss
     if post_prob <= _NULL_PROB:
         return 0.0
-    lhs = abl_prob(s, p) * post_prob
+    lhs = _checked_probability(hit / post_prob, "conditioned probability") * post_prob
     rhs = (hit / outcome_prob) * outcome_prob
     return abs(lhs - rhs)

@@ -14,11 +14,18 @@ from weaklogic import (
     classify_product,
     classify_sum,
     collapse,
+    commutes,
     default_audit_pairs,
     evaluate_text,
     inner,
 )
-from helpers import dproj, rephased
+from helpers import (
+    dproj,
+    random_basis_projector,
+    random_projector_family,
+    random_scenario,
+    rephased,
+)
 
 LABELS4 = ("w", "x", "y", "z")
 
@@ -217,6 +224,33 @@ class TestClassifyProduct:
             ProductCase.V_MIRROR,
         }
         assert verdict.consistent is (expected in consistent_cases)
+
+
+class TestCommutationReadOffTheProduct:
+    """classify_product reads commutation off the self-adjointness of the
+    product it forms; its verdict must be the one ``commutes`` gives."""
+
+    @staticmethod
+    def _audit_commutes(s, pa, pb):
+        try:
+            classify_product(s, pa, pb)
+        except AuditPreconditionError as exc:
+            return "commute" not in str(exc)
+        return True
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_matches_commutes(self, seed, dim, from_one_family):
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng, dim)
+        if from_one_family:
+            family = random_projector_family(rng, dim, dim)
+            sizes = rng.integers(1, dim + 1, size=2)
+            pa, pb = (sum(family[i] for i in rng.choice(dim, k, False)) for k in sizes)
+            assert commutes(pa, pb)
+        else:
+            pa, pb = random_basis_projector(rng, dim), random_basis_projector(rng, dim)
+        assert self._audit_commutes(s, pa, pb) == commutes(pa, pb)
 
 
 class TestAuditAll:

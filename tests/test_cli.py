@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from weaklogic import MeterConfig, catalog, load_scenario, sequential_disturbance
 from weaklogic.cli import fmt_complex, fmt_real, main
+from weaklogic.scenario import amplitude
 
 THREE_BOX_FILE = {
     "name": "boxes",
@@ -97,6 +99,22 @@ class TestStrongCommand:
         )
         assert code == 2
         assert "projector" in err
+
+    def test_forms_five_amplitudes(self, capsys, monkeypatch):
+        # born needs none; cond_post needs P; abl and bayes_residual each
+        # need P and 1 - P once
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return amplitude(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("weaklogic") and vars(module).get("amplitude") is amplitude:
+                monkeypatch.setattr(module, "amplitude", counted)
+        code, _, _ = run(capsys, "strong", "--scenario", "three-box", "--expr", "A + B")
+        assert code == 0
+        assert len(calls) == 5
 
 
 class TestAblCommand:
@@ -295,6 +313,36 @@ class TestScenarioIO:
         )
         np.testing.assert_allclose(reloaded.evolution, original.evolution, atol=1e-15)
 
+    def test_negative_zeros_round_trip_byte_for_byte(self, capsys, tmp_path):
+        doc = {
+            "name": "signed",
+            "dim": 2,
+            "labels": ["u", "d"],
+            # states are divided by their (unit) norm on load; that complex
+            # division keeps these signed zeros, though not every one
+            "pre": [[1.0, -0.0], [0.0, 0.0]],
+            "post": [[0.0, -0.0], [1.0, -0.0]],
+            "evolution": [[[1.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [1.0, 0.0]]],
+            "channels": {
+                "up": {"matrix": [[[1.0, -0.0], [-0.0, 0.0]], [[0.0, -0.0], [0.0, 0.0]]]}
+            },
+        }
+        text = json.dumps(doc, indent=2) + "\n"
+        path = tmp_path / "signed.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "show", "--file", str(path), "--format", "json")
+        assert code == 0
+        assert out == text
+
+    def test_number_beyond_float_range_is_exit_1(self, capsys, tmp_path):
+        doc = dict(THREE_BOX_FILE, post=[[1, 0], [1, 0], [10**400, 0]])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "show", "--file", str(path))
+        assert code == 1
+        assert out == ""
+        assert "'post' has a number beyond floating-point range" in err
+
     def test_file_scenario(self, capsys, tmp_path):
         path = tmp_path / "boxes.json"
         path.write_text(json.dumps(THREE_BOX_FILE), encoding="utf-8")
@@ -332,10 +380,22 @@ class TestDeterminismAndExitCodes:
         assert code == 1
         assert "unknown scenario" in err
 
-    def test_bad_expression_is_exit_1_with_position(self, capsys):
-        code, _, err = run(capsys, "weak", "--scenario", "three-box", "--expr", "A + ")
+    @pytest.mark.parametrize(
+        "expr, position",
+        # 400 nested parentheses fail where the 101st opens
+        [("A + ", 4), ("(" * 400 + "A" + ")" * 400, 100)],
+        ids=["dangling", "deep"],
+    )
+    def test_bad_expression_is_exit_1_with_position(self, capsys, expr, position):
+        code, _, err = run(capsys, "weak", "--scenario", "three-box", "--expr", expr)
         assert code == 1
-        assert "position 4" in err
+        assert f"position {position}" in err
+
+    def test_long_chain_evaluates(self, capsys):
+        expr = "+".join(["A"] * 3000)
+        code, out, _ = run(capsys, "weak", "--scenario", "three-box", "--expr", expr)
+        assert code == 0
+        assert "value        3000+0i" in out
 
     def test_missing_scenario_flag_is_exit_1(self, capsys):
         code, _, err = run(capsys, "weak", "--expr", "A")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklogic import ParseError, UnboundNameError, evaluate_text, parse, unparse
-from weaklogic.expr import Group, Name, Product, Sum
+from weaklogic.expr import MAX_NESTING, Group, Name, Product, Sum
 from weaklogic.linalg import add, compose
 from helpers import dproj
 
@@ -105,6 +105,20 @@ class TestEvaluate:
         table = {"a": np.eye(2, dtype=complex), "b": np.eye(3, dtype=complex)}
         with pytest.raises(ValueError, match="dimension mismatch"):
             evaluate_text("a + b", table)
+
+
+class TestLimits:
+    def test_nesting_beyond_the_limit_rejected_where_crossed(self):
+        assert isinstance(parse("(" * MAX_NESTING + "a" + ")" * MAX_NESTING), Group)
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}") as exc:
+            parse("(" * 400 + "a" + ")" * 400)
+        assert exc.value.position == MAX_NESTING
+
+    def test_long_chains_fold_without_recursion(self):
+        table = {"a": dproj(2, [0]), "b": dproj(2, [1])}
+        text = " + ".join(["a"] * 3000) + " + " + "*".join(["b"] * 3000)
+        np.testing.assert_array_equal(evaluate_text(text, table), np.diag([3000, 1]))
+        assert unparse(parse(text)) == text
 
 
 _names = st.sampled_from(["a", "b1", "Xx", "n_2", "same12"])

@@ -113,9 +113,17 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="not a projector"):
             load_scenario(_with({"channels": {"bad": {"matrix": matrix}}}))
 
-    def test_bad_amplitude_pair(self):
+    @pytest.mark.parametrize("last", [1, [True, 0], ["1", 0], [None, 0], [[1], 0]])
+    def test_bad_amplitude_pair(self, last):
         with pytest.raises(ScenarioError, match="re, im"):
-            load_scenario(_with(pre=[[1, 0], [1, 0], 1]))
+            load_scenario(_with(pre=[[1, 0], [1, 0], last]))
+
+    def test_number_beyond_float_range_rejected(self):
+        evolution = [[[1, 0], [0, 0], [0, 0]],
+                     [[0, 0], [1, 0], [0, 0]],
+                     [[0, 0], [0, 0], [10**400, 0]]]
+        with pytest.raises(ScenarioError, match="'evolution' has a number beyond"):
+            load_scenario(_with(evolution=evolution))
 
     def test_bad_channel_spec(self):
         with pytest.raises(ScenarioError, match="'basis'.*or.*'matrix'"):
@@ -375,3 +383,5 @@ class TestAuditPairData:
             parse_audit_pairs('[{"a": "x"}]')
         with pytest.raises(ScenarioError, match="invalid JSON"):
             parse_audit_pairs("nope")
+        with pytest.raises(ScenarioError, match="duplicate key 'kind'"):
+            parse_audit_pairs('[{"a": "x", "b": "y", "kind": "sum", "kind": "product"}]')
