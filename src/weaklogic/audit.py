@@ -31,9 +31,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
-from .expr import evaluate, parse
-from .linalg import STRUCT_TOL, add, compose, orthogonal, require_projector
-from .scenario import Scenario
+from .linalg import STRUCT_TOL, add, adjoint, compose, orthogonal, require_projector
+from .scenario import Scenario, expression_operator
 from .weak import WeakValue, weak_value
 
 
@@ -188,7 +187,7 @@ def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdic
     pb = require_projector(pb, "second operand")
     product = compose(pa, pb)
     # (PQ)^dagger = QP: the product is self-adjoint exactly when P, Q commute
-    if np.max(np.abs(product - product.conj().T)) > STRUCT_TOL:
+    if np.max(np.abs(product - adjoint(product))) > STRUCT_TOL:
         raise AuditPreconditionError(
             "projectors do not commute; their product is not a projector"
         )
@@ -259,8 +258,8 @@ def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport
         try:
             if kind not in ("sum", "product"):
                 raise ValueError(f"audit kind must be 'sum' or 'product', got {kind!r}")
-            pa = evaluate(parse(expr_a), s.channels)
-            pb = evaluate(parse(expr_b), s.channels)
+            pa = expression_operator(s, expr_a)
+            pb = expression_operator(s, expr_b)
             classify = classify_sum if kind == "sum" else classify_product
             verdict = classify(s, pa, pb)
             entries.append(AuditEntry(expr_a, expr_b, kind, verdict, None))

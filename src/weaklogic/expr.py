@@ -32,14 +32,32 @@ class Name:
     ident: str
 
 
-@dataclass(frozen=True)
-class Sum:
+class _Chain:
+    """A binary node's dataclass equality and repr, and a hash that agrees,
+    computed over its left-deep chain of one operator in a loop."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _operands(self) == _operands(other)
+
+    def __hash__(self):
+        return hash((self.__class__, *_operands(self)))
+
+    def __repr__(self):
+        first, *rest = _operands(self)
+        head = f"{self.__class__.__name__}(left=" * len(rest) + repr(first)
+        return head + "".join(f", right={op!r})" for op in rest)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Sum(_Chain):
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Product:
+@dataclass(frozen=True, eq=False, repr=False)
+class Product(_Chain):
     left: "Node"
     right: "Node"
 
@@ -150,6 +168,11 @@ def _operands(node: Union[Sum, Product]) -> list[Node]:
     return [node, *reversed(rights)]
 
 
+def names(text: str) -> set[str]:
+    """Channel names a parsable expression uses."""
+    return set(_NAME_RE.findall(text))
+
+
 def unparse(node: Node) -> str:
     """Render a tree back to canonical text; reparsing yields an equal tree."""
     if isinstance(node, Name):
@@ -165,9 +188,9 @@ def unparse(node: Node) -> str:
 def evaluate(node: Node, channels: Mapping[str, np.ndarray]) -> np.ndarray:
     """Evaluate a tree against a channel table.
 
-    Sums map to matrix addition and products to left-to-right matrix
-    composition. Callers that need a projector must check the result with
-    ``is_projector``.
+    Sums map to ``add`` and products to left-to-right ``compose``, in the
+    table's operator form. Callers that need a projector must check the
+    result with ``is_projector``.
     """
     if isinstance(node, Name):
         try:

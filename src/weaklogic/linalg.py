@@ -1,7 +1,10 @@
-"""Dense complex linear algebra over small labelled Hilbert spaces.
+"""Complex linear algebra over small labelled Hilbert spaces.
 
-States carry basis labels so that reports stay readable; operators are plain
-complex numpy matrices. Everything is immutable and pure.
+States carry basis labels so that reports stay readable. An operator is a
+complex square matrix or, for a real diagonal operator, its 1-D diagonal. Only
+this module branches on the form: diagonals combine elementwise in O(d) with
+the bits of the dense products, and a diagonal meeting a matrix becomes one.
+Everything is immutable and pure.
 """
 
 from __future__ import annotations
@@ -21,17 +24,32 @@ SCALAR_TOL = 1e-12
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
 
 
 def as_operator(entries, what: str = "operator") -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting NaN/Inf."""
+    """Coerce to a complex square matrix or non-empty diagonal, rejecting NaN/Inf.
+    A complex diagonal becomes its matrix: its elementwise products can differ
+    in the last bit from the dense ones, which use fused multiply-adds."""
     m = np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
+    if not (m.ndim == 1 and m.size or m.ndim == 2 and m.shape[0] == m.shape[1]):
+        raise ValueError(f"{what} must be a square matrix or its diagonal, got {m.shape}")
     _check_finite(m, what)
-    return m
+    return np.diag(m) if m.ndim == 1 and m.imag.any() else m
+
+
+def dense(entries, what: str = "operator") -> np.ndarray:
+    """The operator as a square matrix."""
+    m = as_operator(entries, what)
+    return np.diag(m) if m.ndim == 1 else m
+
+
+def diagonal(entries) -> np.ndarray | None:
+    """The operator's diagonal, read-only, when it is exactly real and diagonal."""
+    m = dense(entries)
+    d = np.diagonal(m)
+    return None if d.imag.any() or np.count_nonzero(m) != np.count_nonzero(d) else d
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +66,7 @@ class State:
         _check_finite(amps, "state")
         labels = tuple(str(lab) for lab in self.labels)
         if len(labels) != amps.size:
-            raise ValueError(
-                f"{len(labels)} labels for {amps.size} amplitudes"
-            )
+            raise ValueError(f"{len(labels)} labels for {amps.size} amplitudes")
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
         amps.setflags(write=False)
@@ -72,9 +88,7 @@ class State:
         return State(self.amps / n, self.labels)
 
     def __repr__(self) -> str:
-        terms = ", ".join(
-            f"{lab}: {amp:.6g}" for lab, amp in zip(self.labels, self.amps)
-        )
+        terms = ", ".join(f"{lab}: {amp:.6g}" for lab, amp in zip(self.labels, self.amps))
         return f"State({terms})"
 
 
@@ -87,32 +101,53 @@ def inner(u: State, v: State) -> complex:
     return complex(np.vdot(u.amps, v.amps))
 
 
+def act(op, amps: np.ndarray) -> np.ndarray:
+    """The operator applied to an amplitude vector. A diagonal acts elementwise;
+    adding 0.0 turns a -0.0 into the +0.0 that the matrix product's sum gives."""
+    m = as_operator(op)
+    if len(m) != amps.size:
+        raise ValueError(f"dimension mismatch: operator {len(m)} vs state {amps.size}")
+    return m * amps + 0.0 if m.ndim == 1 else m @ amps
+
+
 def apply(op: np.ndarray, v: State) -> State:
     """Apply an operator to a state; the result is not renormalized."""
-    m = as_operator(op)
-    if m.shape[0] != v.dim:
-        raise ValueError(f"dimension mismatch: operator {m.shape[0]} vs state {v.dim}")
-    return State(m @ v.amps, v.labels)
+    return State(act(op, v.amps), v.labels)
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a * b if a.ndim == 1 else a @ b
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands in one form: diagonals if both are, else matrices."""
+    a, b = as_operator(a), as_operator(b)
+    if a.ndim != b.ndim:
+        a, b = dense(a), dense(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Operator product a.b (apply b first)."""
-    a = as_operator(a)
-    b = as_operator(b)
-    _check_same_dim(a, b)
-    return a @ b
+    return _product(*_pair(a, b))
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b)
-    _check_same_dim(a, b)
+    a, b = _pair(a, b)
     return a + b
+
+
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of an operator in either form, in that form."""
+    return m.conj() if m.ndim == 1 else m.conj().T
+
+
+def complement(op) -> np.ndarray:
+    """1 - op, in the operator's form."""
+    m = as_operator(op)
+    return (np.ones(len(m), dtype=complex) if m.ndim == 1 else identity(len(m))) - m
 
 
 def identity(dim: int) -> np.ndarray:
@@ -126,22 +161,21 @@ def basis_projector(labels: Sequence[str], members: Iterable[str]) -> np.ndarray
     for member in members:
         if member not in index:
             raise ValueError(f"unknown basis label {member!r}")
-        i = index[member]
-        p[i, i] = 1.0
+        p[index[member], index[member]] = 1.0
     return p
 
 
 def is_projector(p: np.ndarray) -> bool:
     """Entrywise check of idempotence and self-adjointness."""
     p = as_operator(p)
-    if np.max(np.abs(p @ p - p)) > STRUCT_TOL:
+    if np.max(np.abs(_product(p, p) - p)) > STRUCT_TOL:
         return False
-    return bool(np.max(np.abs(p - p.conj().T)) <= STRUCT_TOL)
+    return bool(np.max(np.abs(p - adjoint(p))) <= STRUCT_TOL)
 
 
 def require_projector(p, what: str) -> np.ndarray:
-    """The operator as a square complex matrix; NotAProjectorError if it is
-    not a projector."""
+    """The operator as a complex array in its form; NotAProjectorError if it
+    is not a projector."""
     p = as_operator(p, what)
     if not is_projector(p):
         raise NotAProjectorError(f"{what} is not a projector")
@@ -149,15 +183,10 @@ def require_projector(p, what: str) -> np.ndarray:
 
 
 def commutes(a: np.ndarray, b: np.ndarray) -> bool:
-    a = as_operator(a)
-    b = as_operator(b)
-    _check_same_dim(a, b)
-    return bool(np.max(np.abs(a @ b - b @ a)) <= STRUCT_TOL)
+    a, b = _pair(a, b)
+    return bool(np.max(np.abs(_product(a, b) - _product(b, a))) <= STRUCT_TOL)
 
 
 def orthogonal(p: np.ndarray, q: np.ndarray) -> bool:
     """True when the operator product p.q vanishes entrywise."""
-    p = as_operator(p)
-    q = as_operator(q)
-    _check_same_dim(p, q)
-    return bool(np.max(np.abs(p @ q)) <= STRUCT_TOL)
+    return bool(np.max(np.abs(_product(*_pair(p, q)))) <= STRUCT_TOL)

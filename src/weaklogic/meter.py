@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
-from .linalg import identity, require_projector
+from .linalg import complement, require_projector
 from .scenario import Scenario, amplitude
 
 #: Success weights at or below this count as extinguished postselection.
@@ -109,10 +109,18 @@ def _packet_pair(cfg: MeterConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, _packet(q, cfg.sigma), _packet(q - cfg.g, cfg.sigma)
 
 
+def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
+    """alpha = <post|U (1 - P)|pre> and beta = <post|U P|pre> of a checked P."""
+    beta = amplitude(s, require_projector(p, "meter coupling"))
+    return amplitude(s) - beta, beta
+
+
 def measure_pointer(s: Scenario, p: np.ndarray, cfg: MeterConfig) -> PointerStats:
     """Postselected pointer statistics for a single projector coupling."""
-    beta = amplitude(s, require_projector(p, "meter coupling"))
-    alpha = amplitude(s) - beta
+    return _readout(*_split(s, p), cfg)
+
+
+def _readout(alpha: complex, beta: complex, cfg: MeterConfig) -> PointerStats:
     q, phi0, phig = _packet_pair(cfg)
     psi = alpha * phi0 + beta * phig
     density = np.abs(psi) ** 2
@@ -150,15 +158,15 @@ def weak_limit_estimate(
     if any(b >= a for a, b in zip(sweep, sweep[1:])):
         raise ValueError("g_sweep must be strictly decreasing")
 
+    configs = [MeterConfig(sigma=sigma, g=g) for g in sweep]
+    alpha, beta = _split(s, p)
     estimates = []
-    for g in sweep:
-        stats = measure_pointer(s, p, MeterConfig(sigma=sigma, g=g))
-        estimates.append(
-            stats.mean_q / g + 1j * (2.0 * sigma**2 * stats.mean_p / g)
-        )
+    for g, cfg in zip(sweep, configs):
+        stats = _readout(alpha, beta, cfg)
+        estimates.append(stats.mean_q / g + 1j * (2.0 * sigma**2 * stats.mean_p / g))
 
     g_prev, g_min = sweep[-2], sweep[-1]
-    floor = np.finfo(float).eps * MeterConfig(sigma=sigma, g=g_min).halfwidth / g_min
+    floor = np.finfo(float).eps * configs[-1].halfwidth / g_min
     diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
     if len(diffs) >= 2 and diffs[-1] > diffs[0] and diffs[-1] > floor:
         raise SweepDivergenceError(
@@ -193,9 +201,8 @@ def sequential_disturbance(
     if not np.any(p1):
         return 0.0  # no first coupling at all
 
-    one = identity(s.dim)
-    splits1 = (one - p1, p1)
-    splits2 = (one - p2, p2)
+    splits1 = (complement(p1), p1)
+    splits2 = (complement(p2), p2)
     coeff = np.array([[amplitude(s, pk, pj) for pk in splits2] for pj in splits1])
 
     cfg = MeterConfig(sigma=sigma, g=g, grid_points=grid_points)

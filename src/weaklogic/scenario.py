@@ -18,12 +18,15 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioError
+from .expr import evaluate, names, parse
 from .linalg import (
     STRUCT_TOL,
     State,
+    act,
     apply,
-    as_operator,
     basis_projector,
+    dense,
+    diagonal,
     identity,
     inner,
     is_projector,
@@ -43,6 +46,9 @@ class Scenario:
     |post>, against which intermediate-time matrix elements are taken; both
     are recorded once at validation time. ``evolution`` of ``None`` means
     identity, and then ``bra`` is ``post_state`` itself.
+    ``channels`` holds each channel as a matrix; ``diagonals`` holds the
+    read-only 1-D diagonal of each that is exactly a real diagonal matrix
+    (every basis channel), for O(d) work with the same bits.
     """
 
     name: str
@@ -52,6 +58,7 @@ class Scenario:
     post_state: State
     evolution: np.ndarray | None
     channels: Mapping[str, np.ndarray]
+    diagonals: Mapping[str, np.ndarray]
     post_overlap: complex
     bra: State
 
@@ -83,14 +90,18 @@ def amplitude(s: Scenario, *ops) -> complex:
     """
     ket = s.pre_state.amps
     for op in reversed(ops):
-        m = as_operator(op)
-        if m.shape[0] != s.dim:
-            raise ValueError(f"dimension mismatch: operator {m.shape[0]} vs state {s.dim}")
-        ket = m @ ket
+        ket = act(op, ket)
     value = complex(np.vdot(s.bra.amps, ket))
     if not cmath.isfinite(value):
         raise ValueError("matrix element is not finite: the operator product overflows")
     return value
+
+
+def expression_operator(s: Scenario, text: str) -> np.ndarray:
+    """Operator of a projector expression over the scenario's channels: a
+    diagonal when every name it uses is in ``s.diagonals``, else a matrix."""
+    node = parse(text)
+    return evaluate(node, s.diagonals if names(text) <= s.diagonals.keys() else s.channels)
 
 
 def build_scenario(
@@ -129,7 +140,7 @@ def build_scenario(
 
     ev = None
     if evolution is not None:
-        ev = as_operator(evolution, "evolution")
+        ev = dense(evolution, "evolution")
         if ev.shape != (dim, dim):
             raise ScenarioError(
                 f"evolution must be {dim}x{dim}, got {ev.shape[0]}x{ev.shape[1]}"
@@ -139,16 +150,20 @@ def build_scenario(
         ev.setflags(write=False)
 
     table: dict[str, np.ndarray] = {}
+    diagonals: dict[str, np.ndarray] = {}
     for ch_name, entries in (channels or {}).items():
         if not _CHANNEL_NAME_RE.match(ch_name):
             raise ScenarioError(f"channel name {ch_name!r} is not a valid identifier")
-        p = as_operator(entries, f"channel {ch_name!r}")
+        p = dense(entries, f"channel {ch_name!r}")
         if p.shape != (dim, dim):
             raise ScenarioError(f"channel {ch_name!r} must be {dim}x{dim}")
-        if not is_projector(p):
+        d = diagonal(p)
+        if not is_projector(p if d is None else d):
             raise ScenarioError(f"channel {ch_name!r} is not a projector")
         p.setflags(write=False)
         table[ch_name] = p
+        if d is not None:
+            diagonals[ch_name] = d
 
     evolved = apply(ev, pre_state) if ev is not None else pre_state
     overlap = inner(post_state, evolved)
@@ -162,6 +177,7 @@ def build_scenario(
         post_state=post_state,
         evolution=ev,
         channels=MappingProxyType(table),
+        diagonals=MappingProxyType(diagonals),
         post_overlap=overlap,
         bra=bra,
     )

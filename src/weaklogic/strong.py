@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AblUndefinedError, ConsistencyError, ZeroProbabilityError
-from .linalg import State, apply, as_operator, identity
+from .linalg import State, act, apply, complement
 from .scenario import Scenario, amplitude
 
 _BOUNDS_TOL = 1e-10
@@ -38,10 +38,7 @@ class CollapseOutcome:
 
 def born_prob(state: State, p: np.ndarray) -> float:
     """Outcome probability <psi|P|psi> for a projective measurement."""
-    m = as_operator(p)
-    if m.shape[0] != state.dim:
-        raise ValueError(f"dimension mismatch: operator {m.shape[0]} vs state {state.dim}")
-    value = complex(np.vdot(state.amps, m @ state.amps))
+    value = complex(np.vdot(state.amps, act(p, state.amps)))
     if abs(value.imag) > _REAL_TOL:
         raise ConsistencyError(
             f"expectation value has imaginary part {value.imag!r}; not a projector?"
@@ -70,7 +67,7 @@ def cond_prob_post(s: Scenario, p: np.ndarray) -> float:
 def _hit_miss(s: Scenario, p: np.ndarray) -> tuple[float, float]:
     """``cond_prob_post`` of p and of 1 - p, each formed once for the
     two-outcome measurement {p, 1 - p}."""
-    return cond_prob_post(s, p), cond_prob_post(s, identity(s.dim) - as_operator(p))
+    return cond_prob_post(s, p), cond_prob_post(s, complement(p))
 
 
 def abl_prob(s: Scenario, p: np.ndarray) -> float:

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearPoleWarning, PostselectionLostError
-from .expr import evaluate, parse
-from .scenario import Scenario, amplitude
+from .scenario import Scenario, amplitude, expression_operator
 
 #: Numerator magnitudes at or below this count as a vanishing weak value.
 ZERO_TOL = 1e-12
@@ -64,4 +63,4 @@ def weak_value(s: Scenario, op: np.ndarray) -> WeakValue:
 
 def weak_value_expr(s: Scenario, text: str) -> WeakValue:
     """Weak value of a projector expression over the scenario's channels."""
-    return weak_value(s, evaluate(parse(text), s.channels))
+    return weak_value(s, expression_operator(s, text))

@@ -5,6 +5,8 @@ evaluated analytically) so it shares no code path with the grid quadratures
 it is used to check.
 """
 
+import dataclasses
+
 import numpy as np
 
 from weaklogic import build_scenario
@@ -117,3 +119,17 @@ def pointer_oracle(alpha, beta, g, sigma):
     mean_q = g * (abs(beta) ** 2 + k * cross.real) / weight
     mean_p = g * k * cross.imag / (2.0 * sigma * sigma * weight)
     return float(mean_q), float(mean_p), float(weight)
+
+
+def bits(x):
+    """A result with every number as its bytes, so that equality demands the
+    same last bits and the same signed zeros."""
+    if isinstance(x, np.ndarray):
+        return x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return tuple(bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(bits(v) for v in x)
+    if isinstance(x, (float, complex)):
+        return type(x), np.array(x).tobytes()
+    return x

@@ -1,14 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklogic import (
+    AuditEntry,
     AuditPreconditionError,
+    ExpressionError,
     NotAProjectorError,
+    PhysicsError,
     ProductCase,
     SumCase,
     audit_all,
+    basis_projector,
     build_scenario,
     catalog,
     classify_product,
@@ -16,14 +22,19 @@ from weaklogic import (
     collapse,
     commutes,
     default_audit_pairs,
+    evaluate,
     evaluate_text,
     inner,
+    parse,
 )
 from helpers import (
     dproj,
+    generic_labels,
     random_basis_projector,
     random_projector_family,
     random_scenario,
+    random_unit,
+    random_unitary,
     rephased,
 )
 
@@ -315,6 +326,54 @@ class TestAuditAll:
             for entry in report.entries:
                 assert entry.error is None
                 assert entry.verdict.narrative
+
+
+class TestDiagonalPath:
+    """audit_all evaluates expressions over basis channels as diagonals. Its
+    report must carry the bits of the dense classification: the same weak
+    values to the last bit and signed zero, the same cases and errors."""
+
+    @staticmethod
+    def _dense_entry(s, expr_a, expr_b, kind):
+        try:
+            pa, pb = (evaluate(parse(text), s.channels) for text in (expr_a, expr_b))
+            classify = classify_sum if kind == "sum" else classify_product
+            return AuditEntry(expr_a, expr_b, kind, classify(s, pa, pb), None)
+        except (ExpressionError, PhysicsError, ValueError) as exc:
+            return AuditEntry(expr_a, expr_b, kind, None, str(exc))
+
+    @staticmethod
+    def _amplitudes(rng, dim):
+        """A random unit vector, with some entries +-0 in either part."""
+        v = random_unit(rng, dim)
+        for i in np.flatnonzero(rng.random(dim) < 0.3):
+            v[i] = complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0, v[i].imag]))
+        return v if np.any(v) else np.ones(dim)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore")
+    def test_report_has_the_bits_of_the_dense_path(self, seed, dim, with_evolution):
+        rng = np.random.default_rng(seed)
+        labels = generic_labels(dim)
+        names = [f"C{i}" for i in range(int(rng.integers(1, 5)))]
+        channels = {
+            name: basis_projector(labels, [lab for lab in labels if rng.random() < 0.5])
+            for name in names
+        }
+        evolution = random_unitary(rng, dim) if with_evolution else None
+        pre, post = self._amplitudes(rng, dim), self._amplitudes(rng, dim)
+        s = build_scenario("random", labels, pre, post, evolution, channels)
+        assert set(s.diagonals) == set(names)
+
+        def term():
+            return "*".join(rng.choice(names, size=int(rng.integers(1, 4))))
+
+        pairs = [(term(), term(), kind) for kind in rng.choice(["sum", "product"], 8)]
+        pairs.append((term(), "nosuch", str(rng.choice(["sum", "product"]))))
+        got = audit_all(s, pairs).to_dict()["pairs"]
+        want = [self._dense_entry(s, *pair).to_dict() for pair in pairs]
+        assert json.dumps(got) == json.dumps(want)
 
 
 class TestStrongContrast:

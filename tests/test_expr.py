@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,14 @@ class TestLimits:
         np.testing.assert_array_equal(evaluate_text(text, table), np.diag([3000, 1]))
         assert unparse(parse(text)) == text
 
+    def test_long_chains_compare_hash_and_print(self):
+        text = "+".join(["A"] * 3000)
+        tree = parse(text)
+        assert tree == parse(text)
+        assert tree != parse(text + "+A")
+        assert hash(tree) == hash(parse(text))
+        assert repr(tree) == "Sum(left=" * 2999 + "Name(ident='A')" + ", right=Name(ident='A'))" * 2999
+
 
 _names = st.sampled_from(["a", "b1", "Xx", "n_2", "same12"])
 _trees = st.recursive(
@@ -131,6 +141,31 @@ _trees = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+# the dataclass Sum and Product whose equality and repr the chain walk keeps
+_RECURSIVE = {
+    cls: dataclasses.make_dataclass(cls.__name__, ["left", "right"], frozen=True)
+    for cls in (Sum, Product)
+}
+
+
+def _recursive(node):
+    if isinstance(node, (Sum, Product)):
+        return _RECURSIVE[type(node)](_recursive(node.left), _recursive(node.right))
+    if isinstance(node, Group):
+        return Group(_recursive(node.inner))
+    return node
+
+
+class TestTreeMethods:
+    @given(_trees, _trees)
+    @settings(max_examples=200, deadline=None)
+    def test_agree_with_the_recursive_dataclass(self, a, b):
+        for x, y in ((a, b), (a, parse(unparse(a))), (parse(unparse(a)), parse(unparse(a)))):
+            assert (x == y) == (_recursive(x) == _recursive(y))
+            assert x != y or hash(x) == hash(y)
+        assert repr(a) == repr(_recursive(a))
 
 
 class TestRoundTrip:

@@ -2,20 +2,42 @@ import numpy as np
 import pytest
 
 from weaklogic import (
+    MeterConfig,
     NotAProjectorError,
     State,
+    abl_prob,
     add,
     apply,
     basis_projector,
+    bayes_check,
+    born_prob,
+    catalog,
+    classify_product,
+    classify_sum,
+    collapse,
     commutes,
     compose,
+    cond_prob_post,
     identity,
     inner,
     is_projector,
+    measure_pointer,
     orthogonal,
+    sequential_disturbance,
+    weak_limit_estimate,
+    weak_value,
 )
-from weaklogic.linalg import require_projector
-from helpers import random_basis_projector, random_unit
+from weaklogic.linalg import (
+    act,
+    adjoint,
+    as_operator,
+    complement,
+    dense,
+    diagonal,
+    require_projector,
+)
+from weaklogic.scenario import amplitude
+from helpers import bits, random_basis_projector, random_unit
 
 BOX2 = ("LL", "LR", "RL", "RR")
 BOX3 = ("LLL", "LLR", "LRL", "LRR", "RLL", "RLR", "RRL", "RRR")
@@ -182,3 +204,93 @@ class TestRandomizedProperties:
             trace = np.trace(p).real
             assert trace >= -1e-9
             assert abs(trace - round(trace)) <= 1e-9
+
+
+# every public function that takes an operator, called on operands a and b;
+# results that are operators are compared as matrices
+_OPERATOR_FUNCTIONS = {
+    "as_operator": lambda s, a, b: dense(as_operator(a)),
+    "dense": lambda s, a, b: dense(a),
+    "diagonal": lambda s, a, b: (diagonal(a), diagonal(add(a, b))),
+    "compose": lambda s, a, b: dense(compose(add(a, b), a)),
+    "add": lambda s, a, b: dense(add(a, b)),
+    # conjugation gives a matrix -0.0 imaginary parts off the diagonal, which
+    # a diagonal does not hold; the adjoint is compared as it is used, in a sum
+    "adjoint": lambda s, a, b: dense(add(a, adjoint(as_operator(b)))),
+    "complement": lambda s, a, b: dense(complement(a)),
+    "is_projector": lambda s, a, b: (is_projector(a), is_projector(add(a, a))),
+    "require_projector": lambda s, a, b: dense(require_projector(a, "a")),
+    "commutes": lambda s, a, b: commutes(a, b),
+    "orthogonal": lambda s, a, b: (orthogonal(a, b), orthogonal(a, a)),
+    "act": lambda s, a, b: act(a, s.bra.amps),
+    "apply": lambda s, a, b: apply(a, s.pre_state),
+    "amplitude": lambda s, a, b: amplitude(s, complement(a), b, a),
+    "weak_value": lambda s, a, b: weak_value(s, add(a, b)),
+    "born_prob": lambda s, a, b: born_prob(s.pre_state, a),
+    "collapse": lambda s, a, b: collapse(s.pre_state, a),
+    "cond_prob_post": lambda s, a, b: cond_prob_post(s, a),
+    "abl_prob": lambda s, a, b: abl_prob(s, a),
+    "bayes_check": lambda s, a, b: bayes_check(s, a),
+    "classify_sum": lambda s, a, b: classify_sum(s, a, b),
+    "classify_product": lambda s, a, b: classify_product(s, add(a, b), a),
+    "measure_pointer": lambda s, a, b: measure_pointer(s, a, MeterConfig(1.0, 0.1)),
+    "weak_limit_estimate": lambda s, a, b: weak_limit_estimate(
+        s, a, 1.0, [1e-1, 1e-2, 1e-3, 1e-4]
+    ),
+    "sequential_disturbance": lambda s, a, b: sequential_disturbance(s, a, b, 1.0, 0.05),
+}
+
+
+def _outcome(function, *args):
+    try:
+        return bits(function(*args))
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestDiagonalForm:
+    """A real diagonal operator may be passed as its 1-D diagonal. Every
+    function must then give the bits of its matrix, or the same error."""
+
+    @pytest.mark.parametrize("name", sorted(_OPERATOR_FUNCTIONS))
+    @pytest.mark.parametrize("forms", ["diagonal, diagonal", "diagonal, matrix", "matrix, diagonal"])
+    @pytest.mark.parametrize("scenario, a, b", [("three-box", "C", "A"), ("hardy", "Np", "Ip")])
+    def test_same_bits_as_the_matrix(self, name, forms, scenario, a, b):
+        s = catalog(scenario)
+        operands = [
+            (s.diagonals if form == "diagonal" else s.channels)[channel]
+            for form, channel in zip(forms.split(", "), (a, b))
+        ]
+        assert operands[0].ndim + operands[1].ndim == (3 if "matrix" in forms else 2)
+        function = _OPERATOR_FUNCTIONS[name]
+        want = _outcome(function, s, s.channels[a], s.channels[b])
+        assert _outcome(function, s, *operands) == want
+
+    @pytest.mark.parametrize(
+        "entry, projector", [(0.5, False), (1 + 1e-9j, False), (1 + 1e-11, True), (-1e-9, False)]
+    )
+    def test_structure_decisions_match_off_the_projectors(self, entry, projector):
+        d = np.array([1, entry, 0], dtype=complex)
+        m = np.diag(d)
+        other = np.array([0, 1, 1], dtype=complex)
+        assert is_projector(d) == is_projector(m)
+        for x, y in ((d, other), (other, d), (d, d)):
+            assert orthogonal(x, y) == orthogonal(dense(x), dense(y))
+            assert commutes(x, y) == commutes(dense(x), dense(y))
+        assert is_projector(d) == projector
+
+    def test_only_a_real_diagonal_keeps_its_form(self):
+        assert as_operator([1.0, 0.0]).ndim == 1
+        assert as_operator([1.0, 1e-300j]).shape == (2, 2)
+        assert diagonal(np.diag([1.0, 0.0])).ndim == 1
+        assert diagonal(np.diag([1.0, 1e-300j])) is None
+        assert diagonal(np.array([[1, 1e-300], [0, 0]])) is None
+        with pytest.raises(ValueError, match="square matrix or its diagonal"):
+            as_operator(np.zeros(0))
+
+    def test_mixed_operands_become_a_matrix(self):
+        d = np.array([1.0, 0.0, 1.0], dtype=complex)
+        assert compose(d, d).ndim == add(d, d).ndim == 1
+        assert compose(d, identity(3)).shape == add(identity(3), d).shape == (3, 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            add(d, identity(2))

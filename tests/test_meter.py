@@ -1,6 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
+from weaklogic import meter
 from weaklogic import (
     MeterConfig,
     MeterGridError,
@@ -208,6 +211,35 @@ class TestWeakLimitEstimate:
         p = np.full((2, 2), 0.5, dtype=complex)
         with pytest.raises(SweepDivergenceError):
             weak_limit_estimate(s, p, 1.0, SWEEP)
+
+
+class TestCouplingCheckedOnce:
+    """The sweep checks its projector and forms alpha and beta once, not at
+    every coupling."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("require_projector", "amplitude"):
+            original = getattr(meter, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(meter, name, counted)
+        return calls
+
+    def test_sweep(self, calls):
+        s = catalog("three-box")
+        estimate = weak_limit_estimate(s, s.channel("C"), 1.0, SWEEP)
+        assert calls == {"require_projector": 1, "amplitude": 2}
+        assert estimate == pytest.approx(weak_value(s, s.channel("C")).value, abs=1e-6)
+
+    def test_single_readout(self, calls):
+        s = catalog("three-box")
+        measure_pointer(s, s.channel("C"), MeterConfig(sigma=1.0, g=0.1))
+        assert calls == {"require_projector": 1, "amplitude": 2}
 
 
 class TestSequentialDisturbance:

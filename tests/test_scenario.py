@@ -7,6 +7,7 @@ import pytest
 from weaklogic import (
     CATALOG_NAMES,
     ScenarioError,
+    UnboundNameError,
     State,
     build_scenario,
     catalog,
@@ -22,8 +23,8 @@ from weaklogic import (
     scenario_document,
 )
 from weaklogic.expr import Name
-from weaklogic.scenario import amplitude
-from helpers import hardy_beamsplitter
+from weaklogic.scenario import amplitude, expression_operator
+from helpers import hardy_beamsplitter, random_unitary
 
 THREE_BOX_TEXT = json.dumps(
     {
@@ -171,6 +172,55 @@ class TestBuildScenario:
         ev = random_unitary(rng, 4)
         s = build_scenario("x", ("a", "b", "c", "d"), pre, post, ev)
         assert s.post_overlap == pytest.approx(np.vdot(post, ev @ pre), abs=1e-12)
+
+
+class TestDiagonals:
+    def test_basis_channels_are_held_as_read_only_diagonals(self):
+        for name in CATALOG_NAMES:
+            s = catalog(name)
+            assert list(s.diagonals) == list(s.channels)
+            for channel, d in s.diagonals.items():
+                assert d.ndim == 1
+                np.testing.assert_array_equal(np.diag(d), s.channels[channel])
+                with pytest.raises(ValueError):
+                    d[0] = 0.5
+
+    def test_only_exactly_real_diagonal_matrices_qualify(self):
+        rotated = random_unitary(np.random.default_rng(3), 2)
+        channels = {
+            "diag": np.diag([0.0, 1.0]),
+            "signed": np.array([[1.0, -0.0], [0.0, -0.0]]),
+            "tilted": np.diag([1.0, 1e-12j]),  # a projector within STRUCT_TOL
+            "rotated": rotated[:, :1] @ rotated[:, :1].conj().T,
+            "flat": [1.0, 0.0],
+        }
+        s = build_scenario("x", ("a", "b"), [1, 1], [1, 0], None, channels)
+        assert set(s.diagonals) == {"diag", "signed", "flat"}
+        assert set(s.channels) == set(channels)
+        np.testing.assert_array_equal(s.channels["flat"], np.diag([1.0, 0.0]))
+
+    def test_diagonal_channels_are_checked_on_the_diagonal(self):
+        for entries in (np.diag([1.0, 0.5]), [1.0, 0.5], np.diag([1.0, 1e-9j])):
+            with pytest.raises(ScenarioError, match="channel 'p' is not a projector"):
+                build_scenario("x", ("a", "b"), [1, 1], [1, 0], None, {"p": entries})
+
+    def test_expression_operator_picks_the_form(self):
+        s = catalog("three-box")
+        assert expression_operator(s, "A + B*C").ndim == 1
+        np.testing.assert_array_equal(
+            np.diag(expression_operator(s, "A + B*C")), evaluate_text("A + B*C", s.channels)
+        )
+        mixed = build_scenario(
+            "x", ("a", "b"), [1, 1], [1, 0], None,
+            {"D": np.diag([1.0, 0.0]), "M": np.full((2, 2), 0.5)},
+        )
+        assert expression_operator(mixed, "D").ndim == 1
+        assert expression_operator(mixed, "D*M").shape == (2, 2)
+        with pytest.raises(UnboundNameError) as exc:
+            expression_operator(s, "A + Z")
+        with pytest.raises(UnboundNameError) as dense_exc:
+            evaluate_text("A + Z", s.channels)
+        assert str(exc.value) == str(dense_exc.value)
 
 
 class TestCatalog:
