@@ -18,7 +18,6 @@ import numpy as np
 
 from .audit import AuditReport, audit_all, classify_product, classify_sum
 from .errors import PhysicsError, ScenarioError
-from .expr import evaluate_text
 from .linalg import require_projector
 from .meter import MeterConfig, measure_pointer, weak_limit_estimate
 from .scenario import (
@@ -26,12 +25,13 @@ from .scenario import (
     Scenario,
     catalog,
     default_audit_pairs,
+    expression_operator,
     load_scenario,
     parse_audit_pairs,
     scenario_document,
 )
 from .strong import abl_prob, bayes_check, born_prob, cond_prob_post
-from .weak import weak_value
+from .weak import weak_value, weak_value_expr
 
 
 class _UsageError(Exception):
@@ -107,7 +107,7 @@ def _resolve_scenario(args) -> Scenario:
 def _projector(s: Scenario, text: str) -> np.ndarray:
     """The expression's operator, checked here because strong and abl
     assume a projector without checking."""
-    return require_projector(evaluate_text(text, s.channels), f"expression {text!r}")
+    return require_projector(expression_operator(s, text), f"expression {text!r}")
 
 
 def _cmd_list(args) -> int:
@@ -170,7 +170,7 @@ def _cmd_abl(args) -> int:
 
 def _cmd_weak(args) -> int:
     s = _resolve_scenario(args)
-    w = weak_value(s, evaluate_text(args.expr, s.channels))
+    w = weak_value_expr(s, args.expr)
     payload = {
         "scenario": s.name,
         "expression": args.expr,
@@ -201,8 +201,8 @@ def _verdict_rows(kind: str, expr_a: str, expr_b: str, verdict) -> list[tuple[st
 
 def _cmd_audit_pair(args) -> int:
     s = _resolve_scenario(args)
-    pa = evaluate_text(args.expr, s.channels)
-    pb = evaluate_text(args.expr2, s.channels)
+    pa = expression_operator(s, args.expr)
+    pb = expression_operator(s, args.expr2)
     classify = classify_sum if args.kind == "sum" else classify_product
     verdict = classify(s, pa, pb)
     payload = {"scenario": s.name, "expr_a": args.expr, "expr_b": args.expr2}
@@ -255,7 +255,7 @@ def _cmd_meter(args) -> int:
     s = _resolve_scenario(args)
     if (args.g is None) == (args.sweep is None):
         raise _UsageError("exactly one of --g or --sweep is required")
-    p = evaluate_text(args.expr, s.channels)
+    p = expression_operator(s, args.expr)
     if args.sweep is not None:
         estimate = weak_limit_estimate(s, p, args.sigma, args.sweep)
         exact = weak_value(s, p).value

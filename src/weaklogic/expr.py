@@ -168,11 +168,6 @@ def _operands(node: Union[Sum, Product]) -> list[Node]:
     return [node, *reversed(rights)]
 
 
-def names(text: str) -> set[str]:
-    """Channel names a parsable expression uses."""
-    return set(_NAME_RE.findall(text))
-
-
 def unparse(node: Node) -> str:
     """Render a tree back to canonical text; reparsing yields an equal tree."""
     if isinstance(node, Name):

@@ -46,10 +46,14 @@ def dense(entries, what: str = "operator") -> np.ndarray:
 
 
 def diagonal(entries) -> np.ndarray | None:
-    """The operator's diagonal, read-only, when it is exactly real and diagonal."""
-    m = dense(entries)
-    d = np.diagonal(m)
-    return None if d.imag.any() or np.count_nonzero(m) != np.count_nonzero(d) else d
+    """The operator's real diagonal as a read-only copy, or None when ``dense``
+    of it would not give back every bit of the operator, signed zeros included."""
+    m = as_operator(entries)
+    d = np.array(np.diagonal(m) if m.ndim == 2 else m)
+    if d.imag.any() or m.ndim == 2 and dense(d).tobytes() != m.tobytes():
+        return None
+    d.setflags(write=False)
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +89,9 @@ class State:
         n = self.norm
         if n < SCALAR_TOL:
             raise ValueError("cannot normalize a zero state")
-        return State(self.amps / n, self.labels)
+        # scaled part by part with the 1/n that complex division by n uses,
+        # which keeps the bits of its results and every signed zero
+        return State((self.amps.view(float) * (1.0 / n)).view(complex), self.labels)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{lab}: {amp:.6g}" for lab, amp in zip(self.labels, self.amps))
@@ -155,13 +161,13 @@ def identity(dim: int) -> np.ndarray:
 
 
 def basis_projector(labels: Sequence[str], members: Iterable[str]) -> np.ndarray:
-    """Projector onto the span of the listed basis labels."""
+    """Projector onto the span of the listed basis labels, as its diagonal."""
     index = {lab: i for i, lab in enumerate(labels)}
-    p = np.zeros((len(labels), len(labels)), dtype=complex)
+    p = np.zeros(len(labels), dtype=complex)
     for member in members:
         if member not in index:
             raise ValueError(f"unknown basis label {member!r}")
-        p[index[member], index[member]] = 1.0
+        p[index[member]] = 1.0
     return p
 
 

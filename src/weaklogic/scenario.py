@@ -18,12 +18,13 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioError
-from .expr import evaluate, names, parse
+from .expr import evaluate_text
 from .linalg import (
     STRUCT_TOL,
     State,
     act,
     apply,
+    as_operator,
     basis_projector,
     dense,
     diagonal,
@@ -46,9 +47,9 @@ class Scenario:
     |post>, against which intermediate-time matrix elements are taken; both
     are recorded once at validation time. ``evolution`` of ``None`` means
     identity, and then ``bra`` is ``post_state`` itself.
-    ``channels`` holds each channel as a matrix; ``diagonals`` holds the
-    read-only 1-D diagonal of each that is exactly a real diagonal matrix
-    (every basis channel), for O(d) work with the same bits.
+    ``channels`` holds each channel, read-only, in one form: its 1-D
+    diagonal when that is real and rebuilds the channel bit for bit (every
+    basis channel), else its matrix. ``linalg.dense`` gives the matrix.
     """
 
     name: str
@@ -58,7 +59,6 @@ class Scenario:
     post_state: State
     evolution: np.ndarray | None
     channels: Mapping[str, np.ndarray]
-    diagonals: Mapping[str, np.ndarray]
     post_overlap: complex
     bra: State
 
@@ -99,9 +99,8 @@ def amplitude(s: Scenario, *ops) -> complex:
 
 def expression_operator(s: Scenario, text: str) -> np.ndarray:
     """Operator of a projector expression over the scenario's channels: a
-    diagonal when every name it uses is in ``s.diagonals``, else a matrix."""
-    node = parse(text)
-    return evaluate(node, s.diagonals if names(text) <= s.diagonals.keys() else s.channels)
+    diagonal when every channel it uses is one, else a matrix."""
+    return evaluate_text(text, s.channels)
 
 
 def build_scenario(
@@ -131,9 +130,10 @@ def build_scenario(
                 f"{which} state must have {dim} amplitudes, got shape {amps.shape}"
             )
         st = State(amps, labels)
-        if st.norm < 1e-12:
-            raise ScenarioError(f"{which} state has zero norm")
-        return st.normalize()
+        try:
+            return st.normalize()
+        except ValueError:
+            raise ScenarioError(f"{which} state has zero norm") from None
 
     pre_state = _state(pre, "pre")
     post_state = _state(post, "post")
@@ -150,20 +150,18 @@ def build_scenario(
         ev.setflags(write=False)
 
     table: dict[str, np.ndarray] = {}
-    diagonals: dict[str, np.ndarray] = {}
     for ch_name, entries in (channels or {}).items():
         if not _CHANNEL_NAME_RE.match(ch_name):
             raise ScenarioError(f"channel name {ch_name!r} is not a valid identifier")
-        p = dense(entries, f"channel {ch_name!r}")
-        if p.shape != (dim, dim):
+        p = as_operator(entries, f"channel {ch_name!r}")
+        if len(p) != dim:
             raise ScenarioError(f"channel {ch_name!r} must be {dim}x{dim}")
         d = diagonal(p)
-        if not is_projector(p if d is None else d):
+        p = p if d is None else d
+        if not is_projector(p):
             raise ScenarioError(f"channel {ch_name!r} is not a projector")
         p.setflags(write=False)
         table[ch_name] = p
-        if d is not None:
-            diagonals[ch_name] = d
 
     evolved = apply(ev, pre_state) if ev is not None else pre_state
     overlap = inner(post_state, evolved)
@@ -177,7 +175,6 @@ def build_scenario(
         post_state=post_state,
         evolution=ev,
         channels=MappingProxyType(table),
-        diagonals=MappingProxyType(diagonals),
         post_overlap=overlap,
         bra=bra,
     )
@@ -301,7 +298,8 @@ def scenario_document(s: Scenario) -> dict:
     if s.evolution is not None:
         doc["evolution"] = [_pairs(row) for row in s.evolution]
     doc["channels"] = {
-        name: {"matrix": [_pairs(row) for row in p]} for name, p in s.channels.items()
+        name: {"matrix": [_pairs(row) for row in dense(p)]}
+        for name, p in s.channels.items()
     }
     return doc
 

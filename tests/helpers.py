@@ -6,6 +6,7 @@ it is used to check.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -40,6 +41,26 @@ def random_scenario(rng, dim, with_evolution=False, min_overlap=0.05, channels=N
         if abs(s.post_overlap) >= min_overlap:
             return s
     raise AssertionError("could not draw a scenario with usable overlap")
+
+
+def pigeonhole_document(n):
+    """Scenario document of n qubits in boxes L and R, preselected in
+    (L+R)^n and postselected in (L+iR)^n, with a basis channel Lj and Rj
+    for each qubit j."""
+    labels = ["".join(t) for t in itertools.product("LR", repeat=n)]
+    phases = ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0])
+    return {
+        "name": f"pigeonhole{n}",
+        "dim": 2**n,
+        "labels": labels,
+        "pre": [[1.0, 0.0]] * 2**n,
+        "post": [phases[lab.count("R") % 4] for lab in labels],
+        "channels": {
+            f"{side}{j}": {"basis": [lab for lab in labels if lab[j - 1] == side]}
+            for j in range(1, n + 1)
+            for side in "LR"
+        },
+    }
 
 
 def random_projector_family(rng, dim, parts):
@@ -95,12 +116,17 @@ def dproj(dim, idxs):
     return p
 
 
+def matrix(p):
+    """An operator given as a matrix or as its 1-D diagonal, as a matrix."""
+    return np.diag(p) if np.ndim(p) == 1 else np.asarray(p)
+
+
 def split_amplitudes(s, p):
     """Postselected (unshifted, shifted) amplitudes via raw numpy."""
     post = s.post_state.amps
     bra = post if s.evolution is None else s.evolution.conj().T @ post
     total = np.vdot(bra, s.pre_state.amps)
-    beta = np.vdot(bra, p @ s.pre_state.amps)
+    beta = np.vdot(bra, matrix(p) @ s.pre_state.amps)
     return total - beta, beta
 
 

@@ -318,10 +318,10 @@ class TestScenarioIO:
             "name": "signed",
             "dim": 2,
             "labels": ["u", "d"],
-            # states are divided by their (unit) norm on load; that complex
-            # division keeps these signed zeros, though not every one
-            "pre": [[1.0, -0.0], [0.0, 0.0]],
-            "post": [[0.0, -0.0], [1.0, -0.0]],
+            # states are scaled by 1/norm on load, real and imaginary parts
+            # apart, which keeps every signed zero
+            "pre": [[1.0, -0.0], [-0.0, 0.0]],
+            "post": [[-0.0, -0.0], [1.0, -0.0]],
             "evolution": [[[1.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [1.0, 0.0]]],
             "channels": {
                 "up": {"matrix": [[[1.0, -0.0], [-0.0, 0.0]], [[0.0, -0.0], [0.0, 0.0]]]}

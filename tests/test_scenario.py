@@ -1,5 +1,7 @@
 import cmath
 import json
+import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -23,8 +25,9 @@ from weaklogic import (
     scenario_document,
 )
 from weaklogic.expr import Name
+from weaklogic.linalg import dense
 from weaklogic.scenario import amplitude, expression_operator
-from helpers import hardy_beamsplitter, random_unitary
+from helpers import hardy_beamsplitter, pigeonhole_document, random_unitary
 
 THREE_BOX_TEXT = json.dumps(
     {
@@ -73,7 +76,7 @@ class TestLoadScenario:
                   [[0, 0], [0, 0], [0, 0]],
                   [[0, 0], [0, 0], [0, 0]]]
         s = load_scenario(_with({"channels": {"onlyA": {"matrix": matrix}}}))
-        np.testing.assert_array_equal(s.channel("onlyA"), np.diag([1, 0, 0]))
+        np.testing.assert_array_equal(dense(s.channel("onlyA")), np.diag([1, 0, 0]))
 
     def test_missing_field(self):
         doc = json.loads(THREE_BOX_TEXT)
@@ -178,10 +181,13 @@ class TestDiagonals:
     def test_basis_channels_are_held_as_read_only_diagonals(self):
         for name in CATALOG_NAMES:
             s = catalog(name)
-            assert list(s.diagonals) == list(s.channels)
-            for channel, d in s.diagonals.items():
+            data = resources.files("weaklogic").joinpath(f"data/scenarios/{name}.json")
+            doc = json.loads(data.read_text(encoding="utf-8"))
+            for channel, d in s.channels.items():
                 assert d.ndim == 1
-                np.testing.assert_array_equal(np.diag(d), s.channels[channel])
+                members = doc["channels"][channel]["basis"]
+                want = [1.0 if lab in members else 0.0 for lab in s.labels]
+                np.testing.assert_array_equal(d, np.array(want, dtype=complex))
                 with pytest.raises(ValueError):
                     d[0] = 0.5
 
@@ -189,15 +195,42 @@ class TestDiagonals:
         rotated = random_unitary(np.random.default_rng(3), 2)
         channels = {
             "diag": np.diag([0.0, 1.0]),
+            "signed_diagonal": np.diag([1.0, -0.0]),
             "signed": np.array([[1.0, -0.0], [0.0, -0.0]]),
             "tilted": np.diag([1.0, 1e-12j]),  # a projector within STRUCT_TOL
             "rotated": rotated[:, :1] @ rotated[:, :1].conj().T,
             "flat": [1.0, 0.0],
         }
         s = build_scenario("x", ("a", "b"), [1, 1], [1, 0], None, channels)
-        assert set(s.diagonals) == {"diag", "signed", "flat"}
-        assert set(s.channels) == set(channels)
-        np.testing.assert_array_equal(s.channels["flat"], np.diag([1.0, 0.0]))
+        forms = {name: p.ndim for name, p in s.channels.items()}
+        assert forms == {
+            "diag": 1, "signed_diagonal": 1, "signed": 2, "tilted": 2, "rotated": 2, "flat": 1
+        }
+        for name, p in s.channels.items():
+            assert dense(p).tobytes() == dense(channels[name]).tobytes()
+            assert not p.flags.writeable
+
+    def test_a_diagonal_channel_owns_its_entries(self):
+        # a matrix channel's diagonal is copied, so the matrix is not kept
+        # alive, and the caller's arrays stay the caller's to change
+        matrix = np.diag([1.0, 0.0]).astype(complex)
+        flat = np.array([0.0, 1.0], dtype=complex)
+        s = build_scenario("x", ("a", "b"), [1, 1], [1, 0], None, {"M": matrix, "F": flat})
+        assert s.channel("M").base is None and s.channel("F").base is None
+        matrix[0, 0] = flat[1] = 0.0
+        assert list(s.channel("M")) == [1, 0] and list(s.channel("F")) == [0, 1]
+
+    def test_load_builds_no_matrix_per_basis_channel(self):
+        # 20 basis channels of dimension 1024: their matrices would take 335 MB
+        text = json.dumps(pigeonhole_document(10))
+        tracemalloc.start()
+        try:
+            s = load_scenario(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p.shape == (1024,) for p in s.channels.values())
+        assert peak < 4e6
 
     def test_diagonal_channels_are_checked_on_the_diagonal(self):
         for entries in (np.diag([1.0, 0.5]), [1.0, 0.5], np.diag([1.0, 1e-9j])):
@@ -207,8 +240,9 @@ class TestDiagonals:
     def test_expression_operator_picks_the_form(self):
         s = catalog("three-box")
         assert expression_operator(s, "A + B*C").ndim == 1
+        matrices = {name: dense(p) for name, p in s.channels.items()}
         np.testing.assert_array_equal(
-            np.diag(expression_operator(s, "A + B*C")), evaluate_text("A + B*C", s.channels)
+            np.diag(expression_operator(s, "A + B*C")), evaluate_text("A + B*C", matrices)
         )
         mixed = build_scenario(
             "x", ("a", "b"), [1, 1], [1, 0], None,
@@ -219,7 +253,7 @@ class TestDiagonals:
         with pytest.raises(UnboundNameError) as exc:
             expression_operator(s, "A + Z")
         with pytest.raises(UnboundNameError) as dense_exc:
-            evaluate_text("A + Z", s.channels)
+            evaluate_text("A + Z", matrices)
         assert str(exc.value) == str(dense_exc.value)
 
 
@@ -255,21 +289,21 @@ class TestCatalog:
     def test_two_box_same_channel_matrix(self):
         s = catalog("pigeonhole2")
         expected = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
-        np.testing.assert_allclose(s.channel("same12"), expected, atol=1e-15)
+        np.testing.assert_allclose(dense(s.channel("same12")), expected, atol=1e-15)
 
     def test_two_box_channels_complete_and_orthogonal(self):
         s = catalog("pigeonhole2")
-        same12, diff12 = s.channel("same12"), s.channel("diff12")
+        same12, diff12 = dense(s.channel("same12")), dense(s.channel("diff12"))
         np.testing.assert_allclose(same12 @ diff12, np.zeros((4, 4)), atol=1e-12)
         np.testing.assert_allclose(same12 + diff12, identity(4), atol=1e-12)
 
     def test_hardy_single_particle_channels_complete(self):
         s = catalog("hardy")
         np.testing.assert_allclose(
-            s.channel("Ip") + s.channel("Np"), identity(4), atol=1e-12
+            dense(s.channel("Ip")) + dense(s.channel("Np")), identity(4), atol=1e-12
         )
         np.testing.assert_allclose(
-            s.channel("Ie") + s.channel("Ne"), identity(4), atol=1e-12
+            dense(s.channel("Ie")) + dense(s.channel("Ne")), identity(4), atol=1e-12
         )
 
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from weaklogic import (
     identity,
 )
 from helpers import (
+    matrix,
     random_basis_projector,
     random_projector_family,
     random_scenario,
@@ -26,7 +27,7 @@ def _raw_cond(s, p):
     # independent route: plain numpy matrix elements from the stored states
     post = s.post_state.amps
     bra = post if s.evolution is None else s.evolution.conj().T @ post
-    return abs(np.vdot(bra, p @ s.pre_state.amps)) ** 2
+    return abs(np.vdot(bra, matrix(p) @ s.pre_state.amps)) ** 2
 
 
 class TestBornProb:
@@ -146,7 +147,7 @@ class TestAblProb:
         s = catalog("three-box")
         p = evaluate_text("A + B", s.channels)
         # matrix oracle: hit 4/9, complement passes via the C box with 1/9
-        hit, miss = _raw_cond(s, p), _raw_cond(s, identity(3) - p)
+        hit, miss = _raw_cond(s, p), _raw_cond(s, identity(3) - matrix(p))
         assert hit / (hit + miss) == pytest.approx(0.8, abs=1e-12)
         assert abl_prob(s, p) == pytest.approx(0.8, abs=1e-12)
 
