@@ -20,6 +20,11 @@ verdicts as their originals. The sum's weak value is the sum of its
 operands', so when both operands vanish a sum numerator above the zero
 tolerance can only come from the threshold itself; the sum is then reported
 as vanishing, case I.
+
+Both classifiers reject an operand that is not a projector. A channel of the
+scenario was proved a projector once, when the scenario was built, and is not
+proved again; any other operand, such as the operator of a composite
+expression or a copy of a channel, is proved on every call.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
-from .linalg import STRUCT_TOL, add, adjoint, compose, orthogonal, require_projector
-from .scenario import Scenario, expression_operator
+from .linalg import STRUCT_TOL, _one_form, _product, adjoint
+from .scenario import Scenario, expression_operator, proven_projector
 from .weak import WeakValue, weak_value
 
 
@@ -139,18 +144,24 @@ class AuditVerdict:
         }
 
 
+def _proven_operands(s: Scenario, pa, pb) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands proved projectors: a scenario channel by its proof at
+    build, any other operator here, on every call."""
+    return proven_projector(s, pa, "first operand"), proven_projector(s, pb, "second operand")
+
+
 def classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the OR combination of two orthogonal projectors."""
-    pa = require_projector(pa, "first operand")
-    pb = require_projector(pb, "second operand")
-    if not orthogonal(pa, pb):
+    pa, pb = _proven_operands(s, pa, pb)
+    a, b = _one_form(pa, pb)
+    if np.max(np.abs(_product(a, b))) > STRUCT_TOL:
         raise AuditPreconditionError(
             "projectors are not orthogonal; their sum does not represent a "
             "disjunction of exclusive alternatives"
         )
     wa = weak_value(s, pa)
     wb = weak_value(s, pb)
-    ws = weak_value(s, add(pa, pb))
+    ws = weak_value(s, a + b)
     if wa.is_zero and wb.is_zero:
         ws = replace(ws, is_zero=True)
         case = SumCase.I
@@ -183,9 +194,8 @@ _PRODUCT_TABLE = {
 
 def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the AND combination of two commuting, non-orthogonal projectors."""
-    pa = require_projector(pa, "first operand")
-    pb = require_projector(pb, "second operand")
-    product = compose(pa, pb)
+    pa, pb = _proven_operands(s, pa, pb)
+    product = _product(*_one_form(pa, pb))
     # (PQ)^dagger = QP: the product is self-adjoint exactly when P, Q commute
     if np.max(np.abs(product - adjoint(product))) > STRUCT_TOL:
         raise AuditPreconditionError(

@@ -18,7 +18,6 @@ import numpy as np
 
 from .audit import AuditReport, audit_all, classify_product, classify_sum
 from .errors import PhysicsError, ScenarioError
-from .linalg import require_projector
 from .meter import MeterConfig, measure_pointer, weak_limit_estimate
 from .scenario import (
     CATALOG_NAMES,
@@ -28,6 +27,7 @@ from .scenario import (
     expression_operator,
     load_scenario,
     parse_audit_pairs,
+    proven_projector,
     scenario_document,
 )
 from .strong import abl_prob, bayes_check, born_prob, cond_prob_post
@@ -107,7 +107,7 @@ def _resolve_scenario(args) -> Scenario:
 def _projector(s: Scenario, text: str) -> np.ndarray:
     """The expression's operator, checked here because strong and abl
     assume a projector without checking."""
-    return require_projector(expression_operator(s, text), f"expression {text!r}")
+    return proven_projector(s, expression_operator(s, text), f"expression {text!r}")
 
 
 def _cmd_list(args) -> int:

@@ -39,21 +39,28 @@ def as_operator(entries, what: str = "operator") -> np.ndarray:
     return np.diag(m) if m.ndim == 1 and m.imag.any() else m
 
 
+def _matrix(m: np.ndarray) -> np.ndarray:
+    return np.diag(m) if m.ndim == 1 else m
+
+
 def dense(entries, what: str = "operator") -> np.ndarray:
     """The operator as a square matrix."""
-    m = as_operator(entries, what)
-    return np.diag(m) if m.ndim == 1 else m
+    return _matrix(as_operator(entries, what))
+
+
+def _real_diagonal(m: np.ndarray) -> np.ndarray | None:
+    """``diagonal`` of an operator that ``as_operator`` returned."""
+    d = np.array(np.diagonal(m) if m.ndim == 2 else m)
+    if d.imag.any() or m.ndim == 2 and np.diag(d).tobytes() != m.tobytes():
+        return None
+    d.setflags(write=False)
+    return d
 
 
 def diagonal(entries) -> np.ndarray | None:
     """The operator's real diagonal as a read-only copy, or None when ``dense``
     of it would not give back every bit of the operator, signed zeros included."""
-    m = as_operator(entries)
-    d = np.array(np.diagonal(m) if m.ndim == 2 else m)
-    if d.imag.any() or m.ndim == 2 and dense(d).tobytes() != m.tobytes():
-        return None
-    d.setflags(write=False)
-    return d
+    return _real_diagonal(as_operator(entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +132,19 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.ndim == 1 else a @ b
 
 
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Both operands in one form: diagonals if both are, else matrices."""
-    a, b = as_operator(a), as_operator(b)
+def _one_form(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two operators that ``as_operator`` returned, in one form: diagonals if
+    both are, else matrices."""
     if a.ndim != b.ndim:
-        a, b = dense(a), dense(b)
+        a, b = _matrix(a), _matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a, b
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands coerced, in one form."""
+    return _one_form(as_operator(a), as_operator(b))
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,19 +183,23 @@ def basis_projector(labels: Sequence[str], members: Iterable[str]) -> np.ndarray
     return p
 
 
-def is_projector(p: np.ndarray) -> bool:
-    """Entrywise check of idempotence and self-adjointness."""
-    p = as_operator(p)
+def _proves_projector(p: np.ndarray) -> bool:
+    """``is_projector`` of an operator that ``as_operator`` returned."""
     if np.max(np.abs(_product(p, p) - p)) > STRUCT_TOL:
         return False
     return bool(np.max(np.abs(p - adjoint(p))) <= STRUCT_TOL)
+
+
+def is_projector(p: np.ndarray) -> bool:
+    """Entrywise check of idempotence and self-adjointness."""
+    return _proves_projector(as_operator(p))
 
 
 def require_projector(p, what: str) -> np.ndarray:
     """The operator as a complex array in its form; NotAProjectorError if it
     is not a projector."""
     p = as_operator(p, what)
-    if not is_projector(p):
+    if not _proves_projector(p):
         raise NotAProjectorError(f"{what} is not a projector")
     return p
 

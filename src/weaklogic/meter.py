@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
-from .linalg import complement, require_projector
-from .scenario import Scenario, amplitude
+from .linalg import complement
+from .scenario import Scenario, amplitude, proven_projector
 
 #: Success weights at or below this count as extinguished postselection.
 _EXTINCT = 1e-14
@@ -111,7 +111,7 @@ def _packet_pair(cfg: MeterConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
     """alpha = <post|U (1 - P)|pre> and beta = <post|U P|pre> of a checked P."""
-    beta = amplitude(s, require_projector(p, "meter coupling"))
+    beta = amplitude(s, proven_projector(s, p, "meter coupling"))
     return amplitude(s) - beta, beta
 
 
@@ -196,8 +196,8 @@ def sequential_disturbance(
     """
     if g <= 0:
         raise ValueError("coupling strength g must be positive")
-    p1 = require_projector(p1, "first meter coupling")
-    p2 = require_projector(p2, "second meter coupling")
+    p1 = proven_projector(s, p1, "first meter coupling")
+    p2 = proven_projector(s, p2, "second meter coupling")
     if not np.any(p1):
         return 0.0  # no first coupling at all
 

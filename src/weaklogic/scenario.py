@@ -22,15 +22,16 @@ from .expr import evaluate_text
 from .linalg import (
     STRUCT_TOL,
     State,
+    _proves_projector,
+    _real_diagonal,
     act,
     apply,
     as_operator,
     basis_projector,
     dense,
-    diagonal,
     identity,
     inner,
-    is_projector,
+    require_projector,
 )
 
 CATALOG_NAMES = ("pigeonhole2", "pigeonhole3", "three-box", "hardy")
@@ -50,6 +51,9 @@ class Scenario:
     ``channels`` holds each channel, read-only, in one form: its 1-D
     diagonal when that is real and rebuilds the channel bit for bit (every
     basis channel), else its matrix. ``linalg.dense`` gives the matrix.
+    Each channel and ``evolution`` is the scenario's own copy, checked once
+    in ``build_scenario``; ``proven_projector`` relies on the channels'
+    projector proof.
     """
 
     name: str
@@ -103,6 +107,16 @@ def expression_operator(s: Scenario, text: str) -> np.ndarray:
     return evaluate_text(text, s.channels)
 
 
+def proven_projector(s: Scenario, op, what: str) -> np.ndarray:
+    """``op`` itself when it is one of the scenario's channels, which
+    ``build_scenario`` proved projectors once (a bare channel name evaluates
+    to that object); any other operator through ``require_projector``, so
+    NotAProjectorError if it is not a projector."""
+    if any(op is channel for channel in s.channels.values()):
+        return op
+    return require_projector(op, what)
+
+
 def build_scenario(
     name: str,
     labels,
@@ -114,6 +128,8 @@ def build_scenario(
     """Validate raw scenario data and assemble a Scenario.
 
     Raw pre/post amplitudes may be unnormalized; they are normalized here.
+    The evolution and every channel are copied, so the caller's arrays stay
+    the caller's, and each channel is proved a projector here, once.
     Raises ScenarioError on any violated invariant.
     """
     labels = tuple(str(lab) for lab in labels)
@@ -140,7 +156,7 @@ def build_scenario(
 
     ev = None
     if evolution is not None:
-        ev = dense(evolution, "evolution")
+        ev = dense(evolution, "evolution").copy()
         if ev.shape != (dim, dim):
             raise ScenarioError(
                 f"evolution must be {dim}x{dim}, got {ev.shape[0]}x{ev.shape[1]}"
@@ -156,9 +172,9 @@ def build_scenario(
         p = as_operator(entries, f"channel {ch_name!r}")
         if len(p) != dim:
             raise ScenarioError(f"channel {ch_name!r} must be {dim}x{dim}")
-        d = diagonal(p)
-        p = p if d is None else d
-        if not is_projector(p):
+        d = _real_diagonal(p)
+        p = p.copy() if d is None else d
+        if not _proves_projector(p):
             raise ScenarioError(f"channel {ch_name!r} is not a projector")
         p.setflags(write=False)
         table[ch_name] = p
@@ -221,6 +237,13 @@ def load_scenario(text: str) -> Scenario:
 
     Raises ScenarioError on malformed input or violated invariants.
     """
+    return build_scenario(*_document_fields(text))
+
+
+def _document_fields(text: str) -> tuple:
+    """The ``build_scenario`` arguments of a scenario document. The parsed
+    document is dropped on return, before ``build_scenario`` copies the
+    arrays, so the copies do not raise the peak of a load."""
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
@@ -279,7 +302,7 @@ def load_scenario(text: str) -> Scenario:
                 spec["matrix"], (dim, dim), f"channel {ch_name!r}"
             )
 
-    return build_scenario(name, labels, pre, post, evolution, channels)
+    return name, labels, pre, post, evolution, channels
 
 
 def scenario_document(s: Scenario) -> dict:

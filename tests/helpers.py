@@ -7,6 +7,7 @@ it is used to check.
 
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 
@@ -61,6 +62,22 @@ def pigeonhole_document(n):
             for side in "LR"
         },
     }
+
+
+def rotated_pigeonhole(rng, n):
+    """The scenario of ``pigeonhole_document(n)`` seen through a random basis
+    change V and evolved by a random unitary U: channels V P V^dagger, pre
+    V pre, post U V post. Every channel is a dense matrix, and every weak
+    value is that of the unrotated scenario."""
+    doc = pigeonhole_document(n)
+    labels = doc["labels"]
+    v, u = random_unitary(rng, 2**n), random_unitary(rng, 2**n)
+    pre, post = (np.array([complex(*z) for z in doc[k]]) for k in ("pre", "post"))
+    channels = {}
+    for name, spec in doc["channels"].items():
+        cols = v[:, [lab in spec["basis"] for lab in labels]]
+        channels[name] = cols @ cols.conj().T
+    return build_scenario("rotated", labels, v @ pre, u @ v @ post, u, channels)
 
 
 def random_projector_family(rng, dim, parts):
@@ -159,3 +176,18 @@ def bits(x):
     if isinstance(x, (float, complex)):
         return type(x), np.array(x).tobytes()
     return x
+
+
+def spy(monkeypatch, kernel, record):
+    """Wrap a function in every weaklogic module that holds it; each call
+    passes its arguments to ``record`` first."""
+
+    def spied(*args):
+        record(*args)
+        return kernel(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "weaklogic":
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, spied)

@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from weaklogic import (
     AuditEntry,
     AuditPreconditionError,
     ExpressionError,
+    MeterConfig,
     NotAProjectorError,
     PhysicsError,
     ProductCase,
@@ -25,9 +27,14 @@ from weaklogic import (
     evaluate,
     evaluate_text,
     inner,
+    measure_pointer,
     parse,
+    sequential_disturbance,
+    weak_limit_estimate,
 )
+from weaklogic import linalg
 from weaklogic.linalg import dense
+from weaklogic.scenario import expression_operator
 from helpers import (
     dproj,
     generic_labels,
@@ -37,6 +44,8 @@ from helpers import (
     random_unit,
     random_unitary,
     rephased,
+    rotated_pigeonhole,
+    spy,
 )
 
 LABELS4 = ("w", "x", "y", "z")
@@ -336,8 +345,10 @@ class TestDiagonalPath:
 
     @staticmethod
     def _dense_entry(s, expr_a, expr_b, kind):
+        """The entry over dense copies of the channels, which are not the
+        scenario's own and so take the full projector proof."""
         try:
-            matrices = {name: dense(p) for name, p in s.channels.items()}
+            matrices = {name: dense(p).copy() for name, p in s.channels.items()}
             pa, pb = (evaluate(parse(text), matrices) for text in (expr_a, expr_b))
             classify = classify_sum if kind == "sum" else classify_product
             return AuditEntry(expr_a, expr_b, kind, classify(s, pa, pb), None)
@@ -411,3 +422,95 @@ class TestPhaseStability:
                 )
                 cases = [entry.verdict.case for entry in audit_all(t, pairs).entries]
                 assert cases == baseline
+
+
+class TestProofCost:
+    """A stored channel keeps the projector proof it got at build; any other
+    operand is proved once per call. Counted on the d x d product kernel and
+    the proof kernel, on a pigeonhole whose channels are all dense."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+
+        def product(a, b):
+            calls["products"] += a.ndim == 2 and b.ndim == 2
+
+        def proof(p):
+            calls["proofs"] += 1
+
+        spy(monkeypatch, linalg._product, product)
+        spy(monkeypatch, linalg._proves_projector, proof)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def s(self):
+        s = rotated_pigeonhole(np.random.default_rng(7), 4)
+        assert s.dim == 16 and all(p.ndim == 2 for p in s.channels.values())
+        return s
+
+    def test_product_pair_of_channels_is_one_product_and_no_proof(self, s, calls):
+        (entry,) = audit_all(s, [("L1", "L2", "product")]).entries
+        assert entry.verdict.case is ProductCase.II
+        assert (calls["products"], calls["proofs"]) == (1, 0)
+
+    def test_sum_pair_proves_each_composite_operand_once(self, s, calls):
+        # two products evaluate the operands, two prove them, one checks
+        # orthogonality
+        (entry,) = audit_all(s, [("L1*L2", "R1*R2", "sum")]).entries
+        assert entry.verdict.case is SumCase.III
+        assert (calls["products"], calls["proofs"]) == (5, 2)
+
+    def test_a_copy_of_a_channel_is_proved(self, s, calls):
+        pa, pb = (np.array(s.channel(name)) for name in ("L1", "L2"))
+        classify_product(s, pa, pb)
+        assert (calls["products"], calls["proofs"]) == (3, 2)
+
+    def test_the_meter_takes_channels_on_their_proof(self, s, calls):
+        p, q = s.channel("L1"), s.channel("L2")
+        measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.1))
+        weak_limit_estimate(s, p, 1.0, (1e-1, 1e-2, 1e-3))
+        sequential_disturbance(s, p, q, 1.0, 0.05)
+        assert calls["proofs"] == 0
+        sequential_disturbance(s, np.array(p), q, 1.0, 0.05)
+        assert calls["proofs"] == 1
+
+
+class TestProofStillRuns:
+    """Only the scenario's own channels skip the proof: an operand that is
+    not a projector is still rejected, and the report is the one the full
+    proof gives."""
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("kind", ["sum", "product"])
+    def test_overlapping_sum_is_not_a_projector(self, rotated, kind):
+        if rotated:
+            s = rotated_pigeonhole(np.random.default_rng(5), 3)
+        else:
+            s = catalog("pigeonhole3")
+        report = audit_all(s, [("L1 + L2", "R3", kind), ("R3", "L1 + L2", kind)])
+        assert [entry.error for entry in report.entries] == [
+            "first operand is not a projector",
+            "second operand is not a projector",
+        ]
+        classify = classify_sum if kind == "sum" else classify_product
+        with pytest.raises(NotAProjectorError, match="first operand is not a projector"):
+            classify(s, expression_operator(s, "L1 + L2"), s.channel("R3"))
+
+    @pytest.mark.parametrize("name", ["pigeonhole2", "pigeonhole3", "three-box", "hardy", "rotated"])
+    def test_report_has_the_bits_of_the_full_proof(self, name):
+        if name == "rotated":
+            s = rotated_pigeonhole(np.random.default_rng(11), 4)
+            pairs = [
+                (f"{a}{j}", f"{b}{k}", kind)
+                for j in range(1, 5)
+                for k in range(1, 5)
+                for a, b, kind in (("L", "L", "product"), ("L", "R", "sum"))
+            ]
+            pairs += [("L1*L2", "R1*R2", "sum"), ("L1 + L2", "R1", "sum"), ("L1", "nosuch", "product")]
+        else:
+            s = catalog(name)
+            pairs = default_audit_pairs(name)
+        got = audit_all(s, pairs).to_dict()["pairs"]
+        want = [TestDiagonalPath._dense_entry(s, *pair).to_dict() for pair in pairs]
+        assert json.dumps(got) == json.dumps(want)

@@ -9,9 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weaklogic import MeterConfig, catalog, load_scenario, sequential_disturbance
+from weaklogic import (
+    MeterConfig,
+    catalog,
+    load_scenario,
+    scenario_document,
+    sequential_disturbance,
+)
 from weaklogic.cli import fmt_complex, fmt_real, main
 from weaklogic.scenario import amplitude
+from helpers import rotated_pigeonhole
 
 THREE_BOX_FILE = {
     "name": "boxes",
@@ -176,6 +183,30 @@ class TestAuditCommands:
         assert (first["expr_a"], first["expr_b"]) == ("A", "C")
         assert first["case"] == "III"
         assert first["consistent"] is False
+
+    def test_composite_non_projector_is_rejected(self, capsys, tmp_path):
+        # L1 + L2 overlap, so their sum is not a projector; the channels of
+        # the file are dense matrices
+        path = tmp_path / "rotated.json"
+        s = rotated_pigeonhole(np.random.default_rng(3), 3)
+        path.write_text(json.dumps(scenario_document(s)), encoding="utf-8")
+        for command in ("audit-sum", "audit-product"):
+            code, out, err = run(
+                capsys, command, "--file", str(path), "--expr", "L1 + L2", "--expr2", "R3"
+            )
+            assert (code, out, err) == (2, "", "error: first operand is not a projector\n")
+        for argv, what in (
+            (["strong"], "expression 'L1 + L2'"),
+            (["abl"], "expression 'L1 + L2'"),
+            (["meter", "--g", "0.1"], "meter coupling"),
+        ):
+            code, out, err = run(capsys, *argv, "--file", str(path), "--expr", "L1 + L2")
+            assert (code, out, err) == (2, "", f"error: {what} is not a projector\n")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([{"a": "R3", "b": "L1 + L2", "kind": "sum"}]))
+        code, out, _ = run(capsys, "audit-all", "--file", str(path), "--pairs", str(pairs))
+        assert code == 0
+        assert "error: second operand is not a projector" in out
 
     def test_audit_all_custom_pairs(self, capsys, tmp_path):
         pairs = [{"a": "A", "b": "C", "kind": "sum"}]

@@ -27,6 +27,7 @@ from weaklogic import (
     weak_limit_estimate,
     weak_value,
 )
+from weaklogic import linalg
 from weaklogic.linalg import (
     act,
     adjoint,
@@ -37,7 +38,7 @@ from weaklogic.linalg import (
     require_projector,
 )
 from weaklogic.scenario import amplitude
-from helpers import bits, generic_labels, random_basis_projector, random_unit
+from helpers import bits, generic_labels, random_basis_projector, random_unit, spy
 
 BOX2 = ("LL", "LR", "RL", "RR")
 BOX3 = ("LLL", "LLR", "LRL", "LRR", "RLL", "RLR", "RRL", "RRR")
@@ -184,6 +185,14 @@ class TestStructureChecks:
         p = require_projector([[1, 0], [0, 0]], "coupling")
         assert p.dtype == complex
         np.testing.assert_array_equal(p, dense(basis_projector(("u", "d"), ["u"])))
+
+    def test_require_projector_scans_its_operand_once(self, monkeypatch):
+        scans = []
+        spy(monkeypatch, linalg._check_finite, lambda a, what: scans.append(what))
+        v = random_unit(np.random.default_rng(1), 4)
+        p = np.outer(v, v.conj())
+        assert require_projector(p, "operand") is p
+        assert scans == ["operand"]
 
     def test_require_projector_names_the_operand(self):
         with pytest.raises(NotAProjectorError, match="first operand is not a projector"):

@@ -8,6 +8,7 @@ import pytest
 
 from weaklogic import (
     CATALOG_NAMES,
+    NotAProjectorError,
     ScenarioError,
     UnboundNameError,
     State,
@@ -24,10 +25,11 @@ from weaklogic import (
     parse_audit_pairs,
     scenario_document,
 )
+from weaklogic import linalg
 from weaklogic.expr import Name
 from weaklogic.linalg import dense
-from weaklogic.scenario import amplitude, expression_operator
-from helpers import hardy_beamsplitter, pigeonhole_document, random_unitary
+from weaklogic.scenario import amplitude, expression_operator, proven_projector
+from helpers import hardy_beamsplitter, pigeonhole_document, random_unitary, spy
 
 THREE_BOX_TEXT = json.dumps(
     {
@@ -255,6 +257,49 @@ class TestDiagonals:
         with pytest.raises(UnboundNameError) as dense_exc:
             evaluate_text("A + Z", matrices)
         assert str(exc.value) == str(dense_exc.value)
+
+
+class TestProvedOnce:
+    """The scenario owns the evolution and channels it proved, so a channel
+    can keep its proof for the scenario's lifetime."""
+
+    @staticmethod
+    def _tilted():
+        v = random_unitary(np.random.default_rng(2), 2)
+        return v, v[:, :1] @ v[:, :1].conj().T
+
+    def test_the_callers_arrays_stay_the_callers(self):
+        u, m = self._tilted()
+        s = build_scenario("x", ("a", "b"), [1, 0], [1, 1], u, {"P": m})
+        assert u.flags.writeable and m.flags.writeable
+        assert not np.shares_memory(s.evolution, u)
+        assert not np.shares_memory(s.channel("P"), m)
+        kept = s.evolution.tobytes(), s.channel("P").tobytes()
+        u[:] = 0.0
+        m[:] = 0.0
+        assert (s.evolution.tobytes(), s.channel("P").tobytes()) == kept
+        assert not s.evolution.flags.writeable and not s.channel("P").flags.writeable
+
+    def test_each_channel_is_scanned_and_proved_once(self, monkeypatch):
+        scans, proofs = [], []
+        spy(monkeypatch, linalg._check_finite, lambda a, what: scans.append(what))
+        spy(monkeypatch, linalg._proves_projector, proofs.append)
+        _, m = self._tilted()
+        build_scenario("x", ("a", "b"), [1, 0], [1, 1], None, {"P": m, "D": [1.0, 0.0]})
+        assert scans.count("channel 'P'") == scans.count("channel 'D'") == 1
+        assert "operator" not in scans
+        assert len(proofs) == 2
+
+    def test_only_the_scenarios_own_channels_keep_their_proof(self):
+        _, m = self._tilted()
+        s = build_scenario("x", ("a", "b"), [1, 0], [1, 1], None, {"P": m, "Q": m})
+        p = s.channel("P")
+        assert proven_projector(s, p, "op") is p
+        assert expression_operator(s, "(P)") is p
+        for op in (m + m, expression_operator(s, "P + Q")):
+            with pytest.raises(NotAProjectorError, match="op is not a projector"):
+                proven_projector(s, op, "op")
+        np.testing.assert_array_equal(proven_projector(s, m, "op"), p)
 
 
 class TestCatalog:
