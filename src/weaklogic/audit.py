@@ -24,7 +24,9 @@ as vanishing, case I.
 Both classifiers reject an operand that is not a projector. A channel of the
 scenario was proved a projector once, when the scenario was built, and is not
 proved again; any other operand, such as the operator of a composite
-expression or a copy of a channel, is proved on every call.
+expression or a copy of a channel, is coerced, scanned for NaN/Inf and proved
+on every call. The weak values are then taken of the proven operands and
+their combination without checking them again.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
 from .linalg import STRUCT_TOL, _one_form, _product, adjoint
 from .scenario import Scenario, expression_operator, proven_projector
-from .weak import WeakValue, weak_value
+from .weak import WeakValue, _weak_value
 
 
 class SumCase(Enum):
@@ -159,9 +161,9 @@ def classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
             "projectors are not orthogonal; their sum does not represent a "
             "disjunction of exclusive alternatives"
         )
-    wa = weak_value(s, pa)
-    wb = weak_value(s, pb)
-    ws = weak_value(s, a + b)
+    wa = _weak_value(s, pa)
+    wb = _weak_value(s, pb)
+    ws = _weak_value(s, a + b)
     if wa.is_zero and wb.is_zero:
         ws = replace(ws, is_zero=True)
         case = SumCase.I
@@ -206,9 +208,9 @@ def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdic
             "projector product vanishes as an operator; the conjunction is "
             "trivially empty"
         )
-    wa = weak_value(s, pa)
-    wb = weak_value(s, pb)
-    wp = weak_value(s, product)
+    wa = _weak_value(s, pa)
+    wb = _weak_value(s, pb)
+    wp = _weak_value(s, product)
     case = _PRODUCT_TABLE[(wa.is_zero, wb.is_zero, wp.is_zero)]
     return AuditVerdict(
         kind="product",

@@ -24,7 +24,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import ParseError, UnboundNameError
-from .linalg import add, compose
+from .linalg import _compose, _sum
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,13 @@ def unparse(node: Node) -> str:
 
 
 def evaluate(node: Node, channels: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate a tree against a channel table.
+    """Evaluate a tree against a channel table of operator arrays.
 
-    Sums map to ``add`` and products to left-to-right ``compose``, in the
-    table's operator form. Callers that need a projector must check the
+    The table is combined as given, neither coerced nor scanned for NaN/Inf:
+    sums are elementwise and products left to right, in the table's operator
+    form (a diagonal meeting a matrix becomes one). Each consumer of the
+    result checks it once where it takes it; a ``Scenario``'s channels were
+    checked when it was built. Callers that need a projector must check the
     result with ``is_projector``.
     """
     if isinstance(node, Name):
@@ -193,7 +196,7 @@ def evaluate(node: Node, channels: Mapping[str, np.ndarray]) -> np.ndarray:
         except KeyError:
             raise UnboundNameError(node.ident, channels.keys()) from None
     if isinstance(node, (Sum, Product)):
-        combine = add if isinstance(node, Sum) else compose
+        combine = _sum if isinstance(node, Sum) else _compose
         return reduce(combine, (evaluate(op, channels) for op in _operands(node)))
     if isinstance(node, Group):
         return evaluate(node.inner, channels)

@@ -5,6 +5,12 @@ complex square matrix or, for a real diagonal operator, its 1-D diagonal. Only
 this module branches on the form: diagonals combine elementwise in O(d) with
 the bits of the dense products, and a diagonal meeting a matrix becomes one.
 Everything is immutable and pure.
+
+Each public function that takes an operator coerces it with ``as_operator``,
+which also scans it for NaN/Inf, and hands it to a private kernel (``_act``,
+``_sum``, ``_compose``, ``_complement``, ``_proves_projector``) that does not
+coerce again; the library's own callers use the kernels on operators that
+were checked where they entered.
 """
 
 from __future__ import annotations
@@ -114,13 +120,17 @@ def inner(u: State, v: State) -> complex:
     return complex(np.vdot(u.amps, v.amps))
 
 
-def act(op, amps: np.ndarray) -> np.ndarray:
-    """The operator applied to an amplitude vector. A diagonal acts elementwise;
-    adding 0.0 turns a -0.0 into the +0.0 that the matrix product's sum gives."""
-    m = as_operator(op)
+def _act(m: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``act`` of an operator that ``as_operator`` returned."""
     if len(m) != amps.size:
         raise ValueError(f"dimension mismatch: operator {len(m)} vs state {amps.size}")
     return m * amps + 0.0 if m.ndim == 1 else m @ amps
+
+
+def act(op, amps: np.ndarray) -> np.ndarray:
+    """The operator applied to an amplitude vector. A diagonal acts elementwise;
+    adding 0.0 turns a -0.0 into the +0.0 that the matrix product's sum gives."""
+    return _act(as_operator(op), amps)
 
 
 def apply(op: np.ndarray, v: State) -> State:
@@ -147,14 +157,24 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return _one_form(as_operator(a), as_operator(b))
 
 
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``compose`` of two operators that ``as_operator`` returned."""
+    return _product(*_one_form(a, b))
+
+
+def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``add`` of two operators that ``as_operator`` returned."""
+    a, b = _one_form(a, b)
+    return a + b
+
+
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Operator product a.b (apply b first)."""
-    return _product(*_pair(a, b))
+    return _compose(as_operator(a), as_operator(b))
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _pair(a, b)
-    return a + b
+    return _sum(as_operator(a), as_operator(b))
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -162,10 +182,14 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj() if m.ndim == 1 else m.conj().T
 
 
+def _complement(m: np.ndarray) -> np.ndarray:
+    """``complement`` of an operator that ``as_operator`` returned."""
+    return (np.ones(len(m), dtype=complex) if m.ndim == 1 else identity(len(m))) - m
+
+
 def complement(op) -> np.ndarray:
     """1 - op, in the operator's form."""
-    m = as_operator(op)
-    return (np.ones(len(m), dtype=complex) if m.ndim == 1 else identity(len(m))) - m
+    return _complement(as_operator(op))
 
 
 def identity(dim: int) -> np.ndarray:

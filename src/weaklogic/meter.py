@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
-from .linalg import complement
-from .scenario import Scenario, amplitude, proven_projector
+from .linalg import _complement
+from .scenario import Scenario, _amplitude, proven_projector
 
 #: Success weights at or below this count as extinguished postselection.
 _EXTINCT = 1e-14
@@ -111,8 +111,8 @@ def _packet_pair(cfg: MeterConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
     """alpha = <post|U (1 - P)|pre> and beta = <post|U P|pre> of a checked P."""
-    beta = amplitude(s, proven_projector(s, p, "meter coupling"))
-    return amplitude(s) - beta, beta
+    beta = _amplitude(s, proven_projector(s, p, "meter coupling"))
+    return _amplitude(s) - beta, beta
 
 
 def measure_pointer(s: Scenario, p: np.ndarray, cfg: MeterConfig) -> PointerStats:
@@ -201,9 +201,9 @@ def sequential_disturbance(
     if not np.any(p1):
         return 0.0  # no first coupling at all
 
-    splits1 = (complement(p1), p1)
-    splits2 = (complement(p2), p2)
-    coeff = np.array([[amplitude(s, pk, pj) for pk in splits2] for pj in splits1])
+    splits1 = (_complement(p1), p1)
+    splits2 = (_complement(p2), p2)
+    coeff = np.array([[_amplitude(s, pk, pj) for pk in splits2] for pj in splits1])
 
     cfg = MeterConfig(sigma=sigma, g=g, grid_points=grid_points)
     q, phi0, phig = _packet_pair(cfg)
@@ -225,7 +225,7 @@ def sequential_disturbance(
         / weight
     )
 
-    solo = np.array([amplitude(s, pk) for pk in splits2])
+    solo = np.array([_amplitude(s, pk) for pk in splits2])
     weight0 = np.einsum("K,k,Kk->", solo.conj(), solo, overlap).real
     if weight0 <= _EXTINCT:
         raise PostselectionLostError(

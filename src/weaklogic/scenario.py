@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
@@ -22,9 +22,9 @@ from .expr import evaluate_text
 from .linalg import (
     STRUCT_TOL,
     State,
+    _act,
     _proves_projector,
     _real_diagonal,
-    act,
     apply,
     as_operator,
     basis_projector,
@@ -52,8 +52,10 @@ class Scenario:
     diagonal when that is real and rebuilds the channel bit for bit (every
     basis channel), else its matrix. ``linalg.dense`` gives the matrix.
     Each channel and ``evolution`` is the scenario's own copy, checked once
-    in ``build_scenario``; ``proven_projector`` relies on the channels'
-    projector proof.
+    in ``build_scenario``. ``build_scenario`` also records, by id, the
+    channel arrays it proved projectors; ``proven_projector`` trusts exactly
+    those, and holding them keeps their ids from being reused. A scenario
+    made another way, ``dataclasses.replace`` included, records none.
     """
 
     name: str
@@ -65,6 +67,7 @@ class Scenario:
     channels: Mapping[str, np.ndarray]
     post_overlap: complex
     bra: State
+    _proven: Mapping[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def channel(self, name: str) -> np.ndarray:
         try:
@@ -87,14 +90,19 @@ def amplitude(s: Scenario, *ops) -> complex:
     the last operator acts first.
 
     Every weak-value numerator, ABL amplitude and meter split is one of
-    these. Each operator is checked once: square, finite, of the scenario's
-    dimension; a product that overflows raises ValueError. With no operators
-    this is <post|U|pre> taken through the bra, which may differ from
-    ``post_overlap`` in the last bits.
+    these. Each operator is coerced and scanned for NaN/Inf here, once, and
+    must have the scenario's dimension; a product that overflows raises
+    ValueError. With no operators this is <post|U|pre> taken through the
+    bra, which may differ from ``post_overlap`` in the last bits.
     """
+    return _amplitude(s, *map(as_operator, ops))
+
+
+def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
+    """``amplitude`` of operators that ``as_operator`` returned."""
     ket = s.pre_state.amps
     for op in reversed(ops):
-        ket = act(op, ket)
+        ket = _act(op, ket)
     value = complex(np.vdot(s.bra.amps, ket))
     if not cmath.isfinite(value):
         raise ValueError("matrix element is not finite: the operator product overflows")
@@ -108,11 +116,12 @@ def expression_operator(s: Scenario, text: str) -> np.ndarray:
 
 
 def proven_projector(s: Scenario, op, what: str) -> np.ndarray:
-    """``op`` itself when it is one of the scenario's channels, which
-    ``build_scenario`` proved projectors once (a bare channel name evaluates
-    to that object); any other operator through ``require_projector``, so
-    NotAProjectorError if it is not a projector."""
-    if any(op is channel for channel in s.channels.values()):
+    """``op`` itself when it is a channel array that ``build_scenario``
+    proved a projector for this scenario (a bare channel name evaluates to
+    that object); any other operator through ``require_projector``, so
+    coerced, scanned for NaN/Inf and NotAProjectorError if it is not a
+    projector."""
+    if s._proven.get(id(op)) is op:
         return op
     return require_projector(op, what)
 
@@ -183,7 +192,7 @@ def build_scenario(
     overlap = inner(post_state, evolved)
     bra = post_state if ev is None else State(ev.conj().T @ post_state.amps, labels)
 
-    return Scenario(
+    s = Scenario(
         name=str(name),
         dim=dim,
         labels=labels,
@@ -194,6 +203,9 @@ def build_scenario(
         post_overlap=overlap,
         bra=bra,
     )
+    proven = MappingProxyType({id(p): p for p in table.values()})
+    object.__setattr__(s, "_proven", proven)
+    return s
 
 
 def _complex_array(obj, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AblUndefinedError, ConsistencyError, ZeroProbabilityError
-from .linalg import State, act, apply, complement
-from .scenario import Scenario, amplitude
+from .linalg import State, _act, _complement, as_operator
+from .scenario import Scenario, _amplitude
 
 _BOUNDS_TOL = 1e-10
 _REAL_TOL = 1e-12
@@ -38,7 +38,12 @@ class CollapseOutcome:
 
 def born_prob(state: State, p: np.ndarray) -> float:
     """Outcome probability <psi|P|psi> for a projective measurement."""
-    value = complex(np.vdot(state.amps, act(p, state.amps)))
+    return _born(state, as_operator(p))
+
+
+def _born(state: State, p: np.ndarray) -> float:
+    """``born_prob`` of an operator that ``as_operator`` returned."""
+    value = complex(np.vdot(state.amps, _act(p, state.amps)))
     if abs(value.imag) > _REAL_TOL:
         raise ConsistencyError(
             f"expectation value has imaginary part {value.imag!r}; not a projector?"
@@ -48,10 +53,11 @@ def born_prob(state: State, p: np.ndarray) -> float:
 
 def collapse(state: State, p: np.ndarray) -> CollapseOutcome:
     """Project a state and renormalize."""
-    probability = born_prob(state, p)
+    p = as_operator(p)
+    probability = _born(state, p)
     if probability <= _NULL_PROB:
         raise ZeroProbabilityError("cannot collapse onto a zero-probability outcome")
-    return CollapseOutcome(probability, apply(p, state).normalize())
+    return CollapseOutcome(probability, State(_act(p, state.amps), state.labels).normalize())
 
 
 def cond_prob_post(s: Scenario, p: np.ndarray) -> float:
@@ -61,19 +67,25 @@ def cond_prob_post(s: Scenario, p: np.ndarray) -> float:
     outcome and the final postselection; it factorizes as
     prob(post | outcome) * prob(outcome | pre).
     """
-    return _checked_probability(abs(amplitude(s, p)) ** 2, "conditional probability")
+    return _cond_post(s, as_operator(p))
+
+
+def _cond_post(s: Scenario, p: np.ndarray) -> float:
+    """``cond_prob_post`` of an operator that ``as_operator`` returned."""
+    return _checked_probability(abs(_amplitude(s, p)) ** 2, "conditional probability")
 
 
 def _hit_miss(s: Scenario, p: np.ndarray) -> tuple[float, float]:
     """``cond_prob_post`` of p and of 1 - p, each formed once for the
-    two-outcome measurement {p, 1 - p}."""
-    return cond_prob_post(s, p), cond_prob_post(s, complement(p))
+    two-outcome measurement {p, 1 - p}, of a p that ``as_operator``
+    returned."""
+    return _cond_post(s, p), _cond_post(s, _complement(p))
 
 
 def abl_prob(s: Scenario, p: np.ndarray) -> float:
     """Probability of the outcome p given both pre- and postselection,
     for the two-outcome measurement {p, 1 - p}."""
-    hit, miss = _hit_miss(s, p)
+    hit, miss = _hit_miss(s, as_operator(p))
     denominator = hit + miss
     if denominator <= _NULL_PROB:
         raise AblUndefinedError(
@@ -92,7 +104,8 @@ def bayes_check(s: Scenario, p: np.ndarray) -> float:
     evaluated for the two-outcome measurement {p, 1 - p}. Returns 0 when
     the outcome probability vanishes (conditioning on a null event).
     """
-    outcome_prob = born_prob(s.pre_state, p)
+    p = as_operator(p)
+    outcome_prob = _born(s.pre_state, p)
     if outcome_prob <= _NULL_PROB:
         return 0.0
     hit, miss = _hit_miss(s, p)

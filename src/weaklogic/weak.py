@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearPoleWarning, PostselectionLostError
-from .scenario import Scenario, amplitude, expression_operator
+from .linalg import as_operator
+from .scenario import Scenario, _amplitude, expression_operator
 
 #: Numerator magnitudes at or below this count as a vanishing weak value.
 ZERO_TOL = 1e-12
@@ -38,19 +39,26 @@ class WeakValue:
 
 def weak_value(s: Scenario, op: np.ndarray) -> WeakValue:
     """Weak value <post|U A|pre> / <post|U|pre> of an arbitrary operator."""
+    return _weak_value(s, as_operator(op), stacklevel=3)
+
+
+def _weak_value(s: Scenario, op: np.ndarray, stacklevel: int = 2) -> WeakValue:
+    """``weak_value`` of an operator that ``as_operator`` returned. A
+    NearPoleWarning names the frame ``stacklevel`` up: by default the caller,
+    which ``weak_value`` passes on as its own caller."""
     denominator = s.post_overlap
     if abs(denominator) <= ZERO_TOL:
         raise PostselectionLostError(
             "postselection overlap vanishes; no weak value exists"
         )
-    numerator = amplitude(s, op)
+    numerator = _amplitude(s, op)
     near_pole = abs(denominator) < POLE_TOL
     if near_pole:
         warnings.warn(
             f"postselection overlap {abs(denominator):.3e} is below {POLE_TOL:g}; "
             "weak value may not be representative of meter readings",
             NearPoleWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     return WeakValue(
         value=numerator / denominator,
@@ -63,4 +71,4 @@ def weak_value(s: Scenario, op: np.ndarray) -> WeakValue:
 
 def weak_value_expr(s: Scenario, text: str) -> WeakValue:
     """Weak value of a projector expression over the scenario's channels."""
-    return weak_value(s, expression_operator(s, text))
+    return _weak_value(s, expression_operator(s, text))

@@ -476,6 +476,40 @@ class TestProofCost:
         assert calls["proofs"] == 1
 
 
+class TestScanCost:
+    """Each operand is scanned for NaN/Inf once, where it enters the library:
+    a stored channel was scanned when the scenario was built, and a
+    composite operand or a copy is scanned by its proof. Counted on the scan
+    kernel, on the dense pigeonhole of ``TestProofCost``."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        scans = []
+        spy(monkeypatch, linalg._check_finite, lambda a, what: scans.append(what))
+        return scans
+
+    s = TestProofCost.s
+
+    def test_sum_pair_scans_its_two_composite_operands(self, s, scans):
+        (entry,) = audit_all(s, [("L1*L2", "R1*R2", "sum")]).entries
+        assert entry.verdict.case is SumCase.III
+        assert scans == ["first operand", "second operand"]
+
+    def test_product_pair_of_channels_scans_nothing(self, s, scans):
+        (entry,) = audit_all(s, [("L1", "L2", "product")]).entries
+        assert entry.verdict.case is ProductCase.II
+        assert scans == []
+
+    @pytest.mark.parametrize("kind, second", [("sum", "R1"), ("product", "L2")])
+    def test_each_copy_of_a_channel_is_scanned_once(self, s, scans, kind, second):
+        classify = classify_sum if kind == "sum" else classify_product
+        pa, pb = (np.array(s.channel(name)) for name in ("L1", second))
+        classify(s, pa, pb)
+        assert scans == ["first operand", "second operand"]
+        classify(s, pa, s.channel(second))
+        assert scans[2:] == ["first operand"]
+
+
 class TestProofStillRuns:
     """Only the scenario's own channels skip the proof: an operand that is
     not a projector is still rejected, and the report is the one the full

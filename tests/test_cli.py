@@ -17,7 +17,7 @@ from weaklogic import (
     sequential_disturbance,
 )
 from weaklogic.cli import fmt_complex, fmt_real, main
-from weaklogic.scenario import amplitude
+from weaklogic.scenario import _amplitude
 from helpers import rotated_pigeonhole
 
 THREE_BOX_FILE = {
@@ -114,11 +114,11 @@ class TestStrongCommand:
 
         def counted(*args):
             calls.append(args)
-            return amplitude(*args)
+            return _amplitude(*args)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("weaklogic") and vars(module).get("amplitude") is amplitude:
-                monkeypatch.setattr(module, "amplitude", counted)
+            if name.startswith("weaklogic") and vars(module).get("_amplitude") is _amplitude:
+                monkeypatch.setattr(module, "_amplitude", counted)
         code, _, _ = run(capsys, "strong", "--scenario", "three-box", "--expr", "A + B")
         assert code == 0
         assert len(calls) == 5

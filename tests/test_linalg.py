@@ -18,6 +18,7 @@ from weaklogic import (
     commutes,
     compose,
     cond_prob_post,
+    evaluate_text,
     identity,
     inner,
     is_projector,
@@ -316,3 +317,66 @@ class TestDiagonalForm:
         assert compose(d, identity(3)).shape == add(identity(3), d).shape == (3, 3)
         with pytest.raises(ValueError, match="dimension mismatch"):
             add(d, identity(2))
+
+
+S = catalog("three-box")
+GOOD = S.channel("A")
+CFG = MeterConfig(sigma=1.0, g=0.1)
+
+#: Each public function that takes an operator, with the name its message gives it.
+ENTRY_POINTS = {
+    "act": (lambda op: act(op, S.pre_state.amps), "operator"),
+    "apply": (lambda op: apply(op, S.pre_state), "operator"),
+    "compose": (lambda op: compose(GOOD, op), "operator"),
+    "compose first": (lambda op: compose(op, GOOD), "operator"),
+    "add": (lambda op: add(GOOD, op), "operator"),
+    "complement": (complement, "operator"),
+    "is_projector": (is_projector, "operator"),
+    "require_projector": (lambda op: require_projector(op, "P"), "P"),
+    "amplitude": (lambda op: amplitude(S, GOOD, op), "operator"),
+    "weak_value": (lambda op: weak_value(S, op), "operator"),
+    "born_prob": (lambda op: born_prob(S.pre_state, op), "operator"),
+    "collapse": (lambda op: collapse(S.pre_state, op), "operator"),
+    "cond_prob_post": (lambda op: cond_prob_post(S, op), "operator"),
+    "abl_prob": (lambda op: abl_prob(S, op), "operator"),
+    "classify_sum": (lambda op: classify_sum(S, op, GOOD), "first operand"),
+    "classify_sum second": (lambda op: classify_sum(S, GOOD, op), "second operand"),
+    "classify_product": (lambda op: classify_product(S, op, GOOD), "first operand"),
+    "classify_product second": (
+        lambda op: classify_product(S, GOOD, op), "second operand"
+    ),
+    "measure_pointer": (lambda op: measure_pointer(S, op, CFG), "meter coupling"),
+    "weak_limit_estimate": (
+        lambda op: weak_limit_estimate(S, op, 1.0, (1e-1, 1e-2)), "meter coupling"
+    ),
+    "sequential_disturbance": (
+        lambda op: sequential_disturbance(S, op, GOOD, 1.0, 0.05), "first meter coupling"
+    ),
+    "sequential_disturbance second": (
+        lambda op: sequential_disturbance(S, GOOD, op, 1.0, 0.05), "second meter coupling"
+    ),
+}
+
+
+class TestEveryEntryPointRejectsNonFinite:
+    """Each public function that takes an operator scans it for NaN/Inf where
+    it enters the library, and raises the message that names the operand."""
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([1.0, np.nan, 0.0]), np.diag([1.0, 0.0, np.inf]), np.full((3, 3), -np.inf)],
+        ids=["nan diagonal", "inf matrix", "all -inf"],
+    )
+    def test_rejected_with_the_operands_name(self, call, bad):
+        function, what = ENTRY_POINTS[call]
+        with pytest.raises(ValueError, match=f"^{what} contains non-finite entries$"):
+            function(bad)
+
+    def test_a_non_finite_table_evaluates_and_its_consumer_rejects_it(self):
+        table = {"a": np.array([np.nan, 0.0, 0.0], dtype=complex), "b": GOOD}
+        p = evaluate_text("a + b*b", table)
+        with pytest.raises(ValueError, match="^operator contains non-finite entries$"):
+            weak_value(S, p)
+        with pytest.raises(ValueError, match="^first operand contains non-finite entries$"):
+            classify_sum(S, p, GOOD)

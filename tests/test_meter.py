@@ -220,7 +220,7 @@ class TestCouplingCheckedOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("proven_projector", "amplitude"):
+        for name in ("proven_projector", "_amplitude"):
             original = getattr(meter, name)
 
             def counted(*args, _name=name, _original=original):
@@ -233,13 +233,13 @@ class TestCouplingCheckedOnce:
     def test_sweep(self, calls):
         s = catalog("three-box")
         estimate = weak_limit_estimate(s, s.channel("C"), 1.0, SWEEP)
-        assert calls == {"proven_projector": 1, "amplitude": 2}
+        assert calls == {"proven_projector": 1, "_amplitude": 2}
         assert estimate == pytest.approx(weak_value(s, s.channel("C")).value, abs=1e-6)
 
     def test_single_readout(self, calls):
         s = catalog("three-box")
         measure_pointer(s, s.channel("C"), MeterConfig(sigma=1.0, g=0.1))
-        assert calls == {"proven_projector": 1, "amplitude": 2}
+        assert calls == {"proven_projector": 1, "_amplitude": 2}
 
 
 class TestSequentialDisturbance:

@@ -1,7 +1,9 @@
 import cmath
+import dataclasses
 import json
 import tracemalloc
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from weaklogic import (
     State,
     build_scenario,
     catalog,
+    classify_sum,
     default_audit_pairs,
     effective_bra,
     evaluate_text,
@@ -300,6 +303,30 @@ class TestProvedOnce:
             with pytest.raises(NotAProjectorError, match="op is not a projector"):
                 proven_projector(s, op, "op")
         np.testing.assert_array_equal(proven_projector(s, m, "op"), p)
+
+    @pytest.mark.parametrize(
+        "entries, error, match",
+        [
+            ([2, 0, 0], NotAProjectorError, "first operand is not a projector"),
+            ([np.nan, 0, 0], ValueError, "first operand contains non-finite entries"),
+        ],
+    )
+    def test_a_substituted_channel_is_checked(self, entries, error, match):
+        s = catalog("three-box")
+        forged = MappingProxyType({"X": np.array(entries, dtype=complex)})
+        t = dataclasses.replace(s, channels=forged)
+        with pytest.raises(error, match=match):
+            classify_sum(t, t.channel("X"), s.channel("C"))
+
+    def test_a_scenario_made_another_way_trusts_no_channel(self, monkeypatch):
+        s = catalog("three-box")
+        proofs = []
+        spy(monkeypatch, linalg._proves_projector, proofs.append)
+        classify_sum(s, s.channel("A"), s.channel("C"))
+        assert proofs == []
+        t = dataclasses.replace(s, name="copy")
+        classify_sum(t, t.channel("A"), t.channel("C"))
+        assert len(proofs) == 2
 
 
 class TestCatalog:

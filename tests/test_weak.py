@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from weaklogic import (
     NearPoleWarning,
+    audit_all,
     ParseError,
     PostselectionLostError,
     UnboundNameError,
@@ -13,6 +16,7 @@ from weaklogic import (
     weak_value,
     weak_value_expr,
 )
+from weaklogic import audit, weak
 from helpers import (
     random_basis_projector,
     random_projector_family,
@@ -84,6 +88,28 @@ class TestErrorsAndFlags:
             w = weak_value(s, p)
         assert w.near_pole
         assert w.value == pytest.approx(w.numerator / w.denominator, rel=1e-12)
+
+    @staticmethod
+    def _near_pole_warnings(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert {w.category for w in caught} <= {NearPoleWarning}
+        return [w.filename for w in caught]
+
+    def test_near_pole_warning_names_the_caller(self):
+        s = build_scenario("pole", ("a", "b"), [1, 0], [1e-8, 1], None, {"A": [1.0, 0.0]})
+        assert self._near_pole_warnings(lambda: weak_value(s, np.eye(2))) == [__file__]
+        assert self._near_pole_warnings(lambda: weak_value_expr(s, "A")) == [weak.__file__]
+
+    def test_an_audit_warns_once_per_weak_value(self):
+        s = build_scenario(
+            "pole", ("a", "b", "c"), [1, 1, 0], [1, -1 + 1e-8, 1], None,
+            {"A": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0], "U": [1.0, 0.0, 1.0]},
+        )
+        pairs = [("A", "B", "sum"), ("A", "U", "product"), ("A", "nosuch", "sum")]
+        files = self._near_pole_warnings(lambda: audit_all(s, pairs))
+        assert files == [audit.__file__] * 6
 
     def test_parse_errors_propagate(self):
         s = catalog("three-box")
