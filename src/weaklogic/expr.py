@@ -10,8 +10,11 @@ Grammar (whitespace insignificant, both operators left-associative,
 
 A sum of projectors reads as a non-exclusive OR of the named channels, a
 product as an AND; evaluation performs no physics validation, so the result
-need not itself be a projector. Parentheses may nest at most ``MAX_NESTING``
-deep; a chain of '+' or '*' may be of any length.
+need not itself be a projector. A chain of '+' or '*' parses into one flat
+``Sum`` or ``Product`` of any length; a parenthesised chain stays one
+operand of its parent, so the tree keeps the grouping the text spelled.
+Parentheses may nest at most ``MAX_NESTING`` deep, which bounds the tree's
+depth and so the recursion of its dataclass methods.
 """
 
 from __future__ import annotations
@@ -32,42 +35,17 @@ class Name:
     ident: str
 
 
-class _Chain:
-    """A binary node's dataclass equality and repr, and a hash that agrees,
-    computed over its left-deep chain of one operator in a loop."""
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _operands(self) == _operands(other)
-
-    def __hash__(self):
-        return hash((self.__class__, *_operands(self)))
-
-    def __repr__(self):
-        first, *rest = _operands(self)
-        head = f"{self.__class__.__name__}(left=" * len(rest) + repr(first)
-        return head + "".join(f", right={op!r})" for op in rest)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Sum(_Chain):
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Product(_Chain):
-    left: "Node"
-    right: "Node"
+@dataclass(frozen=True)
+class Sum:
+    operands: tuple["Node", ...]
 
 
 @dataclass(frozen=True)
-class Group:
-    inner: "Node"
+class Product:
+    operands: tuple["Node", ...]
 
 
-Node = Union[Name, Sum, Product, Group]
+Node = Union[Name, Sum, Product]
 
 #: Deepest parenthesis nesting ``parse`` accepts.
 MAX_NESTING = 100
@@ -116,19 +94,19 @@ class _TokenStream:
 
 
 def _parse_expr(ts: _TokenStream) -> Node:
-    node = _parse_term(ts)
+    operands = [_parse_term(ts)]
     while ts.peek()[0] == "PLUS":
         ts.take()
-        node = Sum(node, _parse_term(ts))
-    return node
+        operands.append(_parse_term(ts))
+    return Sum(tuple(operands)) if len(operands) > 1 else operands[0]
 
 
 def _parse_term(ts: _TokenStream) -> Node:
-    node = _parse_factor(ts)
+    operands = [_parse_factor(ts)]
     while ts.peek()[0] == "STAR":
         ts.take()
-        node = Product(node, _parse_factor(ts))
-    return node
+        operands.append(_parse_factor(ts))
+    return Product(tuple(operands)) if len(operands) > 1 else operands[0]
 
 
 def _parse_factor(ts: _TokenStream) -> Node:
@@ -140,7 +118,7 @@ def _parse_factor(ts: _TokenStream) -> Node:
         kind, _, pos = ts.take()
         if kind != "RPAREN":
             raise ParseError("expected ')'", pos)
-        return Group(node)
+        return node
     if kind == "END":
         raise ParseError("expected a channel name or '('", pos)
     raise ParseError(f"unexpected {text!r}", pos)
@@ -158,25 +136,18 @@ def parse(text: str) -> Node:
     return node
 
 
-def _operands(node: Union[Sum, Product]) -> list[Node]:
-    """Operands of a left-deep chain of one operator, left to right."""
-    kind = type(node)
-    rights = []
-    while type(node) is kind:
-        rights.append(node.right)
-        node = node.left
-    return [node, *reversed(rights)]
-
-
 def unparse(node: Node) -> str:
     """Render a tree back to canonical text; reparsing yields an equal tree."""
     if isinstance(node, Name):
         return node.ident
     if isinstance(node, (Sum, Product)):
         separator = " + " if isinstance(node, Sum) else "*"
-        return separator.join(unparse(operand) for operand in _operands(node))
-    if isinstance(node, Group):
-        return f"({unparse(node.inner)})"
+        # a Sum under a Product, or a chain under its own kind, was grouped
+        grouped = (Sum, type(node))
+        return separator.join(
+            f"({unparse(op)})" if isinstance(op, grouped) else unparse(op)
+            for op in node.operands
+        )
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -184,11 +155,12 @@ def evaluate(node: Node, channels: Mapping[str, np.ndarray]) -> np.ndarray:
     """Evaluate a tree against a channel table of operator arrays.
 
     The table is combined as given, neither coerced nor scanned for NaN/Inf:
-    sums are elementwise and products left to right, in the table's operator
+    each chain folds left to right, sums elementwise, in the table's operator
     form (a diagonal meeting a matrix becomes one). Each consumer of the
     result checks it once where it takes it; a ``Scenario``'s channels were
-    checked when it was built. Callers that need a projector must check the
-    result with ``is_projector``.
+    checked when it was built. Callers that need a projector take the result
+    through ``require_projector``, or ``proven_projector``, which passes a
+    channel the scenario already proved.
     """
     if isinstance(node, Name):
         try:
@@ -197,9 +169,7 @@ def evaluate(node: Node, channels: Mapping[str, np.ndarray]) -> np.ndarray:
             raise UnboundNameError(node.ident, channels.keys()) from None
     if isinstance(node, (Sum, Product)):
         combine = _sum if isinstance(node, Sum) else _compose
-        return reduce(combine, (evaluate(op, channels) for op in _operands(node)))
-    if isinstance(node, Group):
-        return evaluate(node.inner, channels)
+        return reduce(combine, (evaluate(op, channels) for op in node.operands))
     raise TypeError(f"not an expression node: {node!r}")
 
 

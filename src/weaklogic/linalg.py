@@ -99,9 +99,12 @@ class State:
         return float(np.linalg.norm(self.amps))
 
     def normalize(self) -> "State":
-        n = self.norm
+        with np.errstate(over="ignore"):
+            n = self.norm
+        if not np.isfinite(n):
+            raise ValueError("state norm overflows: scale the amplitudes down")
         if n < SCALAR_TOL:
-            raise ValueError("cannot normalize a zero state")
+            raise ValueError("state has zero norm")
         # scaled part by part with the 1/n that complex division by n uses,
         # which keeps the bits of its results and every signed zero
         return State((self.amps.view(float) * (1.0 / n)).view(complex), self.labels)

@@ -198,12 +198,6 @@ def sequential_disturbance(
         raise ValueError("coupling strength g must be positive")
     p1 = proven_projector(s, p1, "first meter coupling")
     p2 = proven_projector(s, p2, "second meter coupling")
-    if not np.any(p1):
-        return 0.0  # no first coupling at all
-
-    splits1 = (_complement(p1), p1)
-    splits2 = (_complement(p2), p2)
-    coeff = np.array([[_amplitude(s, pk, pj) for pk in splits2] for pj in splits1])
 
     cfg = MeterConfig(sigma=sigma, g=g, grid_points=grid_points)
     q, phi0, phig = _packet_pair(cfg)
@@ -215,6 +209,19 @@ def sequential_disturbance(
             overlap[a, b] = np.trapezoid(packets[a] * packets[b], q)
             q_moment[a, b] = np.trapezoid(q * packets[a] * packets[b], q)
 
+    splits2 = (_complement(p2), p2)
+    solo = np.array([_amplitude(s, pk) for pk in splits2])
+    weight0 = np.einsum("K,k,Kk->", solo.conj(), solo, overlap).real
+    if weight0 <= _EXTINCT:
+        raise PostselectionLostError(
+            "postselection extinguishes the meter state; no statistics exist"
+        )
+    if not np.any(p1):
+        return 0.0  # no first coupling at all
+    without_first = np.einsum("K,k,Kk->", solo.conj(), solo, q_moment).real / weight0
+
+    splits1 = (_complement(p1), p1)
+    coeff = np.array([[_amplitude(s, pk, pj) for pk in splits2] for pj in splits1])
     weight = np.einsum("JK,jk,Jj,Kk->", coeff.conj(), coeff, overlap, overlap).real
     if weight <= _EXTINCT:
         raise PostselectionLostError(
@@ -224,13 +231,5 @@ def sequential_disturbance(
         np.einsum("JK,jk,Jj,Kk->", coeff.conj(), coeff, overlap, q_moment).real
         / weight
     )
-
-    solo = np.array([_amplitude(s, pk) for pk in splits2])
-    weight0 = np.einsum("K,k,Kk->", solo.conj(), solo, overlap).real
-    if weight0 <= _EXTINCT:
-        raise PostselectionLostError(
-            "postselection extinguishes the meter state; no statistics exist"
-        )
-    without_first = np.einsum("K,k,Kk->", solo.conj(), solo, q_moment).real / weight0
 
     return abs(with_first - without_first) / g

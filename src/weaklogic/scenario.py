@@ -157,8 +157,8 @@ def build_scenario(
         st = State(amps, labels)
         try:
             return st.normalize()
-        except ValueError:
-            raise ScenarioError(f"{which} state has zero norm") from None
+        except ValueError as exc:
+            raise ScenarioError(f"{which} {exc}") from None
 
     pre_state = _state(pre, "pre")
     post_state = _state(post, "post")

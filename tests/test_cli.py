@@ -374,6 +374,17 @@ class TestScenarioIO:
         assert out == ""
         assert "'post' has a number beyond floating-point range" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [("show",), ("weak", "--expr", "A")])
+    def test_state_whose_norm_overflows_is_exit_1(self, capsys, tmp_path, argv):
+        doc = dict(THREE_BOX_FILE, pre=[[1e200, 0], [1e200, 0], [0, 0]])
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, argv[0], "--file", str(path), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert "pre state norm overflows" in err
+
     def test_file_scenario(self, capsys, tmp_path):
         path = tmp_path / "boxes.json"
         path.write_text(json.dumps(THREE_BOX_FILE), encoding="utf-8")

@@ -1,20 +1,18 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklogic import ParseError, UnboundNameError, evaluate_text, parse, unparse
-from weaklogic.expr import MAX_NESTING, Group, Name, Product, Sum
-from weaklogic.linalg import add, compose
+from weaklogic.expr import MAX_NESTING, Name, Product, Sum
+from weaklogic.linalg import add, as_operator, compose
 from helpers import dproj
 
 
 class TestParse:
     def test_sum_of_products(self):
         assert parse("L1*L2 + R1*R2") == Sum(
-            Product(Name("L1"), Name("L2")), Product(Name("R1"), Name("R2"))
+            (Product((Name("L1"), Name("L2"))), Product((Name("R1"), Name("R2"))))
         )
 
     def test_single_name(self):
@@ -45,12 +43,17 @@ class TestParse:
             parse("A B")
         assert exc.value.position == 2
 
-    def test_left_associativity(self):
-        assert parse("a + b + c") == Sum(Sum(Name("a"), Name("b")), Name("c"))
-        assert parse("a*b*c") == Product(Product(Name("a"), Name("b")), Name("c"))
+    def test_chains_are_flat(self):
+        a, b, c = Name("a"), Name("b"), Name("c")
+        assert parse("a + b + c") == Sum((a, b, c))
+        assert parse("a*b*c") == Product((a, b, c))
 
     def test_grouping(self):
-        assert parse("(a + b)*c") == Product(Group(Sum(Name("a"), Name("b"))), Name("c"))
+        a, b, c = Name("a"), Name("b"), Name("c")
+        assert parse("(a + b)*c") == Product((Sum((a, b)), c))
+        assert parse("a*(b*c)") == Product((a, Product((b, c))))
+        assert parse("(a + b) + c") == Sum((Sum((a, b)), c))
+        assert parse("((a))") == a
 
     def test_whitespace_insignificant(self):
         assert parse(" a +b* c ") == parse("a+b*c")
@@ -109,9 +112,72 @@ class TestEvaluate:
             evaluate_text("a + b", table)
 
 
+class _Operator:
+    """An operator whose '+' and '*' are ``add`` and ``compose``, so Python's
+    own parser, with the same precedence and left associativity, groups it."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def __add__(self, other):
+        return _Operator(add(self.m, other.m))
+
+    def __mul__(self, other):
+        return _Operator(compose(self.m, other.m))
+
+
+def _tables():
+    rng = np.random.default_rng(20)
+    names = ("a", "b1", "Xx", "n_2")
+    diag = {n: as_operator(rng.normal(size=3)) for n in names}
+    dense = {
+        n: as_operator(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) for n in names
+    }
+    mixed = {n: (diag if i % 2 else dense)[n] for i, n in enumerate(names)}
+    return {"diagonal": diag, "dense": dense, "mixed": mixed}
+
+
+_TABLES = _tables()
+_texts = st.recursive(
+    st.sampled_from(sorted(_TABLES["dense"])),
+    lambda children: st.one_of(
+        st.lists(children, min_size=2).map(" + ".join),
+        st.lists(children, min_size=2).map("*".join),
+        children.map(lambda t: f"({t})"),
+    ),
+    max_leaves=12,
+)
+
+
+def _python_eval(text, table):
+    env = {name: _Operator(m) for name, m in table.items()}
+    return eval(text, {"__builtins__": {}}, env).m
+
+
+def _assert_same_bits(got, expected):
+    assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestGroupingAgainstPython:
+    @pytest.mark.parametrize("kind", sorted(_TABLES))
+    @given(text=_texts)
+    @settings(max_examples=150, deadline=None)
+    def test_same_bits_as_pythons_parse(self, kind, text):
+        table = _TABLES[kind]
+        _assert_same_bits(evaluate_text(text, table), _python_eval(text, table))
+
+    def test_right_grouped_product_keeps_its_bits(self):
+        table = _TABLES["dense"]
+        grouped = evaluate_text("a*(b1*Xx)", table)
+        _assert_same_bits(grouped, compose(table["a"], compose(table["b1"], table["Xx"])))
+        # the two groupings round differently, so a dropped grouping would show
+        assert grouped.tobytes() != evaluate_text("a*b1*Xx", table).tobytes()
+
+
 class TestLimits:
     def test_nesting_beyond_the_limit_rejected_where_crossed(self):
-        assert isinstance(parse("(" * MAX_NESTING + "a" + ")" * MAX_NESTING), Group)
+        assert parse("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == Name("a")
         with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}") as exc:
             parse("(" * 400 + "a" + ")" * 400)
         assert exc.value.position == MAX_NESTING
@@ -128,69 +194,52 @@ class TestLimits:
         assert tree == parse(text)
         assert tree != parse(text + "+A")
         assert hash(tree) == hash(parse(text))
-        assert repr(tree) == "Sum(left=" * 2999 + "Name(ident='A')" + ", right=Name(ident='A'))" * 2999
+        assert repr(tree) == "Sum(operands=(" + ", ".join(["Name(ident='A')"] * 3000) + "))"
+
+    def test_deepest_nesting_compares_hashes_prints_and_evaluates(self):
+        # each parenthesis level adds a Sum and a Product to the tree's depth
+        text = "a"
+        for _ in range(MAX_NESTING):
+            text = f"a + a*({text})"
+        tree = parse(text)
+        assert tree == parse(text)
+        assert hash(tree) == hash(parse(text))
+        assert repr(tree).count("Product(") == MAX_NESTING
+        assert parse(unparse(tree)) == tree
+        np.testing.assert_array_equal(
+            evaluate_text(text, {"a": dproj(2, [0])}), np.diag([MAX_NESTING + 1, 0])
+        )
 
 
 _names = st.sampled_from(["a", "b1", "Xx", "n_2", "same12"])
 _trees = st.recursive(
     _names.map(Name),
     lambda children: st.one_of(
-        st.tuples(children, children).map(lambda lr: Sum(*lr)),
-        st.tuples(children, children).map(lambda lr: Product(*lr)),
-        children.map(Group),
+        st.lists(children, min_size=2).map(tuple).map(Sum),
+        st.lists(children, min_size=2).map(tuple).map(Product),
     ),
     max_leaves=12,
 )
-
-
-# the dataclass Sum and Product whose equality and repr the chain walk keeps
-_RECURSIVE = {
-    cls: dataclasses.make_dataclass(cls.__name__, ["left", "right"], frozen=True)
-    for cls in (Sum, Product)
-}
-
-
-def _recursive(node):
-    if isinstance(node, (Sum, Product)):
-        return _RECURSIVE[type(node)](_recursive(node.left), _recursive(node.right))
-    if isinstance(node, Group):
-        return Group(_recursive(node.inner))
-    return node
-
-
-class TestTreeMethods:
-    @given(_trees, _trees)
-    @settings(max_examples=200, deadline=None)
-    def test_agree_with_the_recursive_dataclass(self, a, b):
-        for x, y in ((a, b), (a, parse(unparse(a))), (parse(unparse(a)), parse(unparse(a)))):
-            assert (x == y) == (_recursive(x) == _recursive(y))
-            assert x != y or hash(x) == hash(y)
-        assert repr(a) == repr(_recursive(a))
 
 
 class TestRoundTrip:
     @given(_trees)
     @settings(max_examples=100, deadline=None)
     def test_unparse_parse_round_trip(self, tree):
-        # arbitrary trees may encode associativity the grammar cannot spell,
-        # so canonicalize through one parse first; the printed form of any
-        # parsed tree must then reparse to the identical tree
-        canonical = parse(unparse(tree))
-        assert parse(unparse(canonical)) == canonical
+        assert parse(unparse(tree)) == tree
 
     @given(_trees, st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_is_whitespace_insensitive(self, tree, seed):
         rng = np.random.default_rng(seed)
-        canonical = parse(unparse(tree))
-        text = unparse(canonical)
+        text = unparse(tree)
         padded = "".join(
             " " * int(rng.integers(0, 3)) + ch + " " * int(rng.integers(0, 3))
             if ch in "+*()"
             else ch
             for ch in text
         )
-        assert parse(padded) == canonical
+        assert parse(padded) == tree
 
     @given(st.text(max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -199,7 +248,7 @@ class TestRoundTrip:
             node = parse(text)
         except ParseError:
             return
-        assert isinstance(node, (Name, Sum, Product, Group))
+        assert isinstance(node, (Name, Sum, Product))
 
     @given(st.binary(max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -208,4 +257,4 @@ class TestRoundTrip:
             node = parse(raw.decode("latin1"))
         except ParseError:
             return
-        assert isinstance(node, (Name, Sum, Product, Group))
+        assert isinstance(node, (Name, Sum, Product))

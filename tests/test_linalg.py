@@ -77,6 +77,15 @@ class TestState:
         with pytest.raises(ValueError):
             State([0.0, 0.0], ("a", "b")).normalize()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_norm_rejected(self):
+        # the squared amplitudes sum past the float range: the norm is inf
+        with pytest.raises(ValueError, match="norm overflows"):
+            State([1e200, 1e200], ("a", "b")).normalize()
+        # just inside the range it normalizes as before
+        unit = State([1e153, 1e153], ("a", "b")).normalize()
+        assert unit.norm == pytest.approx(1.0, abs=1e-12)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             State([np.nan, 1.0], ("a", "b"))

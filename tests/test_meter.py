@@ -249,6 +249,16 @@ class TestSequentialDisturbance:
         zero = np.zeros((4, 4), dtype=complex)
         assert sequential_disturbance(s, zero, p2, 1.0, 0.05) == 0.0
 
+    def test_zero_first_coupling_still_needs_the_postselection(self):
+        s = build_scenario(
+            "lost", ["a", "b"], [1, 0], [0, 1], channels={"B": [0, 1], "Z": [0, 0]}
+        )
+        with pytest.raises(PostselectionLostError):
+            measure_pointer(s, s.channel("B"), MeterConfig(1.0, 0.1))
+        for first in ("Z", "B"):
+            with pytest.raises(PostselectionLostError):
+                sequential_disturbance(s, s.channel(first), s.channel("B"), 1.0, 0.1)
+
     @pytest.mark.parametrize(
         "scenario,first,second",
         [

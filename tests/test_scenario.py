@@ -108,6 +108,11 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="zero norm"):
             load_scenario(_with(pre=[[0, 0], [0, 0], [0, 0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pre_state_whose_norm_overflows(self):
+        with pytest.raises(ScenarioError, match="^pre state norm overflows"):
+            load_scenario(_with(pre=[[1e200, 0], [1e200, 0], [0, 0]]))
+
     def test_non_unitary_evolution(self):
         ev = [[[2, 0], [0, 0], [0, 0]],
               [[0, 0], [1, 0], [0, 0]],
