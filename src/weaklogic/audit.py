@@ -23,10 +23,15 @@ as vanishing, case I.
 
 Both classifiers reject an operand that is not a projector. A channel of the
 scenario was proved a projector once, when the scenario was built, and is not
-proved again; any other operand, such as the operator of a composite
-expression or a copy of a channel, is coerced, scanned for NaN/Inf and proved
-on every call. The weak values are then taken of the proven operands and
-their combination without checking them again.
+proved again. ``audit_all`` takes expression text, in which a product of
+proven factors is proven when it is self-adjoint within STRUCT_TOL (for
+projectors P, Q with PQ self-adjoint, PQ = QP and (PQ)^2 = PQ), the test
+``classify_product`` applies to its own product. Such a product skips the
+O(d^3) idempotence check, so its idempotence residual may exceed STRUCT_TOL;
+every operand the full proof accepts is still accepted. Any other operand,
+such as a sum, a non-commuting product or a copy of a channel, is coerced,
+scanned for NaN/Inf and proved on every call. The weak values are then taken
+of the proven operands and their combination without checking them again.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
-from .linalg import STRUCT_TOL, _one_form, _product, adjoint
-from .scenario import Scenario, expression_operator, proven_projector
+from .linalg import STRUCT_TOL, _one_form, _product, _self_adjoint
+from .scenario import Scenario, _expression_projectors, proven_projector
 from .weak import WeakValue, _weak_value
 
 
@@ -154,7 +159,11 @@ def _proven_operands(s: Scenario, pa, pb) -> tuple[np.ndarray, np.ndarray]:
 
 def classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the OR combination of two orthogonal projectors."""
-    pa, pb = _proven_operands(s, pa, pb)
+    return _classify_sum(s, *_proven_operands(s, pa, pb))
+
+
+def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
+    """``classify_sum`` of two proven projectors."""
     a, b = _one_form(pa, pb)
     if np.max(np.abs(_product(a, b))) > STRUCT_TOL:
         raise AuditPreconditionError(
@@ -196,10 +205,14 @@ _PRODUCT_TABLE = {
 
 def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the AND combination of two commuting, non-orthogonal projectors."""
-    pa, pb = _proven_operands(s, pa, pb)
+    return _classify_product(s, *_proven_operands(s, pa, pb))
+
+
+def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
+    """``classify_product`` of two proven projectors."""
     product = _product(*_one_form(pa, pb))
     # (PQ)^dagger = QP: the product is self-adjoint exactly when P, Q commute
-    if np.max(np.abs(product - adjoint(product))) > STRUCT_TOL:
+    if not _self_adjoint(product):
         raise AuditPreconditionError(
             "projectors do not commute; their product is not a projector"
         )
@@ -259,6 +272,14 @@ class AuditReport:
         }
 
 
+def _audit_pair(s: Scenario, expr_a: str, expr_b: str, kind: str) -> AuditVerdict:
+    """Audit a pair of expressions: both are evaluated, then each is proved a
+    projector, the first before the second."""
+    pa, pb = _expression_projectors(s, (expr_a, "first operand"), (expr_b, "second operand"))
+    classify = _classify_sum if kind == "sum" else _classify_product
+    return classify(s, pa, pb)
+
+
 def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport:
     """Run a batch of sum/product audits given as expression pairs.
 
@@ -270,10 +291,7 @@ def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport
         try:
             if kind not in ("sum", "product"):
                 raise ValueError(f"audit kind must be 'sum' or 'product', got {kind!r}")
-            pa = expression_operator(s, expr_a)
-            pb = expression_operator(s, expr_b)
-            classify = classify_sum if kind == "sum" else classify_product
-            verdict = classify(s, pa, pb)
+            verdict = _audit_pair(s, expr_a, expr_b, kind)
             entries.append(AuditEntry(expr_a, expr_b, kind, verdict, None))
         except (ExpressionError, PhysicsError, ValueError) as exc:
             entries.append(AuditEntry(expr_a, expr_b, kind, None, str(exc)))

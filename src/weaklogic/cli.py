@@ -16,18 +16,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import AuditReport, audit_all, classify_product, classify_sum
+from .audit import AuditReport, _audit_pair, audit_all
 from .errors import PhysicsError, ScenarioError
 from .meter import MeterConfig, measure_pointer, weak_limit_estimate
 from .scenario import (
     CATALOG_NAMES,
     Scenario,
+    _expression_projectors,
     catalog,
     default_audit_pairs,
     expression_operator,
     load_scenario,
     parse_audit_pairs,
-    proven_projector,
     scenario_document,
 )
 from .strong import abl_prob, bayes_check, born_prob, cond_prob_post
@@ -107,7 +107,8 @@ def _resolve_scenario(args) -> Scenario:
 def _projector(s: Scenario, text: str) -> np.ndarray:
     """The expression's operator, checked here because strong and abl
     assume a projector without checking."""
-    return proven_projector(s, expression_operator(s, text), f"expression {text!r}")
+    (p,) = _expression_projectors(s, (text, f"expression {text!r}"))
+    return p
 
 
 def _cmd_list(args) -> int:
@@ -201,10 +202,7 @@ def _verdict_rows(kind: str, expr_a: str, expr_b: str, verdict) -> list[tuple[st
 
 def _cmd_audit_pair(args) -> int:
     s = _resolve_scenario(args)
-    pa = expression_operator(s, args.expr)
-    pb = expression_operator(s, args.expr2)
-    classify = classify_sum if args.kind == "sum" else classify_product
-    verdict = classify(s, pa, pb)
+    verdict = _audit_pair(s, args.expr, args.expr2, args.kind)
     payload = {"scenario": s.name, "expr_a": args.expr, "expr_b": args.expr2}
     payload.update(verdict.to_dict())
     rows = [("scenario", s.name)] + _verdict_rows(args.kind, args.expr, args.expr2, verdict)

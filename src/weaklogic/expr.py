@@ -13,8 +13,9 @@ product as an AND; evaluation performs no physics validation, so the result
 need not itself be a projector. A chain of '+' or '*' parses into one flat
 ``Sum`` or ``Product`` of any length; a parenthesised chain stays one
 operand of its parent, so the tree keeps the grouping the text spelled.
-Parentheses may nest at most ``MAX_NESTING`` deep, which bounds the tree's
-depth and so the recursion of its dataclass methods.
+Parentheses may nest at most ``MAX_NESTING`` deep, so a tree is at most 101
+levels deep, and its dataclass methods, ``evaluate`` and every other walk of
+it need fewer than 500 frames of Python's default recursion limit of 1,000.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class Product:
 Node = Union[Name, Sum, Product]
 
 #: Deepest parenthesis nesting ``parse`` accepts.
-MAX_NESTING = 100
+MAX_NESTING = 50
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _SINGLE = {"+": "PLUS", "*": "STAR", "(": "LPAREN", ")": "RPAREN"}
@@ -160,16 +161,23 @@ def evaluate(node: Node, channels: Mapping[str, np.ndarray]) -> np.ndarray:
     result checks it once where it takes it; a ``Scenario``'s channels were
     checked when it was built. Callers that need a projector take the result
     through ``require_projector``, or ``proven_projector``, which passes a
-    channel the scenario already proved.
+    channel the scenario already proved. The audits fold the tree the same
+    way and prove a product of proven factors by its self-adjointness.
     """
+    return _fold(node, channels, _sum, _compose)
+
+
+def _fold(node: Node, table: Mapping[str, Any], add: Callable, multiply: Callable) -> Any:
+    """``evaluate`` over any table: each name looked up, each chain folded
+    left to right with ``add`` or ``multiply``."""
     if isinstance(node, Name):
         try:
-            return channels[node.ident]
+            return table[node.ident]
         except KeyError:
-            raise UnboundNameError(node.ident, channels.keys()) from None
+            raise UnboundNameError(node.ident, table.keys()) from None
     if isinstance(node, (Sum, Product)):
-        combine = _sum if isinstance(node, Sum) else _compose
-        return reduce(combine, (evaluate(op, channels) for op in node.operands))
+        combine = add if isinstance(node, Sum) else multiply
+        return reduce(combine, (_fold(op, table, add, multiply) for op in node.operands))
     raise TypeError(f"not an expression node: {node!r}")
 
 

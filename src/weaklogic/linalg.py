@@ -210,11 +210,16 @@ def basis_projector(labels: Sequence[str], members: Iterable[str]) -> np.ndarray
     return p
 
 
+def _self_adjoint(m: np.ndarray) -> bool:
+    """Whether every entry of m - m^dagger is within STRUCT_TOL; a NaN fails."""
+    return bool(np.max(np.abs(m - adjoint(m))) <= STRUCT_TOL)
+
+
 def _proves_projector(p: np.ndarray) -> bool:
     """``is_projector`` of an operator that ``as_operator`` returned."""
     if np.max(np.abs(_product(p, p) - p)) > STRUCT_TOL:
         return False
-    return bool(np.max(np.abs(p - adjoint(p))) <= STRUCT_TOL)
+    return _self_adjoint(p)
 
 
 def is_projector(p: np.ndarray) -> bool:

@@ -18,13 +18,16 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioError
-from .expr import evaluate_text
+from .expr import _fold, evaluate_text, parse
 from .linalg import (
     STRUCT_TOL,
     State,
     _act,
+    _compose,
     _proves_projector,
     _real_diagonal,
+    _self_adjoint,
+    _sum,
     apply,
     as_operator,
     basis_projector,
@@ -111,7 +114,10 @@ def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
 
 def expression_operator(s: Scenario, text: str) -> np.ndarray:
     """Operator of a projector expression over the scenario's channels: a
-    diagonal when every channel it uses is one, else a matrix."""
+    diagonal when every channel it uses is one, else a matrix, not proved a
+    projector. The audits and the CLI's ``strong`` and ``abl`` form the same
+    operator and prove it, a product of proven factors by its
+    self-adjointness."""
     return evaluate_text(text, s.channels)
 
 
@@ -120,10 +126,45 @@ def proven_projector(s: Scenario, op, what: str) -> np.ndarray:
     proved a projector for this scenario (a bare channel name evaluates to
     that object); any other operator through ``require_projector``, so
     coerced, scanned for NaN/Inf and NotAProjectorError if it is not a
-    projector."""
+    projector. An array does not record how it was formed, so a product of
+    channels passed here is proved in full."""
     if s._proven.get(id(op)) is op:
         return op
     return require_projector(op, what)
+
+
+def _product_step(a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
+    """A product step of ``_expression_projectors``: PQ of projectors P, Q
+    is a projector when it is self-adjoint, for then PQ = (PQ)^dagger = QP
+    and (PQ)^2 = PPQQ = PQ."""
+    m = _compose(a[0], b[0])
+    return m, a[1] and b[1] and _self_adjoint(m)
+
+
+def _sum_step(a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
+    """A sum step of ``_expression_projectors``: never proven by its parts."""
+    return _sum(a[0], b[0]), False
+
+
+def _expression_projectors(s: Scenario, *operands: tuple[str, str]) -> list[np.ndarray]:
+    """The operators of projector expressions, given as ``(text, what)``
+    pairs, each proven a projector. Every text is evaluated, bit for bit as
+    ``expression_operator`` does, before the first operator is proved.
+
+    A channel ``build_scenario`` proved is proven, and so is a product step
+    whose factors are both proven and whose result is self-adjoint within
+    STRUCT_TOL, the test ``classify_product`` applies. Its idempotence is not
+    checked: (PQ)^2 - PQ = P(QP - PQ)Q is at most QP - PQ = (PQ)^dagger - PQ
+    in norm. Any other operator (a sum, a product with an unproven factor,
+    A*B*A whose step A*B is not self-adjoint) goes through
+    ``require_projector`` as ``what``.
+    """
+    table = {name: (op, s._proven.get(id(op)) is op) for name, op in s.channels.items()}
+    folded = [_fold(parse(text), table, _sum_step, _product_step) for text, _ in operands]
+    return [
+        op if proven else require_projector(op, what)
+        for (op, proven), (_, what) in zip(folded, operands)
+    ]
 
 
 def build_scenario(

@@ -425,9 +425,11 @@ class TestPhaseStability:
 
 
 class TestProofCost:
-    """A stored channel keeps the projector proof it got at build; any other
-    operand is proved once per call. Counted on the d x d product kernel and
-    the proof kernel, on a pigeonhole whose channels are all dense."""
+    """A stored channel keeps the projector proof it got at build, and a
+    self-adjoint product of proven factors in an expression is proven by
+    that; any other operand is proved once per call. Counted on the d x d
+    product kernel and the proof kernel, on a pigeonhole whose channels are
+    all dense."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -454,12 +456,20 @@ class TestProofCost:
         assert entry.verdict.case is ProductCase.II
         assert (calls["products"], calls["proofs"]) == (1, 0)
 
-    def test_sum_pair_proves_each_composite_operand_once(self, s, calls):
-        # two products evaluate the operands, two prove them, one checks
-        # orthogonality
+    def test_sum_pair_of_channel_products_is_three_products_and_no_proof(self, s, calls):
+        # two products evaluate the operands, which their self-adjointness
+        # proves, and one checks orthogonality
         (entry,) = audit_all(s, [("L1*L2", "R1*R2", "sum")]).entries
         assert entry.verdict.case is SumCase.III
-        assert (calls["products"], calls["proofs"]) == (5, 2)
+        assert (calls["products"], calls["proofs"]) == (3, 0)
+
+    def test_a_sum_of_channel_products_is_proved(self, s, calls):
+        # L1*L2 and R1*R2 are orthogonal, so their sum is a projector, but
+        # only its full proof shows that: two products evaluate, one proves
+        # and one forms the audited product
+        (entry,) = audit_all(s, [("L1*L2 + R1*R2", "L3", "product")]).entries
+        assert entry.error is None
+        assert (calls["products"], calls["proofs"]) == (4, 1)
 
     def test_a_copy_of_a_channel_is_proved(self, s, calls):
         pa, pb = (np.array(s.channel(name)) for name in ("L1", "L2"))
@@ -478,9 +488,10 @@ class TestProofCost:
 
 class TestScanCost:
     """Each operand is scanned for NaN/Inf once, where it enters the library:
-    a stored channel was scanned when the scenario was built, and a
-    composite operand or a copy is scanned by its proof. Counted on the scan
-    kernel, on the dense pigeonhole of ``TestProofCost``."""
+    a stored channel was scanned when the scenario was built, a product of
+    channels proven by its self-adjointness is finite as they are, and any
+    other composite operand or a copy is scanned by its proof. Counted on
+    the scan kernel, on the dense pigeonhole of ``TestProofCost``."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
@@ -490,10 +501,12 @@ class TestScanCost:
 
     s = TestProofCost.s
 
-    def test_sum_pair_scans_its_two_composite_operands(self, s, scans):
+    def test_sum_pair_of_channel_products_scans_nothing(self, s, scans):
         (entry,) = audit_all(s, [("L1*L2", "R1*R2", "sum")]).entries
         assert entry.verdict.case is SumCase.III
-        assert scans == ["first operand", "second operand"]
+        assert scans == []
+        audit_all(s, [("L1 + L2", "R1*R2", "sum")])
+        assert scans == ["first operand"]
 
     def test_product_pair_of_channels_scans_nothing(self, s, scans):
         (entry,) = audit_all(s, [("L1", "L2", "product")]).entries
@@ -548,3 +561,37 @@ class TestProofStillRuns:
         got = audit_all(s, pairs).to_dict()["pairs"]
         want = [TestDiagonalPath._dense_entry(s, *pair).to_dict() for pair in pairs]
         assert json.dumps(got) == json.dumps(want)
+
+
+class TestStructuralProof:
+    """The product rule can fail: on a qubit whose channels |0><0| and
+    |+><+| do not commute, A*B is not self-adjoint, and A*B*A is, but its
+    step A*B is not; both get the full proof and are rejected. A product
+    with a sum factor gets the full proof too."""
+
+    calls = TestProofCost.calls
+
+    @pytest.fixture(scope="class")
+    def s(self):
+        plus = np.full((2, 2), 0.5)
+        channels = {"A": dproj(2, [0]), "B": plus, "C": np.eye(2) - plus}
+        return build_scenario("qubit", ("0", "1"), [1, 1], [1, 0.5], channels=channels)
+
+    @pytest.mark.parametrize("kind", ["sum", "product"])
+    def test_products_of_non_commuting_channels_are_rejected(self, s, kind):
+        pairs = [("A*B", "A", kind), ("A", "A*B*A", kind), ("B*A*B", "(A*B)*A", kind)]
+        assert [entry.error for entry in audit_all(s, pairs).entries] == [
+            "first operand is not a projector",
+            "second operand is not a projector",
+            "first operand is not a projector",
+        ]
+
+    def test_a_sum_factor_gets_the_full_proof(self, s, calls):
+        (entry,) = audit_all(s, [("A*(B + C)", "A", "product")]).entries
+        assert entry.verdict.case is ProductCase.II
+        assert calls["proofs"] == 1
+
+    def test_commuting_products_need_no_proof(self, s, calls):
+        (entry,) = audit_all(s, [("A*A", "B*C", "sum")]).entries
+        assert entry.verdict.case is SumCase.DEGENERATE
+        assert calls["proofs"] == 0

@@ -208,6 +208,29 @@ class TestAuditCommands:
         assert code == 0
         assert "error: second operand is not a projector" in out
 
+    def test_products_of_non_commuting_channels_are_rejected(self, capsys, tmp_path):
+        # |0><0| and |+><+| do not commute: A*B is not self-adjoint, and
+        # A*B*A is but is not idempotent
+        doc = {
+            "name": "qubit",
+            "dim": 2,
+            "labels": ["0", "1"],
+            "pre": [[1, 0], [1, 0]],
+            "post": [[1, 0], [0.5, 0]],
+            "channels": {"A": {"basis": ["0"]}, "B": {"matrix": [[[0.5, 0]] * 2] * 2}},
+        }
+        path = tmp_path / "qubit.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for expr in ("A*B", "A*B*A"):
+            for command in ("audit-sum", "audit-product"):
+                code, out, err = run(
+                    capsys, command, "--file", str(path), "--expr", "A", "--expr2", expr
+                )
+                assert (code, out, err) == (2, "", "error: second operand is not a projector\n")
+            for command in ("strong", "abl"):
+                code, out, err = run(capsys, command, "--file", str(path), "--expr", expr)
+                assert (code, out, err) == (2, "", f"error: expression {expr!r} is not a projector\n")
+
     def test_audit_all_custom_pairs(self, capsys, tmp_path):
         pairs = [{"a": "A", "b": "C", "kind": "sum"}]
         path = tmp_path / "pairs.json"
@@ -424,8 +447,8 @@ class TestDeterminismAndExitCodes:
 
     @pytest.mark.parametrize(
         "expr, position",
-        # 400 nested parentheses fail where the 101st opens
-        [("A + ", 4), ("(" * 400 + "A" + ")" * 400, 100)],
+        # 400 nested parentheses fail where the 51st opens
+        [("A + ", 4), ("(" * 400 + "A" + ")" * 400, 50)],
         ids=["dangling", "deep"],
     )
     def test_bad_expression_is_exit_1_with_position(self, capsys, expr, position):

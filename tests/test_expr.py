@@ -1,11 +1,23 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaklogic import ParseError, UnboundNameError, evaluate_text, parse, unparse
+from weaklogic import (
+    NotAProjectorError,
+    ParseError,
+    UnboundNameError,
+    build_scenario,
+    evaluate,
+    evaluate_text,
+    parse,
+    unparse,
+)
 from weaklogic.expr import MAX_NESTING, Name, Product, Sum
 from weaklogic.linalg import add, as_operator, compose
+from weaklogic.scenario import _expression_projectors
 from helpers import dproj
 
 
@@ -197,18 +209,40 @@ class TestLimits:
         assert repr(tree) == "Sum(operands=(" + ", ".join(["Name(ident='A')"] * 3000) + "))"
 
     def test_deepest_nesting_compares_hashes_prints_and_evaluates(self):
-        # each parenthesis level adds a Sum and a Product to the tree's depth
+        # each parenthesis level adds a Sum and a Product to the tree's depth;
+        # every method that walks the tree runs with 500 frames left
         text = "a"
         for _ in range(MAX_NESTING):
             text = f"a + a*({text})"
-        tree = parse(text)
-        assert tree == parse(text)
-        assert hash(tree) == hash(parse(text))
-        assert repr(tree).count("Product(") == MAX_NESTING
+        tree, twin = parse(text), parse(text)
+        s = build_scenario("deep", ("0", "1"), [1, 1], [1, 1], channels={"a": dproj(2, [0])})
+
+        def proof():
+            with pytest.raises(NotAProjectorError, match="deep is not a projector"):
+                _expression_projectors(s, (text, "deep"))
+
+        assert _with_frames_left(500, lambda: tree == twin)
+        assert _with_frames_left(500, lambda: hash(tree)) == hash(twin)
+        assert _with_frames_left(500, lambda: repr(tree)).count("Product(") == MAX_NESTING
         assert parse(unparse(tree)) == tree
         np.testing.assert_array_equal(
-            evaluate_text(text, {"a": dproj(2, [0])}), np.diag([MAX_NESTING + 1, 0])
+            _with_frames_left(500, lambda: evaluate(tree, s.channels)),
+            np.array([MAX_NESTING + 1, 0]),
         )
+        _with_frames_left(500, proof)
+
+
+def _with_frames_left(frames, f):
+    """``f()``, called where only ``frames`` frames remain below the
+    recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def descend(n):
+        return descend(n - 1) if n else f()
+
+    return descend(sys.getrecursionlimit() - frames - depth)
 
 
 _names = st.sampled_from(["a", "b1", "Xx", "n_2", "same12"])

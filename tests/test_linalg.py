@@ -210,6 +210,11 @@ class TestStructureChecks:
         with pytest.raises(ValueError, match="coupling must be a square"):
             require_projector(np.ones((2, 3)), "coupling")
 
+    def test_a_nan_is_not_self_adjoint(self):
+        assert linalg._self_adjoint(np.eye(2, dtype=complex))
+        assert not linalg._self_adjoint(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        assert not linalg._self_adjoint(np.array([np.nan, 0.0]))
+
     def test_non_commuting_detected(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
         up = basis_projector(("u", "d"), ["u"])

@@ -14,6 +14,7 @@ from weaklogic import (
     ScenarioError,
     UnboundNameError,
     State,
+    audit_all,
     build_scenario,
     catalog,
     classify_sum,
@@ -322,6 +323,9 @@ class TestProvedOnce:
         t = dataclasses.replace(s, channels=forged)
         with pytest.raises(error, match=match):
             classify_sum(t, t.channel("X"), s.channel("C"))
+        # nor does a product of them prove itself by its self-adjointness
+        (entry,) = audit_all(t, [("X*X", "X", "sum")]).entries
+        assert entry.error == match
 
     def test_a_scenario_made_another_way_trusts_no_channel(self, monkeypatch):
         s = catalog("three-box")
