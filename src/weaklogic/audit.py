@@ -23,15 +23,16 @@ as vanishing, case I.
 
 Both classifiers reject an operand that is not a projector. A channel of the
 scenario was proved a projector once, when the scenario was built, and is not
-proved again. ``audit_all`` takes expression text, in which a product of
-proven factors is proven when it is self-adjoint within STRUCT_TOL (for
-projectors P, Q with PQ self-adjoint, PQ = QP and (PQ)^2 = PQ), the test
-``classify_product`` applies to its own product. Such a product skips the
-O(d^3) idempotence check, so its idempotence residual may exceed STRUCT_TOL;
-every operand the full proof accepts is still accepted. Any other operand,
-such as a sum, a non-commuting product or a copy of a channel, is coerced,
-scanned for NaN/Inf and proved on every call. The weak values are then taken
-of the proven operands and their combination without checking them again.
+proved again. In the expression text ``audit_all`` takes, a product of proven
+factors is proven when it is self-adjoint within STRUCT_TOL, the step by which
+``classify_product`` also forms and tests its product (see
+``scenario._expression_projectors``). One ``audit_all`` call forms and tests
+each product of two proven operands once, so the AND audit ``Lj | Lk`` reuses
+the ``Lj*Lk`` of the OR audit ``Lj*Lk | Rj*Rk``; nothing is kept past the
+call. Any other operand, such as a sum, a non-commuting product or a copy of
+a channel, is coerced, scanned for NaN/Inf and proved on every call. The weak
+values are then taken of the proven operands and their combination without
+checking them again.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
-from .linalg import STRUCT_TOL, _one_form, _product, _self_adjoint
-from .scenario import Scenario, _expression_projectors, proven_projector
+from .linalg import STRUCT_TOL, _one_form, _product
+from .scenario import Scenario, _Batch, _expression_projectors, proven_projector
 from .weak import WeakValue, _weak_value
 
 
@@ -205,14 +206,15 @@ _PRODUCT_TABLE = {
 
 def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the AND combination of two commuting, non-orthogonal projectors."""
-    return _classify_product(s, *_proven_operands(s, pa, pb))
+    return _classify_product(s, *_proven_operands(s, pa, pb), _Batch(s))
 
 
-def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
-    """``classify_product`` of two proven projectors."""
-    product = _product(*_one_form(pa, pb))
+def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
+    """``classify_product`` of two proven projectors, their product formed
+    and tested by the product step of ``batch``."""
     # (PQ)^dagger = QP: the product is self-adjoint exactly when P, Q commute
-    if not _self_adjoint(product):
+    product, self_adjoint = batch.product((pa, True), (pb, True))
+    if not self_adjoint:
         raise AuditPreconditionError(
             "projectors do not commute; their product is not a projector"
         )
@@ -272,26 +274,31 @@ class AuditReport:
         }
 
 
-def _audit_pair(s: Scenario, expr_a: str, expr_b: str, kind: str) -> AuditVerdict:
+def _audit_pair(s: Scenario, expr_a: str, expr_b: str, kind: str, batch=None) -> AuditVerdict:
     """Audit a pair of expressions: both are evaluated, then each is proved a
-    projector, the first before the second."""
-    pa, pb = _expression_projectors(s, (expr_a, "first operand"), (expr_b, "second operand"))
-    classify = _classify_sum if kind == "sum" else _classify_product
-    return classify(s, pa, pb)
+    projector, the first before the second. ``batch`` is ``audit_all``'s."""
+    batch = batch or _Batch(s)
+    operands = (expr_a, "first operand"), (expr_b, "second operand")
+    pa, pb = _expression_projectors(s, *operands, batch=batch)
+    if kind == "sum":
+        return _classify_sum(s, pa, pb)
+    return _classify_product(s, pa, pb, batch)
 
 
 def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport:
     """Run a batch of sum/product audits given as expression pairs.
 
     Errors in individual pairs are collected as entries rather than raised,
-    so one bad pair does not abort the rest of the report.
+    so one bad pair does not abort the rest of the report. The pairs share
+    one ``_Batch``: each product of proven operands is formed once per call.
     """
+    batch = _Batch(s)
     entries = []
     for expr_a, expr_b, kind in pairs:
         try:
             if kind not in ("sum", "product"):
                 raise ValueError(f"audit kind must be 'sum' or 'product', got {kind!r}")
-            verdict = _audit_pair(s, expr_a, expr_b, kind)
+            verdict = _audit_pair(s, expr_a, expr_b, kind, batch)
             entries.append(AuditEntry(expr_a, expr_b, kind, verdict, None))
         except (ExpressionError, PhysicsError, ValueError) as exc:
             entries.append(AuditEntry(expr_a, expr_b, kind, None, str(exc)))

@@ -133,12 +133,25 @@ def proven_projector(s: Scenario, op, what: str) -> np.ndarray:
     return require_projector(op, what)
 
 
-def _product_step(a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
-    """A product step of ``_expression_projectors``: PQ of projectors P, Q
-    is a projector when it is self-adjoint, for then PQ = (PQ)^dagger = QP
-    and (PQ)^2 = PPQQ = PQ."""
-    m = _compose(a[0], b[0])
-    return m, a[1] and b[1] and _self_adjoint(m)
+class _Batch:
+    """One call's evaluation of expressions over a scenario: the channel
+    table, each channel with whether ``build_scenario`` proved it, and each
+    product of two proven operands with its self-adjointness, both made
+    once. A call makes its own, so nothing is shared or kept past it."""
+
+    def __init__(self, s: Scenario):
+        self.table = {name: (op, s._proven.get(id(op)) is op) for name, op in s.channels.items()}
+        self.products: dict = {}  # (id(P), id(Q)): (P, Q, PQ, self-adjoint); P, Q keep their ids
+
+    def product(self, a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
+        """The product step of ``_expression_projectors`` and ``classify_product``."""
+        (p, p_proven), (q, q_proven) = a, b
+        if not (p_proven and q_proven):
+            return _compose(p, q), False
+        if (id(p), id(q)) not in self.products:
+            m = _compose(p, q)
+            self.products[id(p), id(q)] = p, q, m, _self_adjoint(m)
+        return self.products[id(p), id(q)][2:]
 
 
 def _sum_step(a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
@@ -146,21 +159,23 @@ def _sum_step(a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
     return _sum(a[0], b[0]), False
 
 
-def _expression_projectors(s: Scenario, *operands: tuple[str, str]) -> list[np.ndarray]:
+def _expression_projectors(s: Scenario, *operands: tuple[str, str], batch=None) -> list:
     """The operators of projector expressions, given as ``(text, what)``
     pairs, each proven a projector. Every text is evaluated, bit for bit as
     ``expression_operator`` does, before the first operator is proved.
 
-    A channel ``build_scenario`` proved is proven, and so is a product step
-    whose factors are both proven and whose result is self-adjoint within
-    STRUCT_TOL, the test ``classify_product`` applies. Its idempotence is not
-    checked: (PQ)^2 - PQ = P(QP - PQ)Q is at most QP - PQ = (PQ)^dagger - PQ
-    in norm. Any other operator (a sum, a product with an unproven factor,
-    A*B*A whose step A*B is not self-adjoint) goes through
-    ``require_projector`` as ``what``.
+    A channel ``build_scenario`` proved is proven, and so is a product PQ of
+    proven factors that is self-adjoint within STRUCT_TOL, for then
+    PQ = (PQ)^dagger = QP and (PQ)^2 = PPQQ = PQ. Its idempotence is not
+    checked: (PQ)^2 - PQ = P(QP - PQ)Q is at most QP - PQ in norm. Any other
+    operator (a sum, a product with an unproven factor, A*B*A whose step A*B
+    is not self-adjoint) goes through ``require_projector`` as ``what``.
+    ``batch`` defaults to one of this call's own; ``audit_all`` passes one
+    for all its pairs, so each product of proven operands is formed and
+    tested once per call.
     """
-    table = {name: (op, s._proven.get(id(op)) is op) for name, op in s.channels.items()}
-    folded = [_fold(parse(text), table, _sum_step, _product_step) for text, _ in operands]
+    batch = batch or _Batch(s)
+    folded = [_fold(parse(text), batch.table, _sum_step, batch.product) for text, _ in operands]
     return [
         op if proven else require_projector(op, what)
         for (op, proven), (_, what) in zip(folded, operands)

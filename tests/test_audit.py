@@ -1,5 +1,9 @@
 import collections
+import dataclasses
 import json
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from weaklogic import (
     AuditPreconditionError,
     ExpressionError,
     MeterConfig,
+    NearPoleWarning,
     NotAProjectorError,
     PhysicsError,
     ProductCase,
@@ -33,6 +38,7 @@ from weaklogic import (
     weak_limit_estimate,
 )
 from weaklogic import linalg
+from weaklogic.audit import _audit_pair
 from weaklogic.linalg import dense
 from weaklogic.scenario import expression_operator
 from helpers import (
@@ -427,9 +433,10 @@ class TestPhaseStability:
 class TestProofCost:
     """A stored channel keeps the projector proof it got at build, and a
     self-adjoint product of proven factors in an expression is proven by
-    that; any other operand is proved once per call. Counted on the d x d
-    product kernel and the proof kernel, on a pigeonhole whose channels are
-    all dense."""
+    that; any other operand is proved once per call. One audit_all call
+    forms and tests each product of two proven operands once. Counted on
+    the d x d product kernel, the self-adjointness test and the proof
+    kernel, on a pigeonhole whose channels are all dense."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -438,10 +445,14 @@ class TestProofCost:
         def product(a, b):
             calls["products"] += a.ndim == 2 and b.ndim == 2
 
+        def self_adjoint(m):
+            calls["self_adjoint"] += 1
+
         def proof(p):
             calls["proofs"] += 1
 
         spy(monkeypatch, linalg._product, product)
+        spy(monkeypatch, linalg._self_adjoint, self_adjoint)
         spy(monkeypatch, linalg._proves_projector, proof)
         return calls
 
@@ -462,6 +473,27 @@ class TestProofCost:
         (entry,) = audit_all(s, [("L1*L2", "R1*R2", "sum")]).entries
         assert entry.verdict.case is SumCase.III
         assert (calls["products"], calls["proofs"]) == (3, 0)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_product_pair_takes_its_product_from_a_sum_pair(self, s, calls, order):
+        # L1*L2 is formed and tested once, for whichever pair comes first;
+        # R1*R2 and the orthogonality check make the other two products
+        pairs = [("L1*L2", "R1*R2", "sum"), ("L1", "L2", "product")][::order]
+        cases = [entry.verdict.case for entry in audit_all(s, pairs).entries]
+        assert cases[::order] == [SumCase.III, ProductCase.II]
+        assert (calls["products"], calls["proofs"]) == (3, 0)
+
+    def test_a_qubit_batch_forms_each_product_once(self, s, calls):
+        # the benchmark's batch for qubit 1: 12 products and 9 tests when
+        # each pair formed its own
+        pairs = [
+            pair
+            for k in range(2, 5)
+            for pair in ((f"L1*L{k}", f"R1*R{k}", "sum"), ("L1", f"L{k}", "product"))
+        ]
+        entries = audit_all(s, pairs).entries
+        assert [entry.error for entry in entries] == [None] * 6
+        assert (calls["products"], calls["self_adjoint"], calls["proofs"]) == (9, 6, 0)
 
     def test_a_sum_of_channel_products_is_proved(self, s, calls):
         # L1*L2 and R1*R2 are orthogonal, so their sum is a projector, but
@@ -595,3 +627,89 @@ class TestStructuralProof:
         (entry,) = audit_all(s, [("A*A", "B*C", "sum")]).entries
         assert entry.verdict.case is SumCase.DEGENERATE
         assert calls["proofs"] == 0
+
+    def test_a_stored_product_keeps_its_failure(self, s):
+        # the sum pair forms A*B and finds it not self-adjoint; the product
+        # pair takes that finding and still rejects A and B
+        pairs = [("A*B", "C", "sum"), ("A", "B", "product")]
+        batch = [entry.error for entry in audit_all(s, pairs).entries]
+        alone = [audit_all(s, [pair]).entries[0].error for pair in pairs]
+        assert batch == alone == [
+            "first operand is not a projector",
+            "projectors do not commute; their product is not a projector",
+        ]
+
+
+class TestBatchIsPairByPair:
+    """One audit_all call shares its channel table and its products across
+    its pairs. Its report must be the one each pair gives audited alone, to
+    the bit, with the same NearPoleWarnings: weak values are taken afresh."""
+
+    PAIRS = [
+        ("L1*L2", "R1*R2", "sum"),
+        ("L1", "L2", "product"),
+        ("L2", "L1", "product"),
+        ("L1*L2*L3", "R1*R2*R3", "sum"),
+        ("L1*L2", "L3", "product"),
+        ("L1*L2", "L3", "product"),
+        ("L1 + R1", "L2", "product"),
+        ("L1 + R1", "L2", "product"),
+        ("L1", "R1", "product"),
+        ("L1*L2", "nosuch", "sum"),
+    ]
+
+    @staticmethod
+    def _alone(s, pairs):
+        entries = []
+        for expr_a, expr_b, kind in pairs:
+            try:
+                verdict = _audit_pair(s, expr_a, expr_b, kind)
+                entries.append(AuditEntry(expr_a, expr_b, kind, verdict, None))
+            except (ExpressionError, PhysicsError, ValueError) as exc:
+                entries.append(AuditEntry(expr_a, expr_b, kind, None, str(exc)))
+        return entries
+
+    @staticmethod
+    def _near_pole(s):
+        """``s`` postselected nearly orthogonal to U|pre>: overlap 1e-7."""
+        ket = s.evolution @ s.pre_state.amps
+        w = random_unit(np.random.default_rng(3), s.dim)
+        w -= np.vdot(ket, w) * ket
+        post = w / np.linalg.norm(w) + 1e-7 * ket
+        return build_scenario("near-pole", s.labels, s.pre_state.amps, post, s.evolution, s.channels)
+
+    @pytest.mark.parametrize("which", ["rotated", "near-pole", "replaced"])
+    def test_batch_report_is_the_pairs_audited_alone(self, which):
+        s = rotated_pigeonhole(np.random.default_rng(13), 3)
+        if which == "near-pole":
+            s = self._near_pole(s)
+            assert 1e-12 < abs(s.post_overlap) < 1e-6
+        elif which == "replaced":
+            s = dataclasses.replace(s, name="replaced")
+        got, want = [], []
+        for record, audit in (
+            (got, lambda: audit_all(s, self.PAIRS).entries),
+            (want, lambda: self._alone(s, self.PAIRS)),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                record.append(json.dumps([entry.to_dict() for entry in audit()]))
+            record.append(sum(issubclass(w.category, NearPoleWarning) for w in caught))
+        assert got == want
+        assert got[1] == (24 if which == "near-pole" else 0)  # three per audited pair
+        assert json.loads(got[0])[1]["case"] == "ii"
+
+    def test_threads_share_a_scenario(self):
+        # each call keeps its products to itself, so calls on one scenario
+        # from more threads than cores, switching often, give one report
+        s = rotated_pigeonhole(np.random.default_rng(17), 3)
+        want = json.dumps(audit_all(s, self.PAIRS).to_dict())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                reports = pool.map(lambda _: audit_all(s, self.PAIRS).to_dict(), range(32))
+                got = [json.dumps(report) for report in reports]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 32
