@@ -26,13 +26,20 @@ scenario was proved a projector once, when the scenario was built, and is not
 proved again. In the expression text ``audit_all`` takes, a product of proven
 factors is proven when it is self-adjoint within STRUCT_TOL, the step by which
 ``classify_product`` also forms and tests its product (see
-``scenario._expression_projectors``). One ``audit_all`` call forms and tests
-each product of two proven operands once, so the AND audit ``Lj | Lk`` reuses
-the ``Lj*Lk`` of the OR audit ``Lj*Lk | Rj*Rk``; nothing is kept past the
-call. Any other operand, such as a sum, a non-commuting product or a copy of
-a channel, is coerced, scanned for NaN/Inf and proved on every call. The weak
-values are then taken of the proven operands and their combination without
-checking them again.
+``scenario._expression_projectors``); a product of two proven diagonals is
+self-adjoint by its form and is not tested. Any other operand, such as a
+sum, a non-commuting product or a copy of a channel, is coerced, scanned for
+NaN/Inf and proved. The weak values are then taken of the proven operands
+and their combination without checking them again.
+
+One ``audit_all`` call takes each of these steps once for all its pairs and
+keeps nothing past the call: it parses and folds each distinct operand text,
+proves each operand that needs the full proof (one that fails is proved
+again wherever it is named, so each error names its position), forms and
+tests each product of two proven operands, and takes the weak value of each
+proven operand. So the AND audit ``Lj | Lk`` reuses the ``Lj*Lk`` of the OR
+audit ``Lj*Lk | Rj*Rk`` and its weak value. A near-pole weak value warns on
+every use, from the classifier's line, whether it was taken afresh or not.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ import numpy as np
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
 from .linalg import STRUCT_TOL, _one_form, _product
 from .scenario import Scenario, _Batch, _expression_projectors, proven_projector
-from .weak import WeakValue, _weak_value
+from .weak import WeakValue, _warn_near_pole, _weak_value
 
 
 class SumCase(Enum):
@@ -158,21 +165,33 @@ def _proven_operands(s: Scenario, pa, pb) -> tuple[np.ndarray, np.ndarray]:
     return proven_projector(s, pa, "first operand"), proven_projector(s, pb, "second operand")
 
 
+def _weak(s: Scenario, op: np.ndarray, batch: _Batch) -> WeakValue:
+    """``_weak_value`` of a proven operand, taken once per batch. Every use
+    warns near the pole as a fresh one would, naming the caller's line."""
+    held = batch.weak_values.get(id(op))
+    if held is None:
+        held = batch.weak_values[id(op)] = op, _weak_value(s, op, stacklevel=3)
+    elif held[1].near_pole:
+        _warn_near_pole(held[1].denominator, stacklevel=2)
+    return held[1]
+
+
 def classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the OR combination of two orthogonal projectors."""
-    return _classify_sum(s, *_proven_operands(s, pa, pb))
+    return _classify_sum(s, *_proven_operands(s, pa, pb), _Batch(s))
 
 
-def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
-    """``classify_sum`` of two proven projectors."""
+def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
+    """``classify_sum`` of two proven projectors, their weak values taken
+    through ``batch``."""
     a, b = _one_form(pa, pb)
     if np.max(np.abs(_product(a, b))) > STRUCT_TOL:
         raise AuditPreconditionError(
             "projectors are not orthogonal; their sum does not represent a "
             "disjunction of exclusive alternatives"
         )
-    wa = _weak_value(s, pa)
-    wb = _weak_value(s, pb)
+    wa = _weak(s, pa, batch)
+    wb = _weak(s, pb, batch)
     ws = _weak_value(s, a + b)
     if wa.is_zero and wb.is_zero:
         ws = replace(ws, is_zero=True)
@@ -211,7 +230,8 @@ def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdic
 
 def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
     """``classify_product`` of two proven projectors, their product formed
-    and tested by the product step of ``batch``."""
+    and tested by the product step of ``batch`` and the weak values taken
+    through it."""
     # (PQ)^dagger = QP: the product is self-adjoint exactly when P, Q commute
     product, self_adjoint = batch.product((pa, True), (pb, True))
     if not self_adjoint:
@@ -223,9 +243,9 @@ def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch
             "projector product vanishes as an operator; the conjunction is "
             "trivially empty"
         )
-    wa = _weak_value(s, pa)
-    wb = _weak_value(s, pb)
-    wp = _weak_value(s, product)
+    wa = _weak(s, pa, batch)
+    wb = _weak(s, pb, batch)
+    wp = _weak(s, product, batch)
     case = _PRODUCT_TABLE[(wa.is_zero, wb.is_zero, wp.is_zero)]
     return AuditVerdict(
         kind="product",
@@ -280,9 +300,8 @@ def _audit_pair(s: Scenario, expr_a: str, expr_b: str, kind: str, batch=None) ->
     batch = batch or _Batch(s)
     operands = (expr_a, "first operand"), (expr_b, "second operand")
     pa, pb = _expression_projectors(s, *operands, batch=batch)
-    if kind == "sum":
-        return _classify_sum(s, pa, pb)
-    return _classify_product(s, pa, pb, batch)
+    classify = _classify_sum if kind == "sum" else _classify_product
+    return classify(s, pa, pb, batch)
 
 
 def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport:
@@ -290,7 +309,9 @@ def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport
 
     Errors in individual pairs are collected as entries rather than raised,
     so one bad pair does not abort the rest of the report. The pairs share
-    one ``_Batch``: each product of proven operands is formed once per call.
+    one ``_Batch``: each distinct operand text is folded and proved, each
+    product of proven operands formed, and each weak value of a proven
+    operand taken, once per call.
     """
     batch = _Batch(s)
     entries = []

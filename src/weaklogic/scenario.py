@@ -48,8 +48,10 @@ class Scenario:
 
     ``post_overlap`` is the postselection amplitude <post|U|pre> and ``bra``
     the postselected state pulled back through the evolution, U^dagger
-    |post>, against which intermediate-time matrix elements are taken; both
-    are recorded once at validation time. ``evolution`` of ``None`` means
+    |post>, against which intermediate-time matrix elements are taken.
+    They and ``dim`` are not arguments: each scenario derives them once
+    from its own states and evolution when it is made, so a copy made by
+    ``dataclasses.replace`` has its own. ``evolution`` of ``None`` means
     identity, and then ``bra`` is ``post_state`` itself.
     ``channels`` holds each channel, read-only, in one form: its 1-D
     diagonal when that is real and rebuilds the channel bit for bit (every
@@ -62,15 +64,22 @@ class Scenario:
     """
 
     name: str
-    dim: int
+    dim: int = field(init=False)
     labels: tuple[str, ...]
     pre_state: State
     post_state: State
     evolution: np.ndarray | None
     channels: Mapping[str, np.ndarray]
-    post_overlap: complex
-    bra: State
+    post_overlap: complex = field(init=False)
+    bra: State = field(init=False)
     _proven: Mapping[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        ev, pre, post = self.evolution, self.pre_state, self.post_state
+        object.__setattr__(self, "dim", len(self.labels))
+        object.__setattr__(self, "post_overlap", inner(post, pre if ev is None else apply(ev, pre)))
+        bra = post if ev is None else State(ev.conj().T @ post.amps, self.labels)
+        object.__setattr__(self, "bra", bra)
 
     def channel(self, name: str) -> np.ndarray:
         try:
@@ -134,14 +143,20 @@ def proven_projector(s: Scenario, op, what: str) -> np.ndarray:
 
 
 class _Batch:
-    """One call's evaluation of expressions over a scenario: the channel
-    table, each channel with whether ``build_scenario`` proved it, and each
-    product of two proven operands with its self-adjointness, both made
-    once. A call makes its own, so nothing is shared or kept past it."""
+    """One call's evaluation of expressions over a scenario, each step made
+    once: the channel table, each channel with whether ``build_scenario``
+    proved it; each operand text folded, with its proof once it has one;
+    each product of two proven operands with its self-adjointness; and, in
+    ``weak_values``, the weak value the audits take of each proven operand.
+    Entries are keyed by text or by the ids of the arrays they hold, so the
+    ids are not reused while the batch lives. A call makes its own, so
+    nothing is shared or kept past it."""
 
     def __init__(self, s: Scenario):
         self.table = {name: (op, s._proven.get(id(op)) is op) for name, op in s.channels.items()}
-        self.products: dict = {}  # (id(P), id(Q)): (P, Q, PQ, self-adjoint); P, Q keep their ids
+        self.operands: dict = {}  # text: (operator, proven)
+        self.products: dict = {}  # (id(P), id(Q)): (P, Q, PQ, self-adjoint)
+        self.weak_values: dict = {}  # id(P): (P, weak value of P)
 
     def product(self, a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
         """The product step of ``_expression_projectors`` and ``classify_product``."""
@@ -150,8 +165,26 @@ class _Batch:
             return _compose(p, q), False
         if (id(p), id(q)) not in self.products:
             m = _compose(p, q)
-            self.products[id(p), id(q)] = p, q, m, _self_adjoint(m)
+            # a proven diagonal is real (as_operator makes a complex one a
+            # matrix), and real diagonals multiply to a real diagonal
+            self.products[id(p), id(q)] = p, q, m, m.ndim == 1 or _self_adjoint(m)
         return self.products[id(p), id(q)][2:]
+
+    def fold(self, text: str) -> tuple[np.ndarray, bool]:
+        """The operator of ``text`` and whether it is proven."""
+        if text not in self.operands:
+            self.operands[text] = _fold(parse(text), self.table, _sum_step, self.product)
+        return self.operands[text]
+
+    def projector(self, text: str, what: str) -> np.ndarray:
+        """The operator of ``text``, through ``require_projector`` as ``what``
+        unless it is proven. Only a success is kept: an operand that fails
+        is proved, and named, again wherever it is used."""
+        op, proven = self.fold(text)
+        if not proven:
+            op = require_projector(op, what)
+            self.operands[text] = op, True
+        return op
 
 
 def _sum_step(a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
@@ -167,19 +200,20 @@ def _expression_projectors(s: Scenario, *operands: tuple[str, str], batch=None) 
     A channel ``build_scenario`` proved is proven, and so is a product PQ of
     proven factors that is self-adjoint within STRUCT_TOL, for then
     PQ = (PQ)^dagger = QP and (PQ)^2 = PPQQ = PQ. Its idempotence is not
-    checked: (PQ)^2 - PQ = P(QP - PQ)Q is at most QP - PQ in norm. Any other
-    operator (a sum, a product with an unproven factor, A*B*A whose step A*B
-    is not self-adjoint) goes through ``require_projector`` as ``what``.
-    ``batch`` defaults to one of this call's own; ``audit_all`` passes one
-    for all its pairs, so each product of proven operands is formed and
-    tested once per call.
+    checked: (PQ)^2 - PQ = P(QP - PQ)Q is at most QP - PQ in norm. A
+    product of two proven diagonals is self-adjoint by its form and is not
+    tested. Any other operator (a sum, a product with an unproven factor,
+    A*B*A whose step A*B is not self-adjoint) goes through
+    ``require_projector`` as ``what``. ``batch`` defaults to one of this
+    call's own; ``audit_all`` passes one for all its pairs, so each distinct
+    text is parsed and folded, each product of proven operands formed and
+    tested, and each operand that passes ``require_projector`` proved, once
+    per call.
     """
     batch = batch or _Batch(s)
-    folded = [_fold(parse(text), batch.table, _sum_step, batch.product) for text, _ in operands]
-    return [
-        op if proven else require_projector(op, what)
-        for (op, proven), (_, what) in zip(folded, operands)
-    ]
+    for text, _ in operands:
+        batch.fold(text)
+    return [batch.projector(text, what) for text, what in operands]
 
 
 def build_scenario(
@@ -244,20 +278,13 @@ def build_scenario(
         p.setflags(write=False)
         table[ch_name] = p
 
-    evolved = apply(ev, pre_state) if ev is not None else pre_state
-    overlap = inner(post_state, evolved)
-    bra = post_state if ev is None else State(ev.conj().T @ post_state.amps, labels)
-
     s = Scenario(
         name=str(name),
-        dim=dim,
         labels=labels,
         pre_state=pre_state,
         post_state=post_state,
         evolution=ev,
         channels=MappingProxyType(table),
-        post_overlap=overlap,
-        bra=bra,
     )
     proven = MappingProxyType({id(p): p for p in table.values()})
     object.__setattr__(s, "_proven", proven)

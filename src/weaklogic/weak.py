@@ -54,18 +54,24 @@ def _weak_value(s: Scenario, op: np.ndarray, stacklevel: int = 2) -> WeakValue:
     numerator = _amplitude(s, op)
     near_pole = abs(denominator) < POLE_TOL
     if near_pole:
-        warnings.warn(
-            f"postselection overlap {abs(denominator):.3e} is below {POLE_TOL:g}; "
-            "weak value may not be representative of meter readings",
-            NearPoleWarning,
-            stacklevel=stacklevel,
-        )
+        _warn_near_pole(denominator, stacklevel)
     return WeakValue(
         value=numerator / denominator,
         numerator=numerator,
         denominator=denominator,
         is_zero=abs(numerator) <= ZERO_TOL,
         near_pole=near_pole,
+    )
+
+
+def _warn_near_pole(denominator: complex, stacklevel: int) -> None:
+    """The NearPoleWarning of a weak value over ``denominator``, naming the
+    frame its caller's ``warnings.warn(..., stacklevel=stacklevel)`` would."""
+    warnings.warn(
+        f"postselection overlap {abs(denominator):.3e} is below {POLE_TOL:g}; "
+        "weak value may not be representative of meter readings",
+        NearPoleWarning,
+        stacklevel=stacklevel + 1,
     )
 
 

@@ -32,6 +32,7 @@ from weaklogic import (
     evaluate,
     evaluate_text,
     inner,
+    load_scenario,
     measure_pointer,
     parse,
     sequential_disturbance,
@@ -40,10 +41,11 @@ from weaklogic import (
 from weaklogic import linalg
 from weaklogic.audit import _audit_pair
 from weaklogic.linalg import dense
-from weaklogic.scenario import expression_operator
+from weaklogic.scenario import _amplitude, expression_operator
 from helpers import (
     dproj,
     generic_labels,
+    pigeonhole_document,
     random_basis_projector,
     random_projector_family,
     random_scenario,
@@ -495,6 +497,24 @@ class TestProofCost:
         assert [entry.error for entry in entries] == [None] * 6
         assert (calls["products"], calls["self_adjoint"], calls["proofs"]) == (9, 6, 0)
 
+    def test_a_repeated_sum_is_proved_once(self, s, calls):
+        # L1 + R1 is the identity: proved for the first pair that names it
+        pairs = [("L1 + R1", f"L{k}", "product") for k in range(2, 5)]
+        cases = [entry.verdict.case for entry in audit_all(s, pairs).entries]
+        assert cases == [ProductCase.II] * 3
+        assert calls["proofs"] == 1
+
+    def test_a_failing_operand_is_proved_and_named_at_each_use(self, s, calls):
+        pairs = [("L1 + L2", "L3", "product"), ("L3", "L1 + L2", "sum"), ("L1 + L2", "R3", "sum")]
+        batch = [entry.error for entry in audit_all(s, pairs).entries]
+        assert calls["proofs"] == 3
+        alone = [audit_all(s, [pair]).entries[0].error for pair in pairs]
+        assert batch == alone == [
+            "first operand is not a projector",
+            "second operand is not a projector",
+            "first operand is not a projector",
+        ]
+
     def test_a_sum_of_channel_products_is_proved(self, s, calls):
         # L1*L2 and R1*R2 are orthogonal, so their sum is a projector, but
         # only its full proof shows that: two products evaluate, one proves
@@ -516,6 +536,30 @@ class TestProofCost:
         assert calls["proofs"] == 0
         sequential_disturbance(s, np.array(p), q, 1.0, 0.05)
         assert calls["proofs"] == 1
+
+
+class TestBatchCost:
+    """One audit_all call parses each distinct operand text once and takes
+    the weak value of each distinct proven operand once, and a product of
+    two basis channels, a real diagonal, needs no self-adjointness test.
+    Counted on one qubit's batch of an 8-qubit basis pigeonhole, as the
+    benchmark audits it: 14 pairs name 28 texts, 22 of them distinct, and
+    take 42 weak values of 29 distinct operators."""
+
+    def test_a_basis_qubit_batch_parses_and_weighs_each_operand_once(self, monkeypatch):
+        s = load_scenario(json.dumps(pigeonhole_document(8)))
+        calls = collections.Counter()
+        spy(monkeypatch, parse, lambda text: calls.update(["parse"]))
+        spy(monkeypatch, _amplitude, lambda s, *ops: calls.update(["amplitudes"]))
+        spy(monkeypatch, linalg._self_adjoint, lambda m: calls.update(["self_adjoint"]))
+        pairs = [
+            pair
+            for k in range(2, 9)
+            for pair in ((f"L1*L{k}", f"R1*R{k}", "sum"), ("L1", f"L{k}", "product"))
+        ]
+        cases = [entry.verdict.case for entry in audit_all(s, pairs).entries]
+        assert cases == [SumCase.III, ProductCase.II] * 7
+        assert (calls["parse"], calls["amplitudes"], calls["self_adjoint"]) == (22, 29, 0)
 
 
 class TestScanCost:
@@ -641,9 +685,12 @@ class TestStructuralProof:
 
 
 class TestBatchIsPairByPair:
-    """One audit_all call shares its channel table and its products across
-    its pairs. Its report must be the one each pair gives audited alone, to
-    the bit, with the same NearPoleWarnings: weak values are taken afresh."""
+    """One audit_all call shares across its pairs its channel table, the
+    fold and proof of each operand text, its products and the weak value of
+    each proven operand. Its report must be the one each pair gives audited
+    alone, to the bit, with the same NearPoleWarnings in the same order from
+    the same lines: a weak value taken once warns on every use. Checked on
+    dense channels and on basis channels, whose products need no test."""
 
     PAIRS = [
         ("L1*L2", "R1*R2", "sum"),
@@ -672,16 +719,20 @@ class TestBatchIsPairByPair:
     @staticmethod
     def _near_pole(s):
         """``s`` postselected nearly orthogonal to U|pre>: overlap 1e-7."""
-        ket = s.evolution @ s.pre_state.amps
+        ket = s.pre_state.amps if s.evolution is None else s.evolution @ s.pre_state.amps
         w = random_unit(np.random.default_rng(3), s.dim)
         w -= np.vdot(ket, w) * ket
         post = w / np.linalg.norm(w) + 1e-7 * ket
         return build_scenario("near-pole", s.labels, s.pre_state.amps, post, s.evolution, s.channels)
 
-    @pytest.mark.parametrize("which", ["rotated", "near-pole", "replaced"])
+    @pytest.mark.parametrize("which", ["rotated", "near-pole", "replaced", "basis", "basis-near-pole"])
     def test_batch_report_is_the_pairs_audited_alone(self, which):
-        s = rotated_pigeonhole(np.random.default_rng(13), 3)
-        if which == "near-pole":
+        if which.startswith("basis"):
+            s = load_scenario(json.dumps(pigeonhole_document(3)))
+            assert all(p.ndim == 1 for p in s.channels.values())
+        else:
+            s = rotated_pigeonhole(np.random.default_rng(13), 3)
+        if which.endswith("near-pole"):
             s = self._near_pole(s)
             assert 1e-12 < abs(s.post_overlap) < 1e-6
         elif which == "replaced":
@@ -694,9 +745,10 @@ class TestBatchIsPairByPair:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 record.append(json.dumps([entry.to_dict() for entry in audit()]))
-            record.append(sum(issubclass(w.category, NearPoleWarning) for w in caught))
+            record.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
         assert got == want
-        assert got[1] == (24 if which == "near-pole" else 0)  # three per audited pair
+        poles = [w for w in got[1] if w[0] is NearPoleWarning]
+        assert len(poles) == len(got[1]) == (24 if which.endswith("near-pole") else 0)  # three per audited pair
         assert json.loads(got[0])[1]["case"] == "ii"
 
     def test_threads_share_a_scenario(self):

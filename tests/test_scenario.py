@@ -28,12 +28,13 @@ from weaklogic import (
     parse,
     parse_audit_pairs,
     scenario_document,
+    weak_value_expr,
 )
 from weaklogic import linalg
 from weaklogic.expr import Name
 from weaklogic.linalg import dense
 from weaklogic.scenario import amplitude, expression_operator, proven_projector
-from helpers import hardy_beamsplitter, pigeonhole_document, random_unitary, spy
+from helpers import bits, hardy_beamsplitter, pigeonhole_document, random_unitary, spy
 
 THREE_BOX_TEXT = json.dumps(
     {
@@ -186,6 +187,29 @@ class TestBuildScenario:
         ev = random_unitary(rng, 4)
         s = build_scenario("x", ("a", "b", "c", "d"), pre, post, ev)
         assert s.post_overlap == pytest.approx(np.vdot(post, ev @ pre), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["three-box", "hardy"])
+    def test_a_replaced_scenario_derives_its_own_overlap_and_bra(self, name):
+        # a copy postselected on its own preselection has the dim, bra and
+        # overlap that build_scenario gives those states, to the bit
+        s = catalog(name)
+        t = dataclasses.replace(s, post_state=s.pre_state)
+        pre = s.pre_state.amps
+        u = build_scenario(s.name, s.labels, pre, pre, s.evolution, s.channels)
+        assert bits(u.post_state) == bits(s.pre_state)  # normalizing keeps its bits
+        for field in ("dim", "post_overlap", "bra"):
+            assert bits(getattr(t, field)) == bits(getattr(u, field))
+        channel = next(iter(s.channels))
+        assert bits(weak_value_expr(t, channel)) == bits(weak_value_expr(u, channel))
+        if name == "three-box":
+            assert weak_value_expr(t, "A").value == pytest.approx(1 / 3)
+            assert t.post_overlap == pytest.approx(1.0)
+
+    def test_the_constructor_takes_no_derived_field(self):
+        s = catalog("three-box")
+        for field in ("dim", "post_overlap", "bra"):
+            with pytest.raises(ValueError, match=field):
+                dataclasses.replace(s, **{field: getattr(s, field)})
 
 
 class TestDiagonals:
