@@ -9,18 +9,22 @@ postselection the pointer wavefunction is
     psi(q) = alpha phi(q) + beta phi(q - g),
     alpha = <post|U (1 - P)|pre>,  beta = <post|U P|pre>.
 
-Pointer statistics are quadratures on a uniform grid over
-[-(12 sigma + 2 g), 12 sigma + 2 g]. The grid spacing must not exceed
-sigma / 2, or MeterGridError is raised: up to that spacing the trapezoid
-sums match the closed-form moments to about 1e-16, at a spacing near sigma
-they can be off by 1e-7, and beyond it the readouts are wrong. A non-zero
-coupling at or below eps * halfwidth raises MeterGridError too: there
-q - g rounds to q on the grid and the shift is lost. The
-q-derivative needed for the momentum mean is evaluated from the exact
-derivative of the Gaussian components; finite differences at the default
-grid resolution bias the momentum readout by more than the advertised
-tolerances. With this convention mean_q / g tends to Re and
+The readouts (measure_pointer, weak_limit_estimate) are quadratures on a
+uniform grid over [-(12 sigma + 2 g), 12 sigma + 2 g]. The grid spacing
+must not exceed sigma / 2, or MeterGridError is raised: up to that spacing
+the trapezoid sums match the closed-form moments to about 1e-16, at a
+spacing near sigma they can be off by 1e-7, and beyond it the readouts are
+wrong. A non-zero coupling at or below eps * halfwidth raises
+MeterGridError too: there q - g rounds to q on the grid and the shift is
+lost. The q-derivative needed for the momentum mean is evaluated from the
+exact derivative of the Gaussian components; finite differences at the
+default grid resolution bias the momentum readout by more than the
+advertised tolerances. With this convention mean_q / g tends to Re and
 2 sigma^2 mean_p / g to Im of the weak value as g tends to zero.
+
+sequential_disturbance builds no grid. Packet a, the pointer shifted by
+a g, overlaps packet b by exp(-((a - b) g)^2 / (8 sigma^2)), and their
+q-moment is that overlap times (a + b) g / 2; both integrals are exact.
 
 A weak-limit sweep counts as divergent only when its last change exceeds
 both its first change and the rounding floor of one estimate,
@@ -48,7 +52,10 @@ class MeterConfig:
     """Pointer discretization parameters.
 
     The grid spans ``halfwidth`` = 12 sigma + 2 g on either side of zero,
-    wide enough that the pointer density at the edges is negligible.
+    wide enough that the pointer density at the edges is negligible. Sigma
+    and g are rejected when a readout term would overflow: the square of
+    the widest packet offset |q - g| = halfwidth + g, and the momentum
+    integrand, of order (halfwidth + g) / sigma^3.
     """
 
     sigma: float
@@ -68,6 +75,16 @@ class MeterConfig:
             raise ValueError("coupling strength g must be non-negative")
         if self.grid_points < 16:
             raise ValueError("grid_points must be at least 16")
+        # x * x, not x**2: a Python float's ** raises OverflowError
+        reach = self.halfwidth + self.g
+        if not (
+            reach * reach < math.inf
+            and reach / self.sigma / (self.sigma * self.sigma) < math.inf
+        ):
+            raise ValueError(
+                f"sigma {self.sigma:g} and g {self.g:g} are out of range: "
+                "the pointer readout overflows"
+            )
 
     @property
     def halfwidth(self) -> float:
@@ -104,11 +121,6 @@ def _packet(q: np.ndarray, sigma: float) -> np.ndarray:
     return (2.0 * np.pi * sigma**2) ** -0.25 * np.exp(-(q**2) / (4.0 * sigma**2))
 
 
-def _packet_pair(cfg: MeterConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    q = _grid(cfg)
-    return q, _packet(q, cfg.sigma), _packet(q - cfg.g, cfg.sigma)
-
-
 def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
     """alpha = <post|U (1 - P)|pre> and beta = <post|U P|pre> of a checked P."""
     beta = _amplitude(s, proven_projector(s, p, "meter coupling"))
@@ -120,19 +132,28 @@ def measure_pointer(s: Scenario, p: np.ndarray, cfg: MeterConfig) -> PointerStat
     return _readout(*_split(s, p), cfg)
 
 
+def _trapezoid(y: np.ndarray, steps: np.ndarray):
+    """``np.trapezoid(y, q)`` with ``steps = np.diff(q)`` formed once per grid:
+    the same expression, so the same bits."""
+    return (steps * (y[1:] + y[:-1]) / 2.0).sum()
+
+
 def _readout(alpha: complex, beta: complex, cfg: MeterConfig) -> PointerStats:
-    q, phi0, phig = _packet_pair(cfg)
+    q = _grid(cfg)
+    steps = np.diff(q)
+    shifted = q - cfg.g
+    phi0, phig = _packet(q, cfg.sigma), _packet(shifted, cfg.sigma)
     psi = alpha * phi0 + beta * phig
     density = np.abs(psi) ** 2
-    success = float(np.trapezoid(density, q))
+    success = float(_trapezoid(density, steps))
     if success <= _EXTINCT:
         raise PostselectionLostError(
             "postselection extinguishes the meter state; no statistics exist"
         )
-    mean_q = float(np.trapezoid(q * density, q)) / success
+    mean_q = float(_trapezoid(q * density, steps)) / success
     sig2 = 2.0 * cfg.sigma**2
-    dpsi = alpha * (-q / sig2) * phi0 + beta * (-(q - cfg.g) / sig2) * phig
-    mean_p = float(np.trapezoid(np.conj(psi) * dpsi, q).imag) / success
+    dpsi = alpha * (-q / sig2) * phi0 + beta * (-shifted / sig2) * phig
+    mean_p = float(_trapezoid(np.conj(psi) * dpsi, steps).imag) / success
     return PointerStats(mean_q=mean_q, mean_p=mean_p, success_prob=success)
 
 
@@ -193,21 +214,21 @@ def sequential_disturbance(
     and without the first coupling. The readings are normalized by g (a
     reading is itself of order g), so the returned disturbance measures the
     shift of the extracted weak-value estimate and scales as g^2.
+
+    The packet integrals are the closed forms of the module docstring, so
+    no grid is built. ``grid_points`` is validated through ``MeterConfig``
+    but unused; it stays only because the benchmark tracer
+    (``perfbench/tracing.py``) reads it from this signature.
     """
     if g <= 0:
         raise ValueError("coupling strength g must be positive")
     p1 = proven_projector(s, p1, "first meter coupling")
     p2 = proven_projector(s, p2, "second meter coupling")
 
-    cfg = MeterConfig(sigma=sigma, g=g, grid_points=grid_points)
-    q, phi0, phig = _packet_pair(cfg)
-    packets = (phi0, phig)
-    overlap = np.empty((2, 2))
-    q_moment = np.empty((2, 2))
-    for a in range(2):
-        for b in range(2):
-            overlap[a, b] = np.trapezoid(packets[a] * packets[b], q)
-            q_moment[a, b] = np.trapezoid(q * packets[a] * packets[b], q)
+    MeterConfig(sigma=sigma, g=g, grid_points=grid_points)
+    k = math.exp(-g * g / (8.0 * sigma * sigma))
+    overlap = np.array([[1.0, k], [k, 1.0]])
+    q_moment = overlap * np.array([[0.0, g / 2.0], [g / 2.0, g]])
 
     splits2 = (_complement(p2), p2)
     solo = np.array([_amplitude(s, pk) for pk in splits2])

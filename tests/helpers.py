@@ -1,8 +1,11 @@
-"""Shared randomized builders and independent closed-form oracles.
+"""Shared randomized builders and independent oracles.
 
-The pointer oracle here is pure scalar algebra (Gaussian overlap integrals
-evaluated analytically) so it shares no code path with the grid quadratures
-it is used to check.
+``pointer_oracle`` is pure scalar algebra (Gaussian overlap integrals
+evaluated analytically), so it shares no code path with the grid
+quadratures it checks. The other way round, ``quadrature_disturbance``
+integrates the packets on a grid with ``np.trapezoid`` to check the closed
+form of ``sequential_disturbance``, and ``readout_reference`` keeps the
+``np.trapezoid`` readout whose bits the meter's readouts must keep.
 """
 
 import dataclasses
@@ -140,8 +143,7 @@ def matrix(p):
 
 def split_amplitudes(s, p):
     """Postselected (unshifted, shifted) amplitudes via raw numpy."""
-    post = s.post_state.amps
-    bra = post if s.evolution is None else s.evolution.conj().T @ post
+    bra = _bra(s)
     total = np.vdot(bra, s.pre_state.amps)
     beta = np.vdot(bra, matrix(p) @ s.pre_state.amps)
     return total - beta, beta
@@ -162,6 +164,71 @@ def pointer_oracle(alpha, beta, g, sigma):
     mean_q = g * (abs(beta) ** 2 + k * cross.real) / weight
     mean_p = g * k * cross.imag / (2.0 * sigma * sigma * weight)
     return float(mean_q), float(mean_p), float(weight)
+
+
+def _bra(s):
+    post = s.post_state.amps
+    return post if s.evolution is None else s.evolution.conj().T @ post
+
+
+def _pointer_grid(sigma, g, grid_points):
+    halfwidth = 12.0 * sigma + 2.0 * g
+    return np.linspace(-halfwidth, halfwidth, grid_points)
+
+
+def _gaussian(q, sigma):
+    return (2.0 * np.pi * sigma**2) ** -0.25 * np.exp(-(q**2) / (4.0 * sigma**2))
+
+
+def quadrature_disturbance(s, p1, p2, sigma, g, grid_points=4096):
+    """``sequential_disturbance`` with its packet integrals taken by
+    ``np.trapezoid`` on a grid, from raw numpy amplitudes."""
+    q = _pointer_grid(sigma, g, grid_points)
+    packets = (_gaussian(q, sigma), _gaussian(q - g, sigma))
+    overlap = np.array([[np.trapezoid(a * b, q) for b in packets] for a in packets])
+    q_moment = np.array([[np.trapezoid(q * a * b, q) for b in packets] for a in packets])
+
+    bra, pre = _bra(s), s.pre_state.amps
+    one = np.eye(s.dim)
+    splits1 = (one - matrix(p1), matrix(p1))
+    splits2 = (one - matrix(p2), matrix(p2))
+    solo = np.array([np.vdot(bra, sk @ pre) for sk in splits2])
+    coeff = np.array([[np.vdot(bra, sk @ sj @ pre) for sk in splits2] for sj in splits1])
+
+    weight0 = np.einsum("K,k,Kk->", solo.conj(), solo, overlap).real
+    without_first = np.einsum("K,k,Kk->", solo.conj(), solo, q_moment).real / weight0
+    weight = np.einsum("JK,jk,Jj,Kk->", coeff.conj(), coeff, overlap, overlap).real
+    with_first = (
+        np.einsum("JK,jk,Jj,Kk->", coeff.conj(), coeff, overlap, q_moment).real / weight
+    )
+    return abs(with_first - without_first) / g
+
+
+def readout_reference(alpha, beta, sigma, g, grid_points=4096):
+    """(mean_q, mean_p, success) of the grid readout as three
+    ``np.trapezoid`` calls, each forming its own steps; the meter's
+    readouts must give the same bits."""
+    q = _pointer_grid(sigma, g, grid_points)
+    phi0, phig = _gaussian(q, sigma), _gaussian(q - g, sigma)
+    psi = alpha * phi0 + beta * phig
+    density = np.abs(psi) ** 2
+    success = float(np.trapezoid(density, q))
+    mean_q = float(np.trapezoid(q * density, q)) / success
+    sig2 = 2.0 * sigma**2
+    dpsi = alpha * (-q / sig2) * phi0 + beta * (-(q - g) / sig2) * phig
+    mean_p = float(np.trapezoid(np.conj(psi) * dpsi, q).imag) / success
+    return mean_q, mean_p, success
+
+
+def weak_limit_reference(alpha, beta, sigma, sweep):
+    """The weak-limit extrapolation of ``readout_reference`` readouts at the
+    sweep's two smallest couplings."""
+    estimates = []
+    for g in sweep[-2:]:
+        mean_q, mean_p, _ = readout_reference(alpha, beta, sigma, g)
+        estimates.append(mean_q / g + 1j * (2.0 * sigma**2 * mean_p / g))
+    (g_prev, g_min), (e_prev, e_min) = sweep[-2:], estimates
+    return (g_prev * e_min - g_min * e_prev) / (g_prev - g_min)
 
 
 def bits(x):

@@ -307,6 +307,11 @@ class TestMeterCommand:
             ("--sigma", "inf", "--g", "0.1"),
             ("--sigma", "1e-200", "--g", "0"),
             ("--sigma", "1e200", "--g", "0.1"),
+            # the readout would overflow: NaN output or a misleading exit 2
+            ("--sigma", "1e-160", "--g", "0"),
+            ("--sigma", "1e-158", "--sweep", "1e-159,1e-160"),
+            ("--sigma", "1e154", "--g", "1e151"),
+            ("--sigma", "1", "--g", "1e308"),
         ],
     )
     def test_unusable_sigma_or_g_is_exit_1(self, capsys, flags):

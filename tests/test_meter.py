@@ -1,7 +1,11 @@
 import collections
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaklogic import meter
 from weaklogic import (
@@ -20,11 +24,15 @@ from weaklogic import (
     weak_value,
 )
 from helpers import (
+    bits,
     pointer_oracle,
+    quadrature_disturbance,
     random_basis_projector,
     random_scenario,
+    readout_reference,
     rephased,
     split_amplitudes,
+    weak_limit_reference,
 )
 
 SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -44,12 +52,67 @@ class TestMeterConfig:
             MeterConfig(sigma=1.0, g=0.1, grid_points=4)
 
     @pytest.mark.parametrize(
-        "sigma,g", [(1.0, float("inf")), (float("inf"), 0.1), (1e-200, 0.0), (1e200, 0.1)]
+        "sigma,g",
+        [
+            (1.0, float("inf")),
+            (float("inf"), 0.1),
+            # finite, but their squares under- and overflow
+            (1e-200, 0.0),
+            (1e200, 0.1),
+            # the momentum integrand, of order halfwidth / sigma^3, overflows
+            (1e-160, 0.0),
+            (1e-158, 1e-159),
+            # halfwidth^2 overflows
+            (1e154, 1e151),
+            (1.0, 1e308),
+            # halfwidth^2 is finite, (halfwidth + g)^2, the square of q - g
+            # at the grid's left edge, is not
+            (1e152, 4.2e153),
+        ],
     )
     def test_unusable_sigma_or_g_rejected(self, sigma, g):
-        # 1e-200 and 1e200 are finite, but their squares under- and overflow
         with pytest.raises(ValueError):
             MeterConfig(sigma=sigma, g=g)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(
+        st.floats(-170.0, 170.0),
+        st.floats(0.0, 1e3),
+        st.sampled_from(
+            [("pigeonhole2", "L1", "L1*L2"), ("three-box", "A", "C"), ("hardy", "Ip", "Np*Ne")]
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_an_accepted_config_reads_finite(self, log_sigma, ratio, job):
+        # sigma log-uniform over [1e-170, 1e170], g / sigma over [0, 1e3]
+        sigma = 10.0**log_sigma
+        g = ratio * sigma
+        try:
+            cfg = MeterConfig(sigma=sigma, g=g)
+        except ValueError:
+            return
+        name, first, expr = job
+        s = catalog(name)
+        p = evaluate_text(expr, s.channels)
+        try:
+            stats = measure_pointer(s, p, cfg)
+        except (MeterGridError, PostselectionLostError):
+            pass
+        else:
+            assert all(map(math.isfinite, (stats.mean_q, stats.mean_p, stats.success_prob)))
+        if g / 2 > 0:
+            try:
+                estimate = weak_limit_estimate(s, p, sigma, [g, g / 2])
+            except (MeterGridError, PostselectionLostError):
+                pass
+            else:
+                assert np.isfinite(estimate)
+            try:
+                moved = sequential_disturbance(s, s.channel(first), p, sigma, g)
+            except PostselectionLostError:
+                pass
+            else:
+                assert math.isfinite(moved)
 
 
 class TestMeasurePointer:
@@ -136,8 +199,11 @@ class TestMeasurePointer:
         p = s.channel("C")
         with pytest.raises(MeterGridError, match="rounding floor"):
             measure_pointer(s, p, MeterConfig(sigma=1e150, g=0.1))
-        with pytest.raises(MeterGridError, match="rounding floor"):
-            sequential_disturbance(s, s.channel("A"), p, 1e150, 0.1)
+        # the disturbance builds no grid: all four packet overlaps round to 1
+        # there, as they already do at sigma = 1e8, and the reading is 0
+        far = sequential_disturbance(s, s.channel("A"), p, 1e150, 0.1)
+        assert bits(far) == bits(sequential_disturbance(s, s.channel("A"), p, 1e8, 0.1))
+        assert far == 0.0
         floor = np.finfo(float).eps * MeterConfig(sigma=1.0, g=0.0).halfwidth
         with pytest.raises(MeterGridError):
             measure_pointer(s, p, MeterConfig(sigma=1.0, g=floor))
@@ -160,6 +226,63 @@ class TestMeasurePointer:
         p = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(PostselectionLostError):
             measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.1))
+
+
+def _real_scenario(rng, dim):
+    """A scenario, evolution and projector with real entries, so that the
+    split amplitudes are real and the sign of a zero mean_p shows."""
+    for _ in range(500):
+        pre, post = (v / np.linalg.norm(v) for v in rng.normal(size=(2, dim)))
+        evolution = np.linalg.qr(rng.normal(size=(dim, dim)))[0] if rng.integers(2) else None
+        s = build_scenario("real", [f"b{i}" for i in range(dim)], pre, post, evolution, {})
+        if abs(s.post_overlap) >= 0.05:
+            cols = np.linalg.qr(rng.normal(size=(dim, dim)))[0][:, : rng.integers(1, dim)]
+            return s, cols @ cols.T
+    raise AssertionError("could not draw a scenario with usable overlap")
+
+
+class TestReadoutBits:
+    """The readouts keep the bits of three ``np.trapezoid`` calls per grid."""
+
+    README = [
+        ("pigeonhole2", "L1*L2", 1.0, 0.01, None),
+        ("hardy", "Np*Ne", 1.0, None, SWEEP),
+    ]
+
+    def _check(self, s, p, sigma, g, sweep):
+        alpha, beta = meter._split(s, p)
+        stats = None
+        if g is not None:
+            expected = meter.PointerStats(*readout_reference(alpha, beta, sigma, g))
+            stats = measure_pointer(s, p, MeterConfig(sigma=sigma, g=g))
+            assert bits(stats) == bits(expected)
+        if sweep is not None:
+            expected = weak_limit_reference(alpha, beta, sigma, sweep)
+            assert bits(weak_limit_estimate(s, p, sigma, sweep)) == bits(expected)
+        return stats
+
+    @pytest.mark.parametrize("name,expr,sigma,g,sweep", README)
+    def test_readme_commands(self, name, expr, sigma, g, sweep):
+        s = catalog(name)
+        self._check(s, evaluate_text(expr, s.channels), sigma, g, sweep)
+
+    def test_random_readouts(self):
+        rng = np.random.default_rng(1307)
+        real_zeros = 0
+        for i in range(320):
+            dim = int(rng.integers(2, 7))
+            if i % 2:
+                s = random_scenario(rng, dim, with_evolution=bool(rng.integers(2)))
+                p = random_basis_projector(rng, dim)
+            else:
+                s, p = _real_scenario(rng, dim)
+            sigma = float(rng.uniform(0.3, 3.0))
+            g = sigma * float(rng.uniform(1e-4, 1.0))
+            sweep = [g / 10.0**k for k in range(int(rng.integers(2, 5)))]
+            stats = self._check(s, p, sigma, g, sweep)
+            real_zeros += i % 2 == 0 and stats.mean_p == 0.0
+        # the real draws do reach a zero mean_p, whose sign the bits compare
+        assert real_zeros > 100
 
 
 class TestWeakLimitEstimate:
@@ -297,3 +420,13 @@ class TestSequentialDisturbance:
         p = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(PostselectionLostError):
             sequential_disturbance(s, p, p, 1.0, 0.1)
+
+    @pytest.mark.parametrize("name", ["pigeonhole2", "pigeonhole3", "three-box", "hardy"])
+    def test_closed_form_matches_quadrature_oracle(self, name):
+        s = catalog(name)
+        for (a, p1), (b, p2) in itertools.product(s.channels.items(), repeat=2):
+            for sigma in (0.5, 1.0, 2.0):
+                for g in np.geomspace(1e-3, 0.5, 5):
+                    expected = quadrature_disturbance(s, p1, p2, sigma, float(g))
+                    got = sequential_disturbance(s, p1, p2, sigma, float(g))
+                    assert got == pytest.approx(expected, rel=0, abs=1e-12), (a, b, sigma, g)
