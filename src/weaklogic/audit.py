@@ -51,7 +51,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
-from .linalg import STRUCT_TOL, _one_form, _product
+from .linalg import _one_form, _product, _within_struct_tol
 from .scenario import Scenario, _Batch, _expression_projectors, proven_projector
 from .weak import WeakValue, _warn_near_pole, _weak_value
 
@@ -185,7 +185,7 @@ def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) ->
     """``classify_sum`` of two proven projectors, their weak values taken
     through ``batch``."""
     a, b = _one_form(pa, pb)
-    if np.max(np.abs(_product(a, b))) > STRUCT_TOL:
+    if not _within_struct_tol(_product(a, b)):
         raise AuditPreconditionError(
             "projectors are not orthogonal; their sum does not represent a "
             "disjunction of exclusive alternatives"
@@ -238,7 +238,7 @@ def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch
         raise AuditPreconditionError(
             "projectors do not commute; their product is not a projector"
         )
-    if np.max(np.abs(product)) <= STRUCT_TOL:
+    if _within_struct_tol(product):
         raise AuditPreconditionError(
             "projector product vanishes as an operator; the conjunction is "
             "trivially empty"

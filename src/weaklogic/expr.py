@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Any, Callable, Mapping, Union
 
 import numpy as np
@@ -125,8 +125,15 @@ def _parse_factor(ts: _TokenStream) -> Node:
     raise ParseError(f"unexpected {text!r}", pos)
 
 
+@lru_cache(maxsize=1024)
 def parse(text: str) -> Node:
-    """Parse a projector expression into its syntax tree."""
+    """Parse a projector expression into its syntax tree.
+
+    A tree is immutable and depends on nothing but the text, so each of the
+    last 1,024 distinct texts parsed in the process is parsed once and its
+    tree handed to every later call; a text that raises ``ParseError`` is
+    not kept and raises afresh.
+    """
     ts = _TokenStream(_tokenize(text))
     if ts.peek()[0] == "END":
         raise ParseError("empty expression", ts.peek()[2])

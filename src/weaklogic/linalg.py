@@ -11,6 +11,16 @@ which also scans it for NaN/Inf, and hands it to a private kernel (``_act``,
 ``_sum``, ``_compose``, ``_complement``, ``_proves_projector``) that does not
 coerce again; the library's own callers use the kernels on operators that
 were checked where they entered.
+
+Every structural check (idempotence, self-adjointness, commutation,
+orthogonality, a vanishing product, unitarity) passes exactly when
+``np.max(np.abs(r)) <= STRUCT_TOL`` for its residual r, and decides that
+through one test, ``_within_struct_tol``. Each residual is formed in a buffer
+the check owns, in place: ``r = m.T.copy()`` conjugated and subtracted from
+m, or ``r = p @ p`` less p, never a strided temporary. The test reads the
+largest real or imaginary part of r first. As max(|Re z|, |Im z|) <= |z| <=
+sqrt(2) max(|Re z|, |Im z|), a part above STRUCT_TOL fails the check and
+parts all within STRUCT_TOL/2 pass it; only in between is |r| taken.
 """
 
 from __future__ import annotations
@@ -210,16 +220,33 @@ def basis_projector(labels: Sequence[str], members: Iterable[str]) -> np.ndarray
     return p
 
 
+def _within_struct_tol(r: np.ndarray) -> bool:
+    """Whether ``np.max(np.abs(r)) <= STRUCT_TOL`` for a complex residual r
+    whose last axis is contiguous; a NaN fails. Reads the parts of r, and
+    takes |r| only when its largest part lies in (STRUCT_TOL/2, STRUCT_TOL]."""
+    parts = r.view(float)
+    hi, lo = parts.max(), parts.min()
+    if not (hi <= STRUCT_TOL and lo >= -STRUCT_TOL):
+        return False
+    if hi <= STRUCT_TOL / 2 and lo >= -STRUCT_TOL / 2:
+        return True
+    return bool(np.max(np.abs(r)) <= STRUCT_TOL)
+
+
 def _self_adjoint(m: np.ndarray) -> bool:
-    """Whether every entry of m - m^dagger is within STRUCT_TOL; a NaN fails."""
-    return bool(np.max(np.abs(m - adjoint(m))) <= STRUCT_TOL)
+    """Whether every entry of m - m^dagger is within STRUCT_TOL; a NaN fails.
+    The residual is formed in a copy, so m is never written."""
+    r = m.T.copy()
+    np.conjugate(r, out=r)
+    np.subtract(m, r, out=r)
+    return _within_struct_tol(r)
 
 
 def _proves_projector(p: np.ndarray) -> bool:
     """``is_projector`` of an operator that ``as_operator`` returned."""
-    if np.max(np.abs(_product(p, p) - p)) > STRUCT_TOL:
-        return False
-    return _self_adjoint(p)
+    r = _product(p, p)
+    r -= p
+    return _within_struct_tol(r) and _self_adjoint(p)
 
 
 def is_projector(p: np.ndarray) -> bool:
@@ -238,9 +265,11 @@ def require_projector(p, what: str) -> np.ndarray:
 
 def commutes(a: np.ndarray, b: np.ndarray) -> bool:
     a, b = _pair(a, b)
-    return bool(np.max(np.abs(_product(a, b) - _product(b, a))) <= STRUCT_TOL)
+    r = _product(a, b)
+    r -= _product(b, a)
+    return _within_struct_tol(r)
 
 
 def orthogonal(p: np.ndarray, q: np.ndarray) -> bool:
     """True when the operator product p.q vanishes entrywise."""
-    return bool(np.max(np.abs(_product(*_pair(p, q)))) <= STRUCT_TOL)
+    return _within_struct_tol(_product(*_pair(p, q)))

@@ -63,6 +63,10 @@ class MeterConfig:
     grid_points: int = 4096
 
     def __post_init__(self):
+        # Python floats, so that the range checks below overflow to inf
+        # silently rather than warn as numpy scalar arithmetic does
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "g", float(self.g))
         if not (math.isfinite(self.sigma) and math.isfinite(self.g)):
             raise ValueError("sigma and coupling strength g must be finite")
         if not self.sigma > 0:

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ScenarioError
 from .expr import _fold, evaluate_text, parse
 from .linalg import (
-    STRUCT_TOL,
     State,
     _act,
     _compose,
@@ -28,6 +27,7 @@ from .linalg import (
     _real_diagonal,
     _self_adjoint,
     _sum,
+    _within_struct_tol,
     apply,
     as_operator,
     basis_projector,
@@ -260,7 +260,9 @@ def build_scenario(
             raise ScenarioError(
                 f"evolution must be {dim}x{dim}, got {ev.shape[0]}x{ev.shape[1]}"
             )
-        if np.max(np.abs(ev.conj().T @ ev - identity(dim))) > STRUCT_TOL:
+        r = ev.conj().T @ ev
+        r -= identity(dim)
+        if not _within_struct_tol(r):
             raise ScenarioError("evolution is not unitary")
         ev.setflags(write=False)
 

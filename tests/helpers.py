@@ -6,6 +6,9 @@ quadratures it checks. The other way round, ``quadrature_disturbance``
 integrates the packets on a grid with ``np.trapezoid`` to check the closed
 form of ``sequential_disturbance``, and ``readout_reference`` keeps the
 ``np.trapezoid`` readout whose bits the meter's readouts must keep.
+``within_struct_tol``, ``self_adjoint_oracle`` and ``projector_oracle``
+keep the structural checks as the library once wrote them, each residual
+formed as a fresh temporary and measured by its largest ``np.abs``.
 """
 
 import dataclasses
@@ -14,7 +17,7 @@ import sys
 
 import numpy as np
 
-from weaklogic import build_scenario
+from weaklogic import STRUCT_TOL, build_scenario
 
 
 def random_unit(rng, dim):
@@ -258,3 +261,19 @@ def spy(monkeypatch, kernel, record):
             for attr, value in list(vars(module).items()):
                 if value is kernel:
                     monkeypatch.setattr(module, attr, spied)
+
+
+def within_struct_tol(r):
+    """Whether every entry of a residual is within STRUCT_TOL; a NaN fails."""
+    return bool(np.max(np.abs(r)) <= STRUCT_TOL)
+
+
+def self_adjoint_oracle(m):
+    """m - m^dagger within STRUCT_TOL, for a matrix or a diagonal."""
+    return within_struct_tol(m - m.conj().T)
+
+
+def projector_oracle(p):
+    """p^2 - p and p - p^dagger within STRUCT_TOL, for a matrix or a diagonal."""
+    square = p * p if p.ndim == 1 else p @ p
+    return within_struct_tol(square - p) and self_adjoint_oracle(p)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weaklogic import (
+    STRUCT_TOL,
     MeterConfig,
     NotAProjectorError,
     State,
@@ -39,7 +42,16 @@ from weaklogic.linalg import (
     require_projector,
 )
 from weaklogic.scenario import amplitude
-from helpers import bits, generic_labels, random_basis_projector, random_unit, spy
+from helpers import (
+    bits,
+    generic_labels,
+    projector_oracle,
+    random_basis_projector,
+    random_unit,
+    self_adjoint_oracle,
+    spy,
+    within_struct_tol,
+)
 
 BOX2 = ("LL", "LR", "RL", "RR")
 BOX3 = ("LLL", "LLR", "LRL", "LRR", "RLL", "RLR", "RRL", "RRR")
@@ -220,6 +232,145 @@ class TestStructureChecks:
         up = basis_projector(("u", "d"), ["u"])
         assert not commutes(plus, up)
         assert not orthogonal(plus, up)
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+#: A real or imaginary part: a signed zero, NaN, an infinity, an arbitrary
+#: small float, or a few ulps from a bound of the structural test: STRUCT_TOL,
+#: STRUCT_TOL/2, and STRUCT_TOL/sqrt(2), where two equal parts put |z| at
+#: STRUCT_TOL.
+_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+    st.builds(
+        lambda base, k, sign: sign * _ulps(base, k),
+        st.sampled_from([STRUCT_TOL, STRUCT_TOL / 2, STRUCT_TOL / np.sqrt(2)]),
+        st.integers(-4, 4),
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.floats(-2 * STRUCT_TOL, 2 * STRUCT_TOL),
+)
+
+#: Random entries' scale: none, well within, about and above STRUCT_TOL.
+_SCALE = st.sampled_from([0.0, STRUCT_TOL / 4, STRUCT_TOL, 1.0])
+
+
+def _operator(seed: int, dim: int, form: str, scale: float, entries) -> np.ndarray:
+    """A ``form`` operator ("hermitian", "general" or "diagonal") of random
+    entries times ``scale``, with each (i, j, re, im) of ``entries`` added at
+    (i, j) mod dim, or at i mod dim of a diagonal."""
+    rng = np.random.default_rng(seed)
+    shape = (dim,) if form == "diagonal" else (dim, dim)
+    m = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+    if form == "hermitian":
+        m = (m + m.conj().T) / 2
+    with np.errstate(invalid="ignore"):
+        for i, j, re, im in entries:
+            index = (i % dim,) if form == "diagonal" else (i % dim, j % dim)
+            m[index] += complex(re, im)
+    return m
+
+
+_OPERATORS = st.builds(
+    _operator,
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 64),
+    st.sampled_from(["hermitian", "general", "diagonal"]),
+    _SCALE,
+    st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63), _PART, _PART), max_size=4),
+)
+
+#: Residual entries the two bounds of the test must not misjudge.
+_BOUNDARY = [
+    complex(STRUCT_TOL, 0.0),
+    complex(_ulps(STRUCT_TOL, 1), 0.0),
+    complex(-0.0, -STRUCT_TOL),
+    complex(0.6 * STRUCT_TOL, 0.0),  # decided by |z|, which passes
+    complex(0.9 * STRUCT_TOL, 0.9 * STRUCT_TOL),  # every part within, |z| not
+    complex(STRUCT_TOL / 2, STRUCT_TOL / 2),
+    complex(_ulps(STRUCT_TOL / 2, 1), STRUCT_TOL / 2),
+    complex(STRUCT_TOL / np.sqrt(2), STRUCT_TOL / np.sqrt(2)),
+    complex(_ulps(STRUCT_TOL / np.sqrt(2), 2), -_ulps(STRUCT_TOL / np.sqrt(2), 2)),
+    complex(np.nan, 0.0),
+    complex(0.0, -np.inf),
+]
+
+
+class TestStructuralResidual:
+    """Every structural check decides ``np.max(np.abs(r)) <= STRUCT_TOL``
+    through ``linalg._within_struct_tol``, which reads the residual's parts
+    first; its verdicts must be the oracles' on every input, at the bounds
+    of its shortcut and on NaN and infinities."""
+
+    @pytest.mark.parametrize("z", _BOUNDARY, ids=repr)
+    @pytest.mark.parametrize("form", ["diagonal", "matrix"])
+    def test_boundary_entries(self, z, form):
+        r = np.zeros(5 if form == "diagonal" else (5, 5), dtype=complex)
+        r[(2,) if form == "diagonal" else (2, 3)] = z
+        assert linalg._within_struct_tol(r) is within_struct_tol(r)
+        assert linalg._self_adjoint(r) is self_adjoint_oracle(r)
+
+    def test_boundary_verdicts(self):
+        verdicts = [linalg._within_struct_tol(np.array([z])) for z in _BOUNDARY]
+        assert verdicts == [
+            True, False, True, True, False, True, True, True, False, False, False
+        ]
+
+    @given(_OPERATORS)
+    @settings(max_examples=400, deadline=None)
+    @example(np.full(3, complex(0.9 * STRUCT_TOL, 0.9 * STRUCT_TOL)))
+    @example(np.full((2, 2), complex(0.6 * STRUCT_TOL, -0.0)))
+    def test_agrees_with_the_oracles(self, m):
+        with np.errstate(all="ignore"):
+            assert linalg._within_struct_tol(m) is within_struct_tol(m)
+            assert linalg._self_adjoint(m) is self_adjoint_oracle(m)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 64),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63), _PART, _PART), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_projector_proof_agrees_with_the_oracle(self, seed, dim, as_diagonal, entries):
+        # a 0/1 diagonal perturbed entry by entry: its residuals take the
+        # perturbations' own values, so they meet the bounds of the test
+        rng = np.random.default_rng(seed)
+        p = _operator(seed, dim, "diagonal" if as_diagonal else "general", 0.0, entries)
+        flags = (rng.random(dim) < 0.5).astype(complex)
+        if as_diagonal:
+            p += flags
+        else:
+            p[np.diag_indices(dim)] += flags
+        with np.errstate(all="ignore"):
+            assert linalg._proves_projector(p) is projector_oracle(p)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[1.0 + 2.0j]]),
+            np.array([[0.5 + 0.0j]]),
+            np.asfortranarray(np.arange(9).reshape(3, 3) * (1 + 1j)),
+            np.asfortranarray(np.eye(4, dtype=complex)),
+            np.array([0.5 + 0.0j, 1.0]),
+        ],
+        ids=["d1", "d1-real", "fortran", "fortran-hermitian", "diagonal"],
+    )
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_self_adjoint_leaves_its_argument_unchanged(self, m, writeable):
+        # a transposed view of a 1 x 1 or F-ordered matrix is C-contiguous,
+        # so a residual formed in it would write into the argument
+        m = m.copy(order="K")
+        m.setflags(write=writeable)
+        before = bits(m), m.flags.c_contiguous, m.flags.f_contiguous
+        linalg._self_adjoint(m)
+        assert (bits(m), m.flags.c_contiguous, m.flags.f_contiguous) == before
+        assert m.flags.writeable is writeable
 
 
 class TestRandomizedProperties:

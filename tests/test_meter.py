@@ -68,6 +68,12 @@ class TestMeterConfig:
             # halfwidth^2 is finite, (halfwidth + g)^2, the square of q - g
             # at the grid's left edge, is not
             (1e152, 4.2e153),
+            # numpy scalars, whose arithmetic warns where a Python float's
+            # overflows to inf silently
+            pytest.param(np.float64(1e200), 0.1, id="np-1e+200-0.1"),
+            pytest.param(np.float64(1e-160), 0.1, id="np-1e-160-0.1"),
+            pytest.param(np.float64(1e152), np.float64(4.2e153), id="np-1e+152-4.2e+153"),
+            pytest.param(1.0, np.float64(1e308), id="1.0-np-1e+308"),
         ],
     )
     def test_unusable_sigma_or_g_rejected(self, sigma, g):
