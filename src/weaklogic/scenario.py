@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ScenarioError
 from .expr import _fold, evaluate_text, parse
 from .linalg import (
+    SCALAR_TOL,
     State,
     _act,
     _compose,
@@ -44,23 +45,20 @@ _CHANNEL_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated, immutable pre/postselected setup.
+    """Immutable pre/postselected setup, valid by construction.
 
-    ``post_overlap`` is the postselection amplitude <post|U|pre> and ``bra``
-    the postselected state pulled back through the evolution, U^dagger
-    |post>, against which intermediate-time matrix elements are taken.
-    They and ``dim`` are not arguments: each scenario derives them once
-    from its own states and evolution when it is made, so a copy made by
-    ``dataclasses.replace`` has its own. ``evolution`` of ``None`` means
-    identity, and then ``bra`` is ``post_state`` itself.
-    ``channels`` holds each channel, read-only, in one form: its 1-D
-    diagonal when that is real and rebuilds the channel bit for bit (every
-    basis channel), else its matrix. ``linalg.dense`` gives the matrix.
-    Each channel and ``evolution`` is the scenario's own copy, checked once
-    in ``build_scenario``. ``build_scenario`` also records, by id, the
-    channel arrays it proved projectors; ``proven_projector`` trusts exactly
-    those, and holding them keeps their ids from being reused. A scenario
-    made another way, ``dataclasses.replace`` included, records none.
+    The constructor, and so ``dataclasses.replace``, raises as
+    ``build_scenario`` does at the first invariant that fails: labels
+    non-empty and unique; both states over them with unit norm within
+    SCALAR_TOL (checked, not renormalized); ``evolution`` (``None`` means
+    identity) a ``dim x dim`` unitary; each channel named by an identifier
+    and a projector. The evolution and each channel are coerced, scanned and
+    proved here, once, and held as the scenario's own read-only copy: a
+    channel as its 1-D diagonal when that is real and rebuilds it bit for
+    bit (every basis channel), else as its matrix (``linalg.dense``). ``dim``,
+    ``post_overlap`` = <post|U|pre> and ``bra`` = U^dagger |post>, against
+    which intermediate-time matrix elements are taken, are derived, not
+    arguments.
     """
 
     name: str
@@ -72,14 +70,53 @@ class Scenario:
     channels: Mapping[str, np.ndarray]
     post_overlap: complex = field(init=False)
     bra: State = field(init=False)
-    _proven: Mapping[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        ev, pre, post = self.evolution, self.pre_state, self.post_state
-        object.__setattr__(self, "dim", len(self.labels))
-        object.__setattr__(self, "post_overlap", inner(post, pre if ev is None else apply(ev, pre)))
-        bra = post if ev is None else State(ev.conj().T @ post.amps, self.labels)
-        object.__setattr__(self, "bra", bra)
+        labels = _labels(self.labels)
+        dim = len(labels)
+        pre, post = self.pre_state, self.post_state
+        for which, st in (("pre", pre), ("post", post)):
+            if st.dim != dim:
+                raise ScenarioError(
+                    f"{which} state must have {dim} amplitudes, got shape {st.amps.shape}"
+                )
+            if st.labels != labels:
+                raise ScenarioError(f"{which} state is not over the labels {labels}")
+            with np.errstate(over="ignore"):
+                if not abs(st.norm - 1.0) <= SCALAR_TOL:
+                    raise ScenarioError(f"{which} state does not have unit norm")
+        ev = self.evolution
+        if ev is not None:
+            ev = dense(ev, "evolution").copy()
+            if ev.shape != (dim, dim):
+                raise ScenarioError(
+                    f"evolution must be {dim}x{dim}, got {ev.shape[0]}x{ev.shape[1]}"
+                )
+            r = ev.conj().T @ ev
+            r -= identity(dim)
+            if not _within_struct_tol(r):
+                raise ScenarioError("evolution is not unitary")
+            ev.setflags(write=False)
+        table: dict[str, np.ndarray] = {}
+        for ch_name, entries in self.channels.items():
+            if not (isinstance(ch_name, str) and _CHANNEL_NAME_RE.match(ch_name)):
+                raise ScenarioError(f"channel name {ch_name!r} is not a valid identifier")
+            p = as_operator(entries, f"channel {ch_name!r}")
+            if len(p) != dim:
+                raise ScenarioError(f"channel {ch_name!r} must be {dim}x{dim}")
+            d = _real_diagonal(p)
+            p = p.copy() if d is None else d
+            if not _proves_projector(p):
+                raise ScenarioError(f"channel {ch_name!r} is not a projector")
+            p.setflags(write=False)
+            table[ch_name] = p
+        for attr, value in (
+            ("labels", labels), ("dim", dim), ("evolution", ev),
+            ("channels", MappingProxyType(table)),
+            ("post_overlap", inner(post, pre if ev is None else apply(ev, pre))),
+            ("bra", post if ev is None else State(ev.conj().T @ post.amps, labels)),
+        ):
+            object.__setattr__(self, attr, value)
 
     def channel(self, name: str) -> np.ndarray:
         try:
@@ -131,29 +168,26 @@ def expression_operator(s: Scenario, text: str) -> np.ndarray:
 
 
 def proven_projector(s: Scenario, op, what: str) -> np.ndarray:
-    """``op`` itself when it is a channel array that ``build_scenario``
-    proved a projector for this scenario (a bare channel name evaluates to
-    that object); any other operator through ``require_projector``, so
-    coerced, scanned for NaN/Inf and NotAProjectorError if it is not a
-    projector. An array does not record how it was formed, so a product of
-    channels passed here is proved in full."""
-    if s._proven.get(id(op)) is op:
+    """``op`` itself when it is one of the scenario's channels, all proved
+    when it was made (a bare channel name evaluates to that object); any
+    other operator, a product of channels included, through
+    ``require_projector``: coerced, scanned and proved in full."""
+    if any(op is p for p in s.channels.values()):
         return op
     return require_projector(op, what)
 
 
 class _Batch:
     """One call's evaluation of expressions over a scenario, each step made
-    once: the channel table, each channel with whether ``build_scenario``
-    proved it; each operand text folded, with its proof once it has one;
-    each product of two proven operands with its self-adjointness; and, in
-    ``weak_values``, the weak value the audits take of each proven operand.
-    Entries are keyed by text or by the ids of the arrays they hold, so the
-    ids are not reused while the batch lives. A call makes its own, so
-    nothing is shared or kept past it."""
+    once: the channel table, every channel proven; each operand text folded,
+    with its proof once it has one; each product of two proven operands with
+    its self-adjointness; and, in ``weak_values``, the weak value the audits
+    take of each proven operand. Entries are keyed by text or by the ids of
+    the arrays they hold, so the ids are not reused while the batch lives. A
+    call makes its own, so nothing is shared or kept past it."""
 
     def __init__(self, s: Scenario):
-        self.table = {name: (op, s._proven.get(id(op)) is op) for name, op in s.channels.items()}
+        self.table = {name: (op, True) for name, op in s.channels.items()}
         self.operands: dict = {}  # text: (operator, proven)
         self.products: dict = {}  # (id(P), id(Q)): (P, Q, PQ, self-adjoint)
         self.weak_values: dict = {}  # id(P): (P, weak value of P)
@@ -197,8 +231,8 @@ def _expression_projectors(s: Scenario, *operands: tuple[str, str], batch=None) 
     pairs, each proven a projector. Every text is evaluated, bit for bit as
     ``expression_operator`` does, before the first operator is proved.
 
-    A channel ``build_scenario`` proved is proven, and so is a product PQ of
-    proven factors that is self-adjoint within STRUCT_TOL, for then
+    A channel of the scenario is proven, and so is a product PQ of proven
+    factors that is self-adjoint within STRUCT_TOL, for then
     PQ = (PQ)^dagger = QP and (PQ)^2 = PPQQ = PQ. Its idempotence is not
     checked: (PQ)^2 - PQ = P(QP - PQ)Q is at most QP - PQ in norm. A
     product of two proven diagonals is self-adjoint by its form and is not
@@ -217,94 +251,55 @@ def _expression_projectors(s: Scenario, *operands: tuple[str, str], batch=None) 
 
 
 def build_scenario(
-    name: str,
-    labels,
-    pre,
-    post,
-    evolution=None,
-    channels: Mapping[str, np.ndarray] | None = None,
+    name: str, labels, pre, post, evolution=None, channels: Mapping[str, np.ndarray] | None = None
 ) -> Scenario:
-    """Validate raw scenario data and assemble a Scenario.
-
-    Raw pre/post amplitudes may be unnormalized; they are normalized here.
-    The evolution and every channel are copied, so the caller's arrays stay
-    the caller's, and each channel is proved a projector here, once.
-    Raises ScenarioError on any violated invariant.
-    """
-    labels = tuple(str(lab) for lab in labels)
+    """A Scenario from raw data: the labels as strings, and the pre/post
+    amplitudes, which may be unnormalized, normalized over them. The
+    ``Scenario`` constructor checks the rest, copies the evolution and each
+    channel, and proves each channel a projector, once. Raises ScenarioError
+    on any violated invariant."""
+    labels = _labels(labels)
     dim = len(labels)
-    if dim == 0:
-        raise ScenarioError("scenario needs at least one basis label")
-    if len(set(labels)) != dim:
-        raise ScenarioError("basis labels must be unique")
 
     def _state(raw, which: str) -> State:
         amps = np.asarray(raw, dtype=complex)
         if amps.shape != (dim,):
-            raise ScenarioError(
-                f"{which} state must have {dim} amplitudes, got shape {amps.shape}"
-            )
+            raise ScenarioError(f"{which} state must have {dim} amplitudes, got shape {amps.shape}")
         st = State(amps, labels)
         try:
             return st.normalize()
         except ValueError as exc:
             raise ScenarioError(f"{which} {exc}") from None
 
-    pre_state = _state(pre, "pre")
-    post_state = _state(post, "post")
+    pre_state, post_state = _state(pre, "pre"), _state(post, "post")
+    return Scenario(str(name), labels, pre_state, post_state, evolution, channels or {})
 
-    ev = None
-    if evolution is not None:
-        ev = dense(evolution, "evolution").copy()
-        if ev.shape != (dim, dim):
-            raise ScenarioError(
-                f"evolution must be {dim}x{dim}, got {ev.shape[0]}x{ev.shape[1]}"
-            )
-        r = ev.conj().T @ ev
-        r -= identity(dim)
-        if not _within_struct_tol(r):
-            raise ScenarioError("evolution is not unitary")
-        ev.setflags(write=False)
 
-    table: dict[str, np.ndarray] = {}
-    for ch_name, entries in (channels or {}).items():
-        if not _CHANNEL_NAME_RE.match(ch_name):
-            raise ScenarioError(f"channel name {ch_name!r} is not a valid identifier")
-        p = as_operator(entries, f"channel {ch_name!r}")
-        if len(p) != dim:
-            raise ScenarioError(f"channel {ch_name!r} must be {dim}x{dim}")
-        d = _real_diagonal(p)
-        p = p.copy() if d is None else d
-        if not _proves_projector(p):
-            raise ScenarioError(f"channel {ch_name!r} is not a projector")
-        p.setflags(write=False)
-        table[ch_name] = p
-
-    s = Scenario(
-        name=str(name),
-        labels=labels,
-        pre_state=pre_state,
-        post_state=post_state,
-        evolution=ev,
-        channels=MappingProxyType(table),
-    )
-    proven = MappingProxyType({id(p): p for p in table.values()})
-    object.__setattr__(s, "_proven", proven)
-    return s
+def _labels(raw) -> tuple[str, ...]:
+    """Basis labels as strings; ScenarioError unless non-empty and unique."""
+    labels = tuple(str(lab) for lab in raw)
+    if not labels:
+        raise ScenarioError("scenario needs at least one basis label")
+    if len(set(labels)) != len(labels):
+        raise ScenarioError("basis labels must be unique")
+    return labels
 
 
 def _complex_array(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
     """A JSON field of [re, im] pairs, checked and converted as one array:
-    int or float leaves (not bool) nested as ``(*shape, 2)``, viewed as
-    complex so that every bit, signed zeros included, is kept."""
+    finite int or float leaves (not bool) nested as ``(*shape, 2)``, viewed
+    as complex so that every bit, signed zeros included, is kept."""
     leaves = np.array(obj, dtype=object)
     if leaves.shape != (*shape, 2) or not set(map(type, leaves.flat)) <= {int, float}:
         layout = ("a list of {}" if len(shape) == 1 else "a {}x{} array of").format(*shape)
         raise ScenarioError(f"{what} must be {layout} [re, im] pairs")
     try:
-        return leaves.astype(float).view(complex).reshape(shape)
+        parts = leaves.astype(float)
     except OverflowError:
         raise ScenarioError(f"{what} has a number beyond floating-point range") from None
+    if not np.isfinite(parts).all():  # JSON's NaN, Infinity, or a float such as 1e400
+        raise ScenarioError(f"{what} has a non-finite number")
+    return parts.view(complex).reshape(shape)
 
 
 def _reject_duplicate_keys(pairs):

@@ -1,11 +1,12 @@
 """Projective (strong) measurement statistics with and without postselection.
 
 Probabilities are clamped to [0, 1] only after a tolerance check; values
-outside [-1e-10, 1 + 1e-10] raise instead of being hidden.
+outside [-1e-10, 1 + 1e-10], and NaN, raise instead of being hidden.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ _NULL_PROB = 1e-24
 
 
 def _checked_probability(value: float, what: str) -> float:
-    if value < -_BOUNDS_TOL or value > 1.0 + _BOUNDS_TOL:
+    if not -_BOUNDS_TOL <= value <= 1.0 + _BOUNDS_TOL:  # a NaN fails too
         raise ConsistencyError(f"{what} = {value!r} lies outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
@@ -37,13 +38,15 @@ class CollapseOutcome:
 
 
 def born_prob(state: State, p: np.ndarray) -> float:
-    """Outcome probability <psi|P|psi> for a projective measurement."""
+    """Outcome probability <psi|P|psi> for a projective measurement; ValueError on overflow."""
     return _born(state, as_operator(p))
 
 
 def _born(state: State, p: np.ndarray) -> float:
     """``born_prob`` of an operator that ``as_operator`` returned."""
     value = complex(np.vdot(state.amps, _act(p, state.amps)))
+    if not cmath.isfinite(value):
+        raise ValueError("matrix element is not finite: the operator product overflows")
     if abs(value.imag) > _REAL_TOL:
         raise ConsistencyError(
             f"expectation value has imaginary part {value.imag!r}; not a projector?"

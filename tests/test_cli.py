@@ -402,6 +402,16 @@ class TestScenarioIO:
         assert out == ""
         assert "'post' has a number beyond floating-point range" in err
 
+    @pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400"])
+    def test_non_finite_number_is_exit_1(self, capsys, tmp_path, token):
+        doc = dict(THREE_BOX_FILE, pre=[[1, 0], [1, 0], ["HOLE", 0]])
+        path = tmp_path / "non-finite.json"
+        path.write_text(json.dumps(doc).replace('"HOLE"', token), encoding="utf-8")
+        code, out, err = run(capsys, "show", "--file", str(path))
+        assert code == 1
+        assert out == ""
+        assert "'pre' has a non-finite number" in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [("show",), ("weak", "--expr", "A")])
     def test_state_whose_norm_overflows_is_exit_1(self, capsys, tmp_path, argv):

@@ -1,12 +1,15 @@
 import cmath
 import dataclasses
 import json
+import re
 import tracemalloc
 from importlib import resources
 from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaklogic import (
     CATALOG_NAMES,
@@ -34,7 +37,15 @@ from weaklogic import linalg
 from weaklogic.expr import Name
 from weaklogic.linalg import dense
 from weaklogic.scenario import amplitude, expression_operator, proven_projector
-from helpers import bits, hardy_beamsplitter, pigeonhole_document, random_unitary, spy
+from helpers import (
+    bits,
+    hardy_beamsplitter,
+    pigeonhole_document,
+    random_projector_family,
+    random_scenario,
+    random_unitary,
+    spy,
+)
 
 THREE_BOX_TEXT = json.dumps(
     {
@@ -141,6 +152,28 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="'evolution' has a number beyond"):
             load_scenario(_with(evolution=evolution))
 
+    @pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "field, what",
+        [
+            ("pre", "'pre'"), ("post", "'post'"),
+            ("evolution", "'evolution'"), ("matrix", "channel 'M'"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, field, what, token):
+        # json.loads accepts each token as a float that is not finite
+        identity_pairs = [[[float(i == j), 0] for j in range(3)] for i in range(3)]
+        doc = json.loads(_with(evolution=identity_pairs))
+        doc["channels"]["M"] = {"matrix": identity_pairs}
+        rows = {
+            "pre": doc["pre"], "post": doc["post"],
+            "evolution": doc["evolution"][1], "matrix": doc["channels"]["M"]["matrix"][1],
+        }
+        rows[field][1] = ["HOLE", 0]
+        text = json.dumps(doc).replace('"HOLE"', token)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(what)} has a non-finite number$"):
+            load_scenario(text)
+
     def test_bad_channel_spec(self):
         with pytest.raises(ScenarioError, match="'basis'.*or.*'matrix'"):
             load_scenario(_with({"channels": {"A": {"rows": []}}}))
@@ -210,6 +243,94 @@ class TestBuildScenario:
         for field in ("dim", "post_overlap", "bra"):
             with pytest.raises(ValueError, match=field):
                 dataclasses.replace(s, **{field: getattr(s, field)})
+
+
+class TestValidByConstruction:
+    """The constructor, and so ``dataclasses.replace``, checks what
+    ``build_scenario`` checks, and fails as it does."""
+
+    def test_motivating_substitutions_raise(self):
+        s = catalog("three-box")
+        count = r"^pre state must have 2 amplitudes, got shape \(3,\)$"
+        with pytest.raises(ScenarioError, match=count):
+            dataclasses.replace(s, labels=("A", "B"))
+        with pytest.raises(ScenarioError, match="^evolution is not unitary$"):
+            dataclasses.replace(s, evolution=2 * identity(3))
+        scaled = State(3 * s.pre_state.amps, s.labels)
+        with pytest.raises(ScenarioError, match="^pre state does not have unit norm$"):
+            dataclasses.replace(s, pre_state=scaled)
+        with pytest.raises(ScenarioError, match="^channel 'X' is not a projector$"):
+            dataclasses.replace(s, channels={"X": [2, 0, 0]})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("labels", ()),
+            ("labels", ("A", "B")),
+            ("labels", ("A", "A", "B")),
+            ("evolution", 2 * identity(3)),
+            ("evolution", identity(2)),
+            ("evolution", np.ones((3, 2))),
+            ("evolution", np.full((3, 3), np.inf)),
+            ("channels", {"2bad": [1, 0, 0]}),
+            ("channels", {7: [1, 0, 0]}),
+            ("channels", {"X": identity(2)}),
+            ("channels", {"X": np.ones((3, 2))}),
+            ("channels", {"X": [np.nan, 0, 0]}),
+            ("channels", {"A": [1, 0, 0], "X": [0.5, 0, 0]}),
+        ],
+    )
+    def test_replace_fails_as_build_scenario_does(self, field, value):
+        s = catalog("three-box")
+        raw = {
+            "labels": s.labels, "evolution": s.evolution, "channels": dict(s.channels),
+            field: value,
+        }
+        args = s.name, raw["labels"], s.pre_state.amps, s.post_state.amps
+        with pytest.raises((ScenarioError, ValueError)) as built:
+            build_scenario(*args, raw["evolution"], raw["channels"])
+        with pytest.raises(built.type, match=f"^{re.escape(str(built.value))}$"):
+            dataclasses.replace(s, **{field: value})
+
+    def test_a_state_over_other_labels_is_rejected(self):
+        s = catalog("three-box")
+        relabelled = State(s.post_state.amps, ("A", "B", "Z"))
+        with pytest.raises(ScenarioError, match="^post state is not over the labels"):
+            dataclasses.replace(s, post_state=relabelled)
+
+    def test_a_replaced_evolution_is_held_as_a_read_only_copy(self):
+        s = catalog("hardy")
+        u = np.array(s.evolution)
+        t = dataclasses.replace(s, evolution=u)
+        assert not np.shares_memory(t.evolution, u) and not t.evolution.flags.writeable
+        assert t.evolution.tobytes() == s.evolution.tobytes()
+        assert t.channels is not s.channels and not isinstance(t.channels, dict)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_replacing_a_field_by_itself_keeps_every_bit(self, seed, dim, with_evolution):
+        rng = np.random.default_rng(seed)
+        channels = {
+            f"D{k}": np.diag((rng.random(dim) < 0.5).astype(float)) for k in range(2)
+        }
+        for k, p in enumerate(random_projector_family(rng, dim, min(dim, 2))):
+            channels[f"M{k}"] = p
+        s = random_scenario(rng, dim, with_evolution, channels=channels)
+        if dim > 1:
+            assert {p.ndim for p in s.channels.values()} == {1, 2}
+        names = list(s.channels)
+        pairs = [(a, b, kind) for a in names for b in names for kind in ("sum", "product")]
+        pairs += [(f"{a}*{b}", names[0], "sum") for a in names for b in names]
+        want = json.dumps(audit_all(s, pairs).to_dict())
+        for f in dataclasses.fields(s):
+            if not f.init:
+                continue
+            t = dataclasses.replace(s, **{f.name: getattr(s, f.name)})
+            assert list(t.channels) == names
+            assert [bits(p) for p in t.channels.values()] == [bits(p) for p in s.channels.values()]
+            assert bits(t.bra) == bits(s.bra)
+            assert bits(t.post_overlap) == bits(s.post_overlap)
+            assert json.dumps(audit_all(t, pairs).to_dict()) == want
 
 
 class TestDiagonals:
@@ -337,29 +458,27 @@ class TestProvedOnce:
     @pytest.mark.parametrize(
         "entries, error, match",
         [
-            ([2, 0, 0], NotAProjectorError, "first operand is not a projector"),
-            ([np.nan, 0, 0], ValueError, "first operand contains non-finite entries"),
+            ([2, 0, 0], ScenarioError, "channel 'X' is not a projector"),
+            ([np.nan, 0, 0], ValueError, "channel 'X' contains non-finite entries"),
         ],
     )
     def test_a_substituted_channel_is_checked(self, entries, error, match):
+        # checked where it enters the scenario, so no audit meets it unproven
         s = catalog("three-box")
         forged = MappingProxyType({"X": np.array(entries, dtype=complex)})
-        t = dataclasses.replace(s, channels=forged)
-        with pytest.raises(error, match=match):
-            classify_sum(t, t.channel("X"), s.channel("C"))
-        # nor does a product of them prove itself by its self-adjointness
-        (entry,) = audit_all(t, [("X*X", "X", "sum")]).entries
-        assert entry.error == match
+        with pytest.raises(error, match=f"^{match}$"):
+            dataclasses.replace(s, channels=forged)
 
-    def test_a_scenario_made_another_way_trusts_no_channel(self, monkeypatch):
+    def test_a_replaced_scenario_proves_its_channels_at_the_replace(self, monkeypatch):
         s = catalog("three-box")
         proofs = []
         spy(monkeypatch, linalg._proves_projector, proofs.append)
-        classify_sum(s, s.channel("A"), s.channel("C"))
-        assert proofs == []
         t = dataclasses.replace(s, name="copy")
+        assert len(proofs) == 3
+        for name, p in t.channels.items():
+            assert p is not s.channel(name) and bits(p) == bits(s.channel(name))
         classify_sum(t, t.channel("A"), t.channel("C"))
-        assert len(proofs) == 2
+        assert len(proofs) == 3
 
 
 class TestCatalog:

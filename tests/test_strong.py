@@ -4,16 +4,19 @@ import pytest
 from weaklogic import (
     AblUndefinedError,
     ConsistencyError,
+    State,
     ZeroProbabilityError,
     abl_prob,
     bayes_check,
     born_prob,
+    build_scenario,
     catalog,
     collapse,
     cond_prob_post,
     evaluate_text,
     identity,
 )
+from weaklogic.strong import _checked_probability
 from helpers import (
     matrix,
     random_basis_projector,
@@ -56,6 +59,22 @@ class TestBornProb:
         skew[0, 1] = 1.0j
         with pytest.raises(ConsistencyError, match="imaginary"):
             born_prob(s.pre_state, skew)
+
+    def test_overflowing_product_rejected(self):
+        # the product overflows to +-inf, and its inner product with the state is NaN
+        state = State(np.array([0.8, 0.6]), ("a", "b"))
+        huge = np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+        s = build_scenario("x", state.labels, state.amps, [1, 0])
+        for call in (lambda: born_prob(state, huge), lambda: bayes_check(s, huge)):
+            with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="^matrix element is not finite: the operator product overflows$"
+            ):
+                call()
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+    def test_a_probability_that_is_not_a_number_fails_its_check(self, value):
+        with np.errstate(all="ignore"), pytest.raises(ConsistencyError, match="outside"):
+            _checked_probability(value, "probability")
 
 
 class TestCollapse:
