@@ -21,16 +21,16 @@ operands', so when both operands vanish a sum numerator above the zero
 tolerance can only come from the threshold itself; the sum is then reported
 as vanishing, case I.
 
-Both classifiers reject an operand that is not a projector. A channel of the
-scenario was proved a projector once, when the scenario was built, and is not
-proved again. In the expression text ``audit_all`` takes, a product of proven
-factors is proven when it is self-adjoint within STRUCT_TOL, the step by which
-``classify_product`` also forms and tests its product (see
-``scenario._expression_projectors``); a product of two proven diagonals is
-self-adjoint by its form and is not tested. Any other operand, such as a
-sum, a non-commuting product or a copy of a channel, is coerced, scanned for
-NaN/Inf and proved. The weak values are then taken of the proven operands
-and their combination without checking them again.
+Both classifiers reject an operand that is not a projector. Each call
+records which operators are proven in one ``scenario._Batch``: a channel of
+the scenario was proved a projector once, when the scenario was built, and is
+not proved again; in the expression text ``audit_all`` takes, a product of
+proven factors is proven when it is self-adjoint within STRUCT_TOL, the step
+by which ``classify_product`` also forms and tests its product; a product of
+two proven diagonals is self-adjoint by its form and is not tested. Any other
+operand, such as a sum, a non-commuting product or a copy of a channel, is
+coerced, scanned for NaN/Inf and proved. The weak values are then taken of
+the proven operands and their combination without checking them again.
 
 One ``audit_all`` call takes each of these steps once for all its pairs and
 keeps nothing past the call: it parses and folds each distinct operand text,
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
 from .linalg import _one_form, _product, _within_struct_tol
-from .scenario import Scenario, _Batch, _expression_projectors, proven_projector
+from .scenario import Scenario, _Batch
 from .weak import WeakValue, _warn_near_pole, _weak_value
 
 
@@ -159,26 +159,22 @@ class AuditVerdict:
         }
 
 
-def _proven_operands(s: Scenario, pa, pb) -> tuple[np.ndarray, np.ndarray]:
-    """Both operands proved projectors: a scenario channel by its proof at
-    build, any other operator here, on every call."""
-    return proven_projector(s, pa, "first operand"), proven_projector(s, pb, "second operand")
-
-
 def _weak(s: Scenario, op: np.ndarray, batch: _Batch) -> WeakValue:
     """``_weak_value`` of a proven operand, taken once per batch. Every use
     warns near the pole as a fresh one would, naming the caller's line."""
-    held = batch.weak_values.get(id(op))
-    if held is None:
-        held = batch.weak_values[id(op)] = op, _weak_value(s, op, stacklevel=3)
-    elif held[1].near_pole:
-        _warn_near_pole(held[1].denominator, stacklevel=2)
-    return held[1]
+    w = batch.weak_values.get(id(op))
+    if w is None:
+        w = batch.weak_values[id(op)] = _weak_value(s, op, stacklevel=3)
+    elif w.near_pole:
+        _warn_near_pole(w.denominator, stacklevel=2)
+    return w
 
 
 def classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the OR combination of two orthogonal projectors."""
-    return _classify_sum(s, *_proven_operands(s, pa, pb), _Batch(s))
+    batch = _Batch(s)
+    pa, pb = batch.prove(pa, "first operand"), batch.prove(pb, "second operand")
+    return _classify_sum(s, pa, pb, batch)
 
 
 def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
@@ -225,16 +221,19 @@ _PRODUCT_TABLE = {
 
 def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the AND combination of two commuting, non-orthogonal projectors."""
-    return _classify_product(s, *_proven_operands(s, pa, pb), _Batch(s))
+    batch = _Batch(s)
+    pa, pb = batch.prove(pa, "first operand"), batch.prove(pb, "second operand")
+    return _classify_product(s, pa, pb, batch)
 
 
 def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
     """``classify_product`` of two proven projectors, their product formed
     and tested by the product step of ``batch`` and the weak values taken
     through it."""
-    # (PQ)^dagger = QP: the product is self-adjoint exactly when P, Q commute
-    product, self_adjoint = batch.product((pa, True), (pb, True))
-    if not self_adjoint:
+    # (PQ)^dagger = QP: the product is self-adjoint, and so proven, exactly
+    # when P, Q commute
+    product = batch.product(pa, pb)
+    if id(product) not in batch.proven:
         raise AuditPreconditionError(
             "projectors do not commute; their product is not a projector"
         )
@@ -298,8 +297,7 @@ def _audit_pair(s: Scenario, expr_a: str, expr_b: str, kind: str, batch=None) ->
     """Audit a pair of expressions: both are evaluated, then each is proved a
     projector, the first before the second. ``batch`` is ``audit_all``'s."""
     batch = batch or _Batch(s)
-    operands = (expr_a, "first operand"), (expr_b, "second operand")
-    pa, pb = _expression_projectors(s, *operands, batch=batch)
+    pa, pb = batch.projectors((expr_a, "first operand"), (expr_b, "second operand"))
     classify = _classify_sum if kind == "sum" else _classify_product
     return classify(s, pa, pb, batch)
 

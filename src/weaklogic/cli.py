@@ -22,7 +22,7 @@ from .meter import MeterConfig, measure_pointer, weak_limit_estimate
 from .scenario import (
     CATALOG_NAMES,
     Scenario,
-    _expression_projectors,
+    _Batch,
     catalog,
     default_audit_pairs,
     expression_operator,
@@ -107,7 +107,7 @@ def _resolve_scenario(args) -> Scenario:
 def _projector(s: Scenario, text: str) -> np.ndarray:
     """The expression's operator, checked here because strong and abl
     assume a projector without checking."""
-    (p,) = _expression_projectors(s, (text, f"expression {text!r}"))
+    (p,) = _Batch(s).projectors((text, f"expression {text!r}"))
     return p
 
 

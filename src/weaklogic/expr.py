@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Any, Callable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -167,24 +167,24 @@ def evaluate(node: Node, channels: Mapping[str, np.ndarray]) -> np.ndarray:
     form (a diagonal meeting a matrix becomes one). Each consumer of the
     result checks it once where it takes it; a ``Scenario``'s channels were
     checked when it was built. Callers that need a projector take the result
-    through ``require_projector``, or ``proven_projector``, which passes a
-    channel the scenario already proved. The audits fold the tree the same
-    way and prove a product of proven factors by its self-adjointness.
+    through ``require_projector``. The audits fold the tree the same way,
+    with a product step that proves a product of proven factors by its
+    self-adjointness.
     """
-    return _fold(node, channels, _sum, _compose)
+    return _fold(node, channels, _compose)
 
 
-def _fold(node: Node, table: Mapping[str, Any], add: Callable, multiply: Callable) -> Any:
-    """``evaluate`` over any table: each name looked up, each chain folded
-    left to right with ``add`` or ``multiply``."""
+def _fold(node: Node, channels: Mapping[str, np.ndarray], multiply: Callable) -> np.ndarray:
+    """``evaluate`` with its product step ``multiply``: each name looked up,
+    each chain folded left to right with ``_sum`` or ``multiply``."""
     if isinstance(node, Name):
         try:
-            return table[node.ident]
+            return channels[node.ident]
         except KeyError:
-            raise UnboundNameError(node.ident, table.keys()) from None
+            raise UnboundNameError(node.ident, channels.keys()) from None
     if isinstance(node, (Sum, Product)):
-        combine = add if isinstance(node, Sum) else multiply
-        return reduce(combine, (_fold(op, table, add, multiply) for op in node.operands))
+        combine = _sum if isinstance(node, Sum) else multiply
+        return reduce(combine, (_fold(op, channels, multiply) for op in node.operands))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
 from .linalg import _complement
-from .scenario import Scenario, _amplitude, proven_projector
+from .scenario import Scenario, _Batch, _amplitude
 
 #: Success weights at or below this count as extinguished postselection.
 _EXTINCT = 1e-14
@@ -127,7 +127,7 @@ def _packet(q: np.ndarray, sigma: float) -> np.ndarray:
 
 def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
     """alpha = <post|U (1 - P)|pre> and beta = <post|U P|pre> of a checked P."""
-    beta = _amplitude(s, proven_projector(s, p, "meter coupling"))
+    beta = _amplitude(s, _Batch(s).prove(p, "meter coupling"))
     return _amplitude(s) - beta, beta
 
 
@@ -226,8 +226,8 @@ def sequential_disturbance(
     """
     if g <= 0:
         raise ValueError("coupling strength g must be positive")
-    p1 = proven_projector(s, p1, "first meter coupling")
-    p2 = proven_projector(s, p2, "second meter coupling")
+    batch = _Batch(s)
+    p1, p2 = batch.prove(p1, "first meter coupling"), batch.prove(p2, "second meter coupling")
 
     MeterConfig(sigma=sigma, g=g, grid_points=grid_points)
     k = math.exp(-g * g / (8.0 * sigma * sigma))

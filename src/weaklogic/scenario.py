@@ -27,7 +27,6 @@ from .linalg import (
     _proves_projector,
     _real_diagonal,
     _self_adjoint,
-    _sum,
     _within_struct_tol,
     apply,
     as_operator,
@@ -167,87 +166,66 @@ def expression_operator(s: Scenario, text: str) -> np.ndarray:
     return evaluate_text(text, s.channels)
 
 
-def proven_projector(s: Scenario, op, what: str) -> np.ndarray:
-    """``op`` itself when it is one of the scenario's channels, all proved
-    when it was made (a bare channel name evaluates to that object); any
-    other operator, a product of channels included, through
-    ``require_projector``: coerced, scanned and proved in full."""
-    if any(op is p for p in s.channels.values()):
-        return op
-    return require_projector(op, what)
-
-
 class _Batch:
-    """One call's evaluation of expressions over a scenario, each step made
-    once: the channel table, every channel proven; each operand text folded,
-    with its proof once it has one; each product of two proven operands with
-    its self-adjointness; and, in ``weak_values``, the weak value the audits
-    take of each proven operand. Entries are keyed by text or by the ids of
-    the arrays they hold, so the ids are not reused while the batch lives. A
-    call makes its own, so nothing is shared or kept past it."""
+    """One call's record of which operators are proven projectors, and its
+    evaluation of expressions over a scenario, each step made once.
+
+    ``proven`` maps ``id(P)`` to P for each proven P: the scenario's
+    channels, all proved when it was made (a bare channel name evaluates to
+    that object); each operator ``prove`` passed through
+    ``require_projector``; and each product PQ of proven factors that is
+    self-adjoint within STRUCT_TOL, for then PQ = (PQ)^dagger = QP and
+    (PQ)^2 = PPQQ = PQ. Its idempotence is not checked: (PQ)^2 - PQ =
+    P(QP - PQ)Q is at most QP - PQ in norm. Holding each value, the map
+    keeps its ids from being reused while the batch lives, and so may key
+    the products and weak values of proven operators by id. A call makes
+    its own, so nothing is shared or kept past it.
+    """
 
     def __init__(self, s: Scenario):
-        self.table = {name: (op, True) for name, op in s.channels.items()}
-        self.operands: dict = {}  # text: (operator, proven)
-        self.products: dict = {}  # (id(P), id(Q)): (P, Q, PQ, self-adjoint)
-        self.weak_values: dict = {}  # id(P): (P, weak value of P)
+        self.channels = s.channels
+        self.proven = {id(p): p for p in s.channels.values()}
+        self.operands: dict = {}  # text: operator
+        self.products: dict = {}  # (id(P), id(Q)): PQ of proven P, Q
+        self.weak_values: dict = {}  # id(P): weak value of proven P
 
-    def product(self, a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
-        """The product step of ``_expression_projectors`` and ``classify_product``."""
-        (p, p_proven), (q, q_proven) = a, b
-        if not (p_proven and q_proven):
-            return _compose(p, q), False
-        if (id(p), id(q)) not in self.products:
-            m = _compose(p, q)
-            # a proven diagonal is real (as_operator makes a complex one a
-            # matrix), and real diagonals multiply to a real diagonal
-            self.products[id(p), id(q)] = p, q, m, m.ndim == 1 or _self_adjoint(m)
-        return self.products[id(p), id(q)][2:]
+    def product(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """PQ, formed and tested once when P and Q are both proven, and then
+        proven itself when self-adjoint. A proven diagonal is real
+        (``as_operator`` makes a complex one a matrix), and real diagonals
+        multiply to a real diagonal, which is not tested."""
+        if id(p) not in self.proven or id(q) not in self.proven:
+            return _compose(p, q)
+        m = self.products.get((id(p), id(q)))
+        if m is None:
+            m = self.products[id(p), id(q)] = _compose(p, q)
+            if m.ndim == 1 or _self_adjoint(m):
+                self.proven[id(m)] = m
+        return m
 
-    def fold(self, text: str) -> tuple[np.ndarray, bool]:
-        """The operator of ``text`` and whether it is proven."""
+    def fold(self, text: str) -> np.ndarray:
+        """The operator of ``text``, bit for bit as ``expression_operator``
+        forms it, folded once per batch."""
         if text not in self.operands:
-            self.operands[text] = _fold(parse(text), self.table, _sum_step, self.product)
+            self.operands[text] = _fold(parse(text), self.channels, self.product)
         return self.operands[text]
 
-    def projector(self, text: str, what: str) -> np.ndarray:
-        """The operator of ``text``, through ``require_projector`` as ``what``
-        unless it is proven. Only a success is kept: an operand that fails
-        is proved, and named, again wherever it is used."""
-        op, proven = self.fold(text)
-        if not proven:
-            op = require_projector(op, what)
-            self.operands[text] = op, True
+    def prove(self, op, what: str) -> np.ndarray:
+        """``op`` if it is proven, else ``require_projector(op, what)``: coerced,
+        scanned and proved in full, and recorded. A failure is not kept, so
+        an operand that fails is proved, and named, again at each use."""
+        if id(op) in self.proven:
+            return op
+        op = require_projector(op, what)
+        self.proven[id(op)] = op
         return op
 
-
-def _sum_step(a: tuple, b: tuple) -> tuple[np.ndarray, bool]:
-    """A sum step of ``_expression_projectors``: never proven by its parts."""
-    return _sum(a[0], b[0]), False
-
-
-def _expression_projectors(s: Scenario, *operands: tuple[str, str], batch=None) -> list:
-    """The operators of projector expressions, given as ``(text, what)``
-    pairs, each proven a projector. Every text is evaluated, bit for bit as
-    ``expression_operator`` does, before the first operator is proved.
-
-    A channel of the scenario is proven, and so is a product PQ of proven
-    factors that is self-adjoint within STRUCT_TOL, for then
-    PQ = (PQ)^dagger = QP and (PQ)^2 = PPQQ = PQ. Its idempotence is not
-    checked: (PQ)^2 - PQ = P(QP - PQ)Q is at most QP - PQ in norm. A
-    product of two proven diagonals is self-adjoint by its form and is not
-    tested. Any other operator (a sum, a product with an unproven factor,
-    A*B*A whose step A*B is not self-adjoint) goes through
-    ``require_projector`` as ``what``. ``batch`` defaults to one of this
-    call's own; ``audit_all`` passes one for all its pairs, so each distinct
-    text is parsed and folded, each product of proven operands formed and
-    tested, and each operand that passes ``require_projector`` proved, once
-    per call.
-    """
-    batch = batch or _Batch(s)
-    for text, _ in operands:
-        batch.fold(text)
-    return [batch.projector(text, what) for text, what in operands]
+    def projectors(self, *operands: tuple[str, str]) -> list:
+        """The operators of projector expressions, given as ``(text, what)``
+        pairs, each through ``prove`` as ``what``. Every text is folded
+        before the first operator is proved."""
+        ops = [self.fold(text) for text, _ in operands]
+        return [self.prove(op, what) for op, (_, what) in zip(ops, operands)]
 
 
 def build_scenario(

@@ -7,6 +7,7 @@ outside [-1e-10, 1 + 1e-10], and NaN, raise instead of being hidden.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,14 @@ def cond_prob_post(s: Scenario, p: np.ndarray) -> float:
 
 
 def _cond_post(s: Scenario, p: np.ndarray) -> float:
-    """``cond_prob_post`` of an operator that ``as_operator`` returned."""
-    return _checked_probability(abs(_amplitude(s, p)) ** 2, "conditional probability")
+    """``cond_prob_post`` of an operator that ``as_operator`` returned. A
+    square beyond floating-point range counts as inf, which the range check
+    rejects."""
+    try:
+        value = abs(_amplitude(s, p)) ** 2
+    except OverflowError:  # a Python float's ** raises where x * x gives inf
+        value = math.inf
+    return _checked_probability(value, "conditional probability")
 
 
 def _hit_miss(s: Scenario, p: np.ndarray) -> tuple[float, float]:

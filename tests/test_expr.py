@@ -18,7 +18,7 @@ from weaklogic import (
 )
 from weaklogic.expr import MAX_NESTING, Name, Product, Sum
 from weaklogic.linalg import add, as_operator, compose
-from weaklogic.scenario import _expression_projectors
+from weaklogic.scenario import _Batch
 from helpers import dproj
 
 
@@ -256,7 +256,7 @@ class TestLimits:
 
         def proof():
             with pytest.raises(NotAProjectorError, match="deep is not a projector"):
-                _expression_projectors(s, (text, "deep"))
+                _Batch(s).projectors((text, "deep"))
 
         assert _with_frames_left(500, lambda: tree == twin)
         assert _with_frames_left(500, lambda: hash(tree)) == hash(twin)

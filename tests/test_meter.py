@@ -342,33 +342,32 @@ class TestWeakLimitEstimate:
             weak_limit_estimate(s, p, 1.0, SWEEP)
 
 
-class TestCouplingCheckedOnce:
-    """The sweep checks its projector and forms alpha and beta once, not at
-    every coupling."""
+class TestSplitFormedOnce:
+    """The sweep forms alpha and beta once, not at every coupling. The proof
+    of its coupling is counted in ``test_scenario.py::TestOneProofRecord``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("proven_projector", "_amplitude"):
-            original = getattr(meter, name)
+        original = meter._amplitude
 
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+        def counted(*args):
+            calls["_amplitude"] += 1
+            return original(*args)
 
-            monkeypatch.setattr(meter, name, counted)
+        monkeypatch.setattr(meter, "_amplitude", counted)
         return calls
 
     def test_sweep(self, calls):
         s = catalog("three-box")
         estimate = weak_limit_estimate(s, s.channel("C"), 1.0, SWEEP)
-        assert calls == {"proven_projector": 1, "_amplitude": 2}
+        assert calls == {"_amplitude": 2}
         assert estimate == pytest.approx(weak_value(s, s.channel("C")).value, abs=1e-6)
 
     def test_single_readout(self, calls):
         s = catalog("three-box")
         measure_pointer(s, s.channel("C"), MeterConfig(sigma=1.0, g=0.1))
-        assert calls == {"proven_projector": 1, "_amplitude": 2}
+        assert calls == {"_amplitude": 2}
 
 
 class TestSequentialDisturbance:

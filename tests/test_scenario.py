@@ -1,5 +1,7 @@
 import cmath
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import tracemalloc
@@ -13,13 +15,15 @@ from hypothesis import strategies as st
 
 from weaklogic import (
     CATALOG_NAMES,
-    NotAProjectorError,
+    MeterConfig,
+    PhysicsError,
     ScenarioError,
     UnboundNameError,
     State,
     audit_all,
     build_scenario,
     catalog,
+    classify_product,
     classify_sum,
     default_audit_pairs,
     effective_bra,
@@ -28,15 +32,19 @@ from weaklogic import (
     inner,
     is_projector,
     load_scenario,
+    measure_pointer,
     parse,
     parse_audit_pairs,
     scenario_document,
+    sequential_disturbance,
+    weak_limit_estimate,
     weak_value_expr,
 )
 from weaklogic import linalg
+from weaklogic.cli import main
 from weaklogic.expr import Name
 from weaklogic.linalg import dense
-from weaklogic.scenario import amplitude, expression_operator, proven_projector
+from weaklogic.scenario import amplitude, expression_operator
 from helpers import (
     bits,
     hardy_beamsplitter,
@@ -444,17 +452,6 @@ class TestProvedOnce:
         assert "operator" not in scans
         assert len(proofs) == 2
 
-    def test_only_the_scenarios_own_channels_keep_their_proof(self):
-        _, m = self._tilted()
-        s = build_scenario("x", ("a", "b"), [1, 0], [1, 1], None, {"P": m, "Q": m})
-        p = s.channel("P")
-        assert proven_projector(s, p, "op") is p
-        assert expression_operator(s, "(P)") is p
-        for op in (m + m, expression_operator(s, "P + Q")):
-            with pytest.raises(NotAProjectorError, match="op is not a projector"):
-                proven_projector(s, op, "op")
-        np.testing.assert_array_equal(proven_projector(s, m, "op"), p)
-
     @pytest.mark.parametrize(
         "entries, error, match",
         [
@@ -479,6 +476,137 @@ class TestProvedOnce:
             assert p is not s.channel(name) and bits(p) == bits(s.channel(name))
         classify_sum(t, t.channel("A"), t.channel("C"))
         assert len(proofs) == 3
+
+
+def _cli(command):
+    """``weaklogic <command> --expr TEXT`` on the catalog scenario, once per
+    run; its error line, or None."""
+
+    def run(s, runs):
+        errors = []
+        for (text,) in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                main([command, "--scenario", s.name, "--expr", text])
+            errors.append(err.getvalue().strip() or None)
+        return errors
+
+    return run
+
+
+def _each(function):
+    """``function`` of operand arrays, once per run, each distinct text of a
+    run evaluated once: a repeated text passes one array at each position,
+    and a channel name passes the scenario's channel itself."""
+
+    def run(s, runs):
+        errors = []
+        for texts in runs:
+            ops = {text: expression_operator(s, text) for text in texts}
+            try:
+                function(s, *(ops[text] for text in texts))
+                errors.append(None)
+            except PhysicsError as exc:
+                errors.append(str(exc))
+        return errors
+
+    return run
+
+
+def _audit_all(kind):
+    """One ``audit_all`` call for all the runs, each a pair of ``kind``."""
+
+    def run(s, runs):
+        return [entry.error for entry in audit_all(s, [(a, b, kind) for a, b in runs]).entries]
+
+    return run
+
+
+class TestOneProofRecord:
+    """Each call records which operators are proven projectors in one
+    ``_Batch``, counted here on ``require_projector``, the full proof. A
+    channel is passed on the proof it got when the scenario was built, and
+    so is a product of two commuting channels that an expression or
+    ``classify_product`` forms, by its self-adjointness. Any other projector
+    is proved once per call, wherever it appears; an operand that fails is
+    not recorded, so it is proved again, and named, at each position."""
+
+    CFG = MeterConfig(sigma=1.0, g=0.1)
+    # name: (run over a list of operand-text tuples, the name of each position)
+    CALLERS = {
+        "audit_all-sum": (_audit_all("sum"), ("first operand", "second operand")),
+        "audit_all-product": (_audit_all("product"), ("first operand", "second operand")),
+        "classify_sum": (_each(classify_sum), ("first operand", "second operand")),
+        "classify_product": (_each(classify_product), ("first operand", "second operand")),
+        "measure_pointer": (
+            _each(lambda s, p: measure_pointer(s, p, TestOneProofRecord.CFG)),
+            ("meter coupling",),
+        ),
+        "weak_limit_estimate": (
+            _each(lambda s, p: weak_limit_estimate(s, p, 1.0, (1e-1, 1e-2, 1e-3))),
+            ("meter coupling",),
+        ),
+        "sequential_disturbance": (
+            _each(lambda s, p1, p2: sequential_disturbance(s, p1, p2, 1.0, 0.05)),
+            ("first meter coupling", "second meter coupling"),
+        ),
+        "cli-strong": (_cli("strong"), ("error: expression 'L1 + L2'",)),
+        "cli-abl": (_cli("abl"), ("error: expression 'L1 + L2'",)),
+    }
+
+    @pytest.fixture
+    def proofs(self, monkeypatch):
+        proofs = []
+        spy(monkeypatch, linalg.require_projector, lambda op, what: proofs.append(what))
+        return proofs
+
+    @staticmethod
+    def _run(caller, *texts):
+        """One run of ``caller`` on as many of ``texts`` as it takes."""
+        run, positions = TestOneProofRecord.CALLERS[caller]
+        return run(catalog("pigeonhole2"), [texts[: len(positions)]])
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_a_channel_is_not_proved_again(self, caller, proofs):
+        s = catalog("pigeonhole2")
+        assert expression_operator(s, "(L1)") is s.channel("L1")
+        (error,) = self._run(caller, "L1", "L2")
+        assert error is None or "not a projector" not in error
+        assert proofs == []
+
+    @pytest.mark.parametrize(
+        "caller, texts",
+        [
+            ("audit_all-sum", ("L1*L2", "R1*R2")),
+            ("audit_all-product", ("L1*L2", "L1")),
+            ("classify_product", ("L1", "L2")),  # forms L1*L2 itself
+            ("cli-strong", ("L1*L2",)),
+            ("cli-abl", ("L1*L2",)),
+        ],
+    )
+    def test_a_product_of_commuting_channels_is_not_proved(self, caller, texts, proofs):
+        (error,) = self._run(caller, *texts)
+        assert error is None
+        assert proofs == []
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_another_projector_is_proved_once_per_call(self, caller, proofs):
+        # L1 + R1 is the identity, a projector that is no channel
+        for calls in (1, 2):
+            (error,) = self._run(caller, "L1 + R1", "L1 + R1")
+            assert error is None or "not a projector" not in error
+            assert len(proofs) == calls
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_a_failing_operand_is_proved_and_named_at_each_position(self, caller, proofs):
+        run, positions = self.CALLERS[caller]
+        runs = [
+            tuple("L1 + L2" if i == j else "L2" for j in range(len(positions)))
+            for i in range(len(positions))
+        ]
+        errors = run(catalog("pigeonhole2"), runs * 2)
+        assert errors == [f"{what} is not a projector" for what in positions] * 2
+        assert len(proofs) == 2 * len(positions)
 
 
 class TestCatalog:

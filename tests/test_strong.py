@@ -149,6 +149,14 @@ class TestCondProbPost:
         assert cond_prob_post(s, s.channel("A")) == pytest.approx(1 / 9, abs=1e-12)
         assert cond_prob_post(s, s.channel("C")) == pytest.approx(1 / 9, abs=1e-12)
 
+    @pytest.mark.parametrize("function", [cond_prob_post, abl_prob, bayes_check])
+    def test_an_overflowing_square_fails_its_check(self, function):
+        # |<post|P|pre>| is finite, but its square is beyond floating-point
+        # range: a Python float's ** raises OverflowError there
+        s = catalog("three-box")
+        with pytest.raises(ConsistencyError, match="lies outside"):
+            function(s, 1e200 * identity(3))
+
 
 class TestAblProb:
     def test_three_box_values(self):
