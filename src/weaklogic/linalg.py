@@ -243,7 +243,14 @@ def _self_adjoint(m: np.ndarray) -> bool:
 
 
 def _proves_projector(p: np.ndarray) -> bool:
-    """``is_projector`` of an operator that ``as_operator`` returned."""
+    """``is_projector`` of an operator that ``as_operator`` returned. An
+    operand with a real or imaginary part above 2 in magnitude fails before
+    p.p is formed, which could overflow: |z| >= |part| > 2 for an entry z
+    puts an eigenvalue of a self-adjoint p beyond 2 in magnitude, where
+    lambda^2 - lambda exceeds 2, so p is not idempotent within STRUCT_TOL."""
+    parts = np.ascontiguousarray(p).view(float)
+    if parts.max() > 2.0 or parts.min() < -2.0:
+        return False
     r = _product(p, p)
     r -= p
     return _within_struct_tol(r) and _self_adjoint(p)

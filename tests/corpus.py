@@ -138,9 +138,15 @@ def make_document(seed, dim, kind, with_evolution, overlap) -> dict:
     pre = random_unit(rng, dim)
     post = random_unit(rng, dim)
     if kind == "signed-zero":
+        drawn = pre
         pre = np.where(rng.random(dim) < 0.3, -0.0, pre.real) + 1j * np.where(
             rng.random(dim) < 0.5, -0.0, pre.imag
         )
+        if not pre.any():
+            # every part was zeroed: keep the largest drawn amplitude, so
+            # that the state has a norm (no further numbers are drawn)
+            keep = np.argmax(np.abs(drawn))
+            pre[keep] = drawn[keep]
     if overlap is not None:
         # pull the postselection onto the orthogonal complement of U|pre>
         evolved = pre if evolution is None else evolution @ pre

@@ -5,7 +5,8 @@ evaluated analytically), so it shares no code path with the grid
 quadratures it checks. The other way round, ``quadrature_disturbance``
 integrates the packets on a grid with ``np.trapezoid`` to check the closed
 form of ``sequential_disturbance``, and ``readout_reference`` keeps the
-``np.trapezoid`` readout whose bits the meter's readouts must keep.
+``np.trapezoid`` readout whose bits the meter's readouts must keep;
+``sweep_reference`` reads every coupling of a weak-limit sweep with it.
 ``within_struct_tol``, ``self_adjoint_oracle`` and ``projector_oracle``
 keep the structural checks as the library once wrote them, each residual
 formed as a fresh temporary and measured by its largest ``np.abs``.
@@ -17,7 +18,14 @@ import sys
 
 import numpy as np
 
-from weaklogic import STRUCT_TOL, build_scenario
+from weaklogic import (
+    STRUCT_TOL,
+    MeterGridError,
+    PostselectionLostError,
+    SweepDivergenceError,
+    build_scenario,
+    meter,
+)
 
 
 def random_unit(rng, dim):
@@ -231,6 +239,45 @@ def weak_limit_reference(alpha, beta, sigma, sweep):
         mean_q, mean_p, _ = readout_reference(alpha, beta, sigma, g)
         estimates.append(mean_q / g + 1j * (2.0 * sigma**2 * mean_p / g))
     (g_prev, g_min), (e_prev, e_min) = sweep[-2:], estimates
+    return (g_prev * e_min - g_min * e_prev) / (g_prev - g_min)
+
+
+def sweep_reference(alpha, beta, sigma, sweep):
+    """``weak_limit_estimate`` with every coupling read by
+    ``readout_reference``: in sweep order, each grid's rounding-floor and
+    spacing checks and the extinction cut, then the divergence rule, each
+    raising the library's error with its message."""
+    eps = np.finfo(float).eps
+    estimates = []
+    for g in sweep:
+        halfwidth = 12.0 * sigma + 2.0 * g
+        floor = eps * halfwidth
+        if 0.0 < g <= floor:
+            raise MeterGridError(
+                f"coupling g = {g:.3e} is at or below the grid's rounding floor "
+                f"eps * halfwidth = {floor:.3e}; the pointer shift is lost"
+            )
+        spacing = np.linspace(-halfwidth, halfwidth, 4096, retstep=True)[1]
+        if spacing > sigma / 2:
+            raise MeterGridError(
+                f"grid spacing {spacing:.3e} exceeds sigma/2 = {sigma / 2:.3e}; "
+                f"4096 points are too coarse for g/sigma = {g / sigma:.3g}"
+            )
+        mean_q, mean_p, success = readout_reference(alpha, beta, sigma, g)
+        if success <= meter._EXTINCT:
+            raise PostselectionLostError(
+                "postselection extinguishes the meter state; no statistics exist"
+            )
+        estimates.append(mean_q / g + 1j * (2.0 * sigma**2 * mean_p / g))
+    diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
+    g_prev, g_min = sweep[-2:]
+    floor = eps * (12.0 * sigma + 2.0 * g_min) / g_min
+    if len(diffs) >= 2 and diffs[-1] > diffs[0] and diffs[-1] > floor:
+        raise SweepDivergenceError(
+            "weak-limit estimates move apart as g shrinks; "
+            f"successive changes {[f'{d:.3e}' for d in diffs]}"
+        )
+    e_prev, e_min = estimates[-2:]
     return (g_prev * e_min - g_min * e_prev) / (g_prev - g_min)
 
 

@@ -222,6 +222,29 @@ class TestStructureChecks:
         with pytest.raises(ValueError, match="coupling must be a square"):
             require_projector(np.ones((2, 3)), "coupling")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "big",
+        [np.full((3, 3), 1e200), np.full(3, 1e200), np.full((3, 3), -1e200j)],
+        ids=["matrix", "diagonal", "imaginary-matrix"],
+    )
+    def test_a_large_operand_fails_without_overflow(self, big):
+        # p.p would overflow; a part above 2 fails the proof before it is formed
+        assert not is_projector(big)
+        with pytest.raises(NotAProjectorError, match="^operand is not a projector$"):
+            require_projector(big, "operand")
+        with pytest.raises(NotAProjectorError, match="^meter coupling is not a projector$"):
+            measure_pointer(catalog("three-box"), big, MeterConfig(sigma=1.0, g=0.1))
+
+    def test_parts_up_to_two_reach_the_full_check(self, monkeypatch):
+        products = []
+        spy(monkeypatch, linalg._product, lambda a, b: products.append(a.shape))
+        assert not is_projector(np.full(2, 2.0 + 0j))
+        assert not is_projector(np.full((2, 2), -2.0j))
+        assert products == [(2,), (2, 2)]
+        assert not is_projector(np.full(2, 2.0 + 1e-15))
+        assert products == [(2,), (2, 2)]
+
     def test_a_nan_is_not_self_adjoint(self):
         assert linalg._self_adjoint(np.eye(2, dtype=complex))
         assert not linalg._self_adjoint(np.array([[np.nan, 0], [0, 1]], dtype=complex))

@@ -31,7 +31,9 @@ from helpers import (
     random_scenario,
     readout_reference,
     rephased,
+    spy,
     split_amplitudes,
+    sweep_reference,
     weak_limit_reference,
 )
 
@@ -334,12 +336,230 @@ class TestWeakLimitEstimate:
             estimate = weak_limit_estimate(s, p, float(sigma), SWEEP)
             assert estimate == pytest.approx(exact, abs=1e-9)
 
-    def test_divergent_sweep_near_pole_reported(self):
+    def test_divergent_sweep_near_pole_reported(self, monkeypatch):
         eps = 1e-6
         s = build_scenario("pole", ("a", "b"), [1, 0], [eps, 1])
         p = np.full((2, 2), 0.5, dtype=complex)
+        readouts = []
+        spy(monkeypatch, meter._readout, lambda alpha, beta, cfg: readouts.append(cfg.g))
         with pytest.raises(SweepDivergenceError):
             weak_limit_estimate(s, p, 1.0, SWEEP)
+        # its message prints the grid's changes, so every point is read
+        assert sorted(readouts, reverse=True) == list(SWEEP)
+
+
+EPS = np.finfo(float).eps
+
+
+def _sweep_scenario(alpha, beta):
+    """A scenario and coupling whose split amplitudes are (alpha, beta) up
+    to rounding: pre (sqrt2 alpha, sqrt2 beta, rest), post (1, 1, 0), and
+    the projector onto the second label. Needs |alpha|^2 + |beta|^2 <= 1/2."""
+    rest = math.sqrt(max(1.0 - 2.0 * (abs(alpha) ** 2 + abs(beta) ** 2), 0.0))
+    pre = [math.sqrt(2.0) * alpha, math.sqrt(2.0) * beta, rest]
+    s = build_scenario("sweep", ("a", "b", "c"), pre, [1, 1, 0])
+    return s, np.array([0.0, 1.0, 0.0])
+
+
+def _estimate(stats, sigma, g):
+    """The weak-limit estimate of ``(mean_q, mean_p, weight)``."""
+    mean_q, mean_p, _ = stats
+    return mean_q / g + 1j * (2.0 * sigma**2 * mean_p / g)
+
+
+def _knife_edge(alpha, beta, sigma, sweep):
+    """The sweep with sweep[1] moved, by bisection between sweep[2] and
+    sweep[0], to where the closed-form first change |e1 - e0| equals the
+    last change |e[-1] - e[-2]| that the sweep compares it with, read on
+    the grid; the sweep unchanged if no point between does."""
+    e_min, e_prev = (
+        _estimate(readout_reference(alpha, beta, sigma, g), sigma, g) for g in sweep[:-3:-1]
+    )
+    target = abs(e_min - e_prev)
+
+    def first(g):
+        e1, e0 = (_estimate(pointer_oracle(alpha, beta, x, sigma), sigma, x) for x in (g, sweep[0]))
+        return abs(e1 - e0)
+
+    lo, hi = sweep[2], sweep[0]
+    if not first(lo) > target:
+        return sweep
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if first(mid) > target else (lo, mid)
+    return [sweep[0], hi, *sweep[2:]]
+
+
+def _unit(rng):
+    return complex(np.exp(2j * np.pi * rng.random()))
+
+
+def _draw_sweep(rng, case):
+    """(alpha, beta, sigma, sweep) of one case of the sweep property."""
+    sigma = float(10.0 ** rng.uniform(-3, 4))
+    n = int(rng.integers(2, 7))
+    alpha, beta = (0.4 * complex(*rng.normal(size=2)) for _ in range(2))
+    if case == "real":
+        alpha, beta = alpha.real, beta.real
+    ratios = 10.0 ** rng.uniform(-6, 0.7, size=n)
+    if case == "extinction":
+        if rng.random() < 0.5:
+            # nearly opposite: the weight tends to |alpha + beta|^2 ~ _EXTINCT
+            gap = math.sqrt(meter._EXTINCT * 10.0 ** rng.uniform(-0.3, 0.3))
+            alpha = -beta + gap * _unit(rng)
+            ratios = 10.0 ** rng.uniform(-9, -4, size=n)
+        else:
+            # both small, at any angle: the weight crosses _EXTINCT with g
+            scale = math.sqrt(meter._EXTINCT * 10.0 ** rng.uniform(-0.5, 0.3) / 2)
+            alpha, beta = scale * _unit(rng), scale * _unit(rng)
+            ratios = 10.0 ** rng.uniform(-3, 0.5, size=n)
+        if rng.random() < 0.3:
+            ratios[0] = 12.0 * EPS * rng.uniform(0.5, 2.0)
+    elif case == "spacing":
+        ratios[0] = rng.uniform(500.0, 512.0)
+    elif case == "floor":
+        if rng.random() < 0.5:
+            ratios = 10.0 ** rng.uniform(-15.5, -13, size=n)
+        ratios[0] = 12.0 * EPS * rng.uniform(0.8, 1.5)
+    elif case == "divergent":
+        # near a pole of the weak value: alpha + beta small
+        alpha = -beta + 10.0 ** rng.uniform(-7, -3) * _unit(rng)
+        if rng.random() < 0.5:
+            ratios = 10.0 ** -np.arange(1.0, n + 1) * rng.uniform(0.5, 2.0)
+    sweep = sorted({float(sigma * r) for r in ratios}, reverse=True)
+    if case == "divergent" and len(sweep) >= 3 and rng.random() < 0.5:
+        # the first change down at the rounding noise of the estimates
+        sweep[1] = sweep[0] * (1 - 10.0 ** rng.uniform(-15, -10))
+    if case == "knife":
+        ratios = 10.0 ** rng.uniform(-4, 0, size=max(n, 4))
+        sweep = sorted({float(sigma * r) for r in ratios}, reverse=True)
+        sweep = _knife_edge(alpha, beta, sigma, sweep)
+    return alpha, beta, sigma, sweep
+
+
+def _outcome(call):
+    try:
+        return bits(call())
+    except (MeterGridError, PostselectionLostError, SweepDivergenceError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSweepReadsOnlyNeededGrids:
+    """The sweep reads on the grid only the points whose bits it needs, and
+    gives the bits, or the error and message, of reading every point."""
+
+    CASES = ["real", "complex", "extinction", "spacing", "floor", "knife", "divergent"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_reading_every_point(self, case):
+        rng = np.random.default_rng([17, self.CASES.index(case)])
+        kinds = collections.Counter()
+        for _ in range(120):
+            alpha, beta, sigma, sweep = _draw_sweep(rng, case)
+            if len(sweep) < 2:
+                continue
+            s, p = _sweep_scenario(alpha, beta)
+            split = meter._split(s, p)
+            got = _outcome(lambda: weak_limit_estimate(s, p, sigma, sweep))
+            expected = _outcome(lambda: sweep_reference(*split, sigma, sweep))
+            assert got == expected, (alpha, beta, sigma, sweep)
+            kinds[got[0] if issubclass(got[0], Exception) else "estimate"] += 1
+        # each case reaches what it is drawn for
+        reached = {
+            "extinction": PostselectionLostError,
+            "spacing": MeterGridError,
+            "floor": MeterGridError,
+            "knife": SweepDivergenceError,
+            "divergent": SweepDivergenceError,
+        }
+        assert kinds["estimate"] > 0
+        if case in reached:
+            assert kinds[reached[case]] > 0, kinds
+
+    @pytest.fixture
+    def readouts(self, monkeypatch):
+        calls = []
+        spy(monkeypatch, meter._readout, lambda alpha, beta, cfg: calls.append(cfg.g))
+        return calls
+
+    def test_readme_sweep_reads_two_grids(self, readouts):
+        s = catalog("hardy")
+        weak_limit_estimate(s, evaluate_text("Np*Ne", s.channels), 1.0, SWEEP)
+        assert readouts == list(SWEEP[-2:])
+
+    def test_single_readout_reads_one_grid(self, readouts):
+        s = catalog("hardy")
+        measure_pointer(s, s.channel("NpNe"), MeterConfig(sigma=1.0, g=0.1))
+        assert readouts == [0.1]
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 0.4), (0.2 + 0.1j, -0.5j)])
+    def test_knife_edge_reads_every_grid(self, readouts, alpha, beta):
+        s, p = _sweep_scenario(alpha, beta)
+        split = meter._split(s, p)
+        sweep = _knife_edge(*split, 1.0, [0.3, 0.1, 1e-2, 1e-3])
+        assert sweep[1] != 0.1
+        got = _outcome(lambda: weak_limit_estimate(s, p, 1.0, sweep))
+        assert got == _outcome(lambda: sweep_reference(*split, 1.0, sweep))
+        assert sorted(readouts, reverse=True) == sweep
+
+    def test_extinct_head_is_read_where_the_sweep_reaches_it(self, readouts):
+        # both amplitudes tiny and aligned: the weight, |alpha|^2 + |beta|^2
+        # at large g and |alpha + beta|^2 at small g, is below the cut only
+        # at the first coupling; the last one lies below the rounding floor
+        alpha = beta = math.sqrt(0.8 * meter._EXTINCT / 2)
+        s, p = _sweep_scenario(alpha, beta)
+        sweep = [10.0, 1e-3, 1e-4, 1e-16]
+        with pytest.raises(PostselectionLostError):
+            weak_limit_estimate(s, p, 1.0, sweep)
+        assert readouts == [10.0]
+
+
+class TestClosedForm:
+    """The closed form behind the sweep's decisions, and the headroom of
+    its rounding bound ``_GRID_GAP``."""
+
+    def test_agrees_with_pointer_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            alpha, beta = (complex(*rng.normal(size=2)) for _ in range(2))
+            sigma = float(10.0 ** rng.uniform(-3, 4))
+            g = sigma * float(10.0 ** rng.uniform(-6, 2.7))
+            mean_q, mean_p, weight = pointer_oracle(alpha, beta, g, sigma)
+            w, estimate = meter._closed_form(alpha, beta, sigma, g)
+            assert w == pytest.approx(weight, rel=1e-14)
+            assert estimate == pytest.approx(
+                mean_q / g + 1j * (2.0 * sigma**2 * mean_p / g), rel=1e-12
+            )
+
+    def test_rounding_gap_has_headroom(self):
+        rng = np.random.default_rng(23)
+        worst_weight = worst_estimate = 0.0
+        for i in range(1500):
+            alpha, beta = (complex(*rng.normal(size=2)) for _ in range(2))
+            if i % 3 == 0:
+                alpha, beta = alpha.real, beta.real
+            elif i % 3 == 1:
+                alpha = -beta * (1 + 10.0 ** rng.uniform(-9, -1) * _unit(rng))
+            scale = 10.0 ** rng.uniform(-7, 0)
+            alpha, beta = complex(alpha) * scale, complex(beta) * scale
+            sigma = float(10.0 ** rng.uniform(-3, 4))
+            g = sigma * float(10.0 ** rng.uniform(-14, math.log10(505.8)))
+            cfg = MeterConfig(sigma=sigma, g=g)
+            try:
+                stats = meter._readout(alpha, beta, cfg)
+            except (MeterGridError, PostselectionLostError):
+                continue
+            w, estimate = meter._closed_form(alpha, beta, sigma, g)
+            grid = stats.mean_q / g + 1j * (2.0 * sigma**2 * stats.mean_p / g)
+            units = abs(alpha) ** 2 + abs(beta) ** 2
+            worst_weight = max(worst_weight, abs(stats.success_prob - w) / (EPS * units))
+            worst_estimate = max(
+                worst_estimate, abs(grid - estimate) / (EPS * cfg.halfwidth / g * units / w)
+            )
+        assert worst_estimate > 0 and worst_weight > 0
+        assert max(worst_estimate, worst_weight) <= meter._GRID_GAP / 1000
 
 
 class TestSplitFormedOnce:
