@@ -182,8 +182,15 @@ def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Operator product a.b (apply b first)."""
-    return _compose(as_operator(a), as_operator(b))
+    """Operator product a.b (apply b first). A product that overflows raises
+    ValueError, without numpy's overflow warning; the library's own products,
+    of proven projectors, are bounded and use ``_compose`` unguarded."""
+    a, b = as_operator(a), as_operator(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = _compose(a, b)
+    if not np.isfinite(product).all():
+        raise ValueError("operator product is not finite: it overflows")
+    return product
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

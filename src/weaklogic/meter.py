@@ -22,9 +22,20 @@ default grid resolution bias the momentum readout by more than the
 advertised tolerances. With this convention mean_q / g tends to Re and
 2 sigma^2 mean_p / g to Im of the weak value as g tends to zero.
 
+One kernel reads every grid: the couplings of one call are the rows of a
+single 2-D pass, written in place into one workspace, and each row keeps
+the bits of three np.trapezoid calls on its own grid. measure_pointer
+reads one row, a weak-limit sweep its two smallest couplings as two rows.
+
 sequential_disturbance builds no grid. Packet a, the pointer shifted by
 a g, overlaps packet b by exp(-((a - b) g)^2 / (8 sigma^2)), and their
 q-moment is that overlap times (a + b) g / 2; both integrals are exact.
+With k the overlap of the two packets of a meter, the two-meter weight and
+q-moment are the one-meter ones, w0 and m0, less (1 - k) times the terms
+W_x and M_x in which the first meter's branches differ. With q-moments in
+units of g, the disturbance is (1 - k) |m0 W_x - w0 M_x| / (w0 w), for w the
+two-meter weight: no two readings are subtracted, and it is exactly 0 where
+k rounds to 1 or the first projector is 0.
 
 A weak-limit sweep counts as divergent only when its last change exceeds
 both its first change and the rounding floor of one estimate,
@@ -53,11 +64,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
-from .linalg import _complement
 from .scenario import Scenario, _Batch, _amplitude
 
 #: Success weights at or below this count as extinguished postselection.
 _EXTINCT = 1e-14
+
+#: The float rounding unit eps.
+_EPS = float(np.finfo(float).eps)
 
 #: C, the bound on the rounding gap between a grid readout and its closed
 #: form in units of eps: the grid's success weight is within
@@ -131,7 +144,7 @@ class PointerStats:
 def _check_grid(cfg: MeterConfig) -> None:
     """The grid's two MeterGridError checks, without building it. The
     spacing is ``np.linspace``'s step, the same quotient with the same bits."""
-    floor = np.finfo(float).eps * cfg.halfwidth
+    floor = _EPS * cfg.halfwidth
     if 0.0 < cfg.g <= floor:
         raise MeterGridError(
             f"coupling g = {cfg.g:.3e} is at or below the grid's rounding floor "
@@ -145,8 +158,14 @@ def _check_grid(cfg: MeterConfig) -> None:
         )
 
 
-def _packet(q: np.ndarray, sigma: float) -> np.ndarray:
-    return (2.0 * np.pi * sigma**2) ** -0.25 * np.exp(-(q**2) / (4.0 * sigma**2))
+def _packets(x: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+    """The pointer packet at each offset in ``x``, written to ``out``: the
+    steps and bits of (2 pi sigma^2)^(-1/4) exp(-x^2 / (4 sigma^2))."""
+    phi = np.square(x, out=out)
+    phi /= -(4.0 * sigma**2)  # -(x^2) / d and x^2 / -d are one rounding of one value
+    np.exp(phi, out=phi)
+    phi *= (2.0 * np.pi * sigma**2) ** -0.25
+    return phi
 
 
 def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
@@ -157,33 +176,91 @@ def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
 
 def measure_pointer(s: Scenario, p: np.ndarray, cfg: MeterConfig) -> PointerStats:
     """Postselected pointer statistics for a single projector coupling."""
-    return _readout(*_split(s, p), cfg)
+    return _readouts(*_split(s, p), [cfg])[0]
 
 
-def _trapezoid(y: np.ndarray, steps: np.ndarray):
-    """``np.trapezoid(y, q)`` with ``steps = np.diff(q)`` formed once per grid:
-    the same expression, so the same bits."""
-    return (steps * (y[1:] + y[:-1]) / 2.0).sum()
+def _trapezoid(y: np.ndarray, steps: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.trapezoid(y, q)`` of each row along the last axis, with ``steps =
+    np.diff(q)`` formed once per grid and the terms written to ``scratch``
+    (y's shape): the same bits. Halving is exact, so the parts of each term
+    are multiplied by 0.5. numpy's division of a finite complex term by 2.0
+    differs from that only in the sign of a zero part, and a sum, which numpy
+    starts at +0, never shows that sign."""
+    terms = np.add(y[..., 1:], y[..., :-1], out=scratch[..., 1:])
+    terms *= steps
+    parts = terms.view(float)
+    parts *= 0.5
+    return terms.sum(axis=-1)
 
 
-def _readout(alpha: complex, beta: complex, cfg: MeterConfig) -> PointerStats:
-    _check_grid(cfg)
-    q = np.linspace(-cfg.halfwidth, cfg.halfwidth, cfg.grid_points)
-    steps = np.diff(q)
-    shifted = q - cfg.g
-    phi0, phig = _packet(q, cfg.sigma), _packet(shifted, cfg.sigma)
-    psi = alpha * phi0 + beta * phig
-    density = np.abs(psi) ** 2
-    success = float(_trapezoid(density, steps))
-    if success <= _EXTINCT:
-        raise PostselectionLostError(
-            "postselection extinguishes the meter state; no statistics exist"
-        )
-    mean_q = float(_trapezoid(q * density, steps)) / success
-    sig2 = 2.0 * cfg.sigma**2
-    dpsi = alpha * (-q / sig2) * phi0 + beta * (-shifted / sig2) * phig
-    mean_p = float(_trapezoid(np.conj(psi) * dpsi, steps).imag) / success
-    return PointerStats(mean_q=mean_q, mean_p=mean_p, success_prob=success)
+def _complex(planes: np.ndarray) -> np.ndarray:
+    """Two contiguous float planes as one complex plane of their row shape."""
+    return planes.reshape(-1).view(complex).reshape(planes.shape[1:])
+
+
+def _readouts(alpha: complex, beta: complex, configs: list[MeterConfig]) -> list[PointerStats]:
+    """Readouts of configs with one sigma and grid size, each config one row
+    of a single 2-D pass. Each row keeps the bits of three ``np.trapezoid``
+    calls on its own grid. Errors follow the configs' order: a row's grid
+    checks, then its extinction cut.
+
+    Every array of the pass is a view of one workspace of 13 float planes,
+    written in place: one allocation per call, where fresh temporaries for
+    each step let the allocator hand their pages back to the system and
+    fault them in again on the next call."""
+    rows, failure = [], None
+    for cfg in configs:
+        try:
+            _check_grid(cfg)
+        except MeterGridError as exc:
+            failure = exc
+            break
+        rows.append(cfg)
+    stats = []
+    if rows:
+        sigma, n = rows[0].sigma, rows[0].grid_points
+        halfwidth = np.array([[cfg.halfwidth] for cfg in rows])
+        work = np.empty((13, len(rows), n))
+        offsets, packets, moments, scratch = work[0:2], work[2:4], work[4:6], work[6:8]
+        psi, dpsi, steps = _complex(work[8:10]), _complex(work[10:12]), work[12, :, 1:]
+
+        # offsets: q = np.linspace(-halfwidth, halfwidth, n) and q - g
+        spacing = (halfwidth - -halfwidth) / (n - 1)
+        q = np.multiply(np.arange(n, dtype=float), spacing, out=offsets[0])
+        q -= halfwidth
+        q[:, -1] = halfwidth[:, 0]
+        np.subtract(q, [[cfg.g] for cfg in rows], out=offsets[1])
+        np.subtract(q[:, 1:], q[:, :-1], out=steps)
+        phi0, phig = _packets(offsets, sigma, out=packets)
+
+        np.multiply(alpha, phi0, out=psi)
+        term = np.multiply(beta, phig, out=_complex(scratch))
+        psi += term
+        density = np.abs(psi, out=moments[0])
+        np.square(density, out=density)
+        np.multiply(q, density, out=moments[1])
+        success, q_sum = _trapezoid(moments, steps, scratch)
+
+        # dpsi from the packets' exact slopes -offset / (2 sigma^2)
+        slopes = np.divide(offsets, -(2.0 * sigma**2), out=offsets)
+        np.multiply(alpha, slopes[0], out=dpsi)
+        dpsi *= phi0
+        np.multiply(beta, slopes[1], out=term)
+        term *= phig
+        dpsi += term
+        flux = np.conj(psi, out=psi)
+        flux *= dpsi
+        p_sum = _trapezoid(flux, steps, dpsi).imag
+
+        for w, mq, mp in zip(success.tolist(), q_sum.tolist(), p_sum.tolist()):
+            if w <= _EXTINCT:
+                raise PostselectionLostError(
+                    "postselection extinguishes the meter state; no statistics exist"
+                )
+            stats.append(PointerStats(mean_q=mq / w, mean_p=mp / w, success_prob=w))
+    if failure is not None:
+        raise failure
+    return stats
 
 
 def _overlap(sigma: float, g: float) -> float:
@@ -219,9 +296,9 @@ def weak_limit_estimate(
     smallest couplings dominate the refinement; a fit across the whole sweep
     would drag the large-g bias into the intercept.
 
-    Only the two smallest couplings are read on the grid unless another
-    point's bits are needed (see the module docstring); the result and every
-    error are those of reading them all.
+    Only the two smallest couplings are read on the grid, as two rows of
+    one pass, unless another point's bits are needed (see the module
+    docstring); the result and every error are those of reading them all.
     """
     sweep = [float(g) for g in g_sweep]
     if len(sweep) < 2:
@@ -233,41 +310,43 @@ def weak_limit_estimate(
 
     configs = [MeterConfig(sigma=sigma, g=g) for g in sweep]
     alpha, beta = _split(s, p)
-    eps = np.finfo(float).eps
     scale = abs(alpha) ** 2 + abs(beta) ** 2
 
     estimates = {}  # sweep index: grid estimate
 
-    def read(i: int) -> complex:
-        if i not in estimates:
-            stats = _readout(alpha, beta, configs[i])
+    def read(*indices: int) -> list[complex]:
+        """The grid estimates at ``indices``, the unread ones as rows of one pass."""
+        unread = [i for i in indices if i not in estimates]
+        for i, stats in zip(unread, _readouts(alpha, beta, [configs[i] for i in unread])):
             g = sweep[i]
             estimates[i] = stats.mean_q / g + 1j * (2.0 * sigma**2 * stats.mean_p / g)
-        return estimates[i]
+        return [estimates[i] for i in indices]
 
     n = len(sweep)
     bounded = {}  # head index: (closed-form estimate, its _GRID_GAP bound)
     for i, cfg in enumerate(configs[:-2]):
         _check_grid(cfg)
         w, estimate = _closed_form(alpha, beta, cfg.sigma, cfg.g)
-        if w - _GRID_GAP * eps * scale > _EXTINCT:
-            bounded[i] = estimate, _GRID_GAP * eps * cfg.halfwidth / cfg.g * scale / w
+        if w - _GRID_GAP * _EPS * scale > _EXTINCT:
+            bounded[i] = estimate, _GRID_GAP * _EPS * cfg.halfwidth / cfg.g * scale / w
         else:
             read(i)  # raises PostselectionLostError where the grid would
-    e_prev, e_min = read(n - 2), read(n - 1)
+    e_prev, e_min = read(n - 2, n - 1)
 
     g_prev, g_min = sweep[-2], sweep[-1]
-    floor = eps * configs[-1].halfwidth / g_min
+    floor = _EPS * configs[-1].halfwidth / g_min
     last = abs(e_min - e_prev)
     if n >= 3 and last > floor:
         # diffs[0], decided in closed form where the gap exceeds the bounds
         # of its estimates and C eps of itself, the rounding of abs(b - a)
-        (a, da), (b, db) = (bounded.get(i) or (read(i), 0.0) for i in (0, 1))
+        (a, da), (b, db) = (bounded.get(i) or (*read(i), 0.0) for i in (0, 1))
         change = abs(b - a)
-        if not abs(last - change) > da + db + _GRID_GAP * eps * change:
-            change = abs(read(1) - read(0))
+        if not abs(last - change) > da + db + _GRID_GAP * _EPS * change:
+            a, b = read(0, 1)
+            change = abs(b - a)
         if last > change:
-            diffs = [abs(read(i + 1) - read(i)) for i in range(n - 1)]
+            grid = read(*range(n))
+            diffs = [abs(b - a) for a, b in zip(grid, grid[1:])]
             raise SweepDivergenceError(
                 "weak-limit estimates move apart as g shrinks; "
                 f"successive changes {[f'{d:.3e}' for d in diffs]}"
@@ -304,30 +383,32 @@ def sequential_disturbance(
 
     MeterConfig(sigma=sigma, g=g, grid_points=grid_points)
     k = _overlap(sigma, g)
-    overlap = np.array([[1.0, k], [k, 1.0]])
-    q_moment = overlap * np.array([[0.0, g / 2.0], [g / 2.0, g]])
+    one, first = _amplitude(s), _amplitude(s, p1)
+    second, both = _amplitude(s, p2), _amplitude(s, p2, p1)
+    # a_K = <bra|S2_K|pre> and c_JK = <bra|S2_K S1_J|pre>, with S_0 = 1 - P
+    # and S_1 = P; the moments below are q-moments in units of g
+    a0, a1 = one - second, second
+    c10, c11 = first - both, both
+    c00, c01 = a0 - c10, second - both
 
-    splits2 = (_complement(p2), p2)
-    solo = np.array([_amplitude(s, pk) for pk in splits2])
-    weight0 = np.einsum("K,k,Kk->", solo.conj(), solo, overlap).real
-    if weight0 <= _EXTINCT:
+    def re(x: complex, y: complex) -> float:
+        return (x.conjugate() * y).real
+
+    w0 = abs(a0) ** 2 + abs(a1) ** 2 + 2.0 * k * re(a0, a1)
+    if w0 <= _EXTINCT:
         raise PostselectionLostError(
             "postselection extinguishes the meter state; no statistics exist"
         )
-    if not np.any(p1):
-        return 0.0  # no first coupling at all
-    without_first = np.einsum("K,k,Kk->", solo.conj(), solo, q_moment).real / weight0
-
-    splits1 = (_complement(p1), p1)
-    coeff = np.array([[_amplitude(s, pk, pj) for pk in splits2] for pj in splits1])
-    weight = np.einsum("JK,jk,Jj,Kk->", coeff.conj(), coeff, overlap, overlap).real
-    if weight <= _EXTINCT:
+    m0 = abs(a1) ** 2 + k * re(a0, a1)
+    # the terms of the first meter's differing branches (J != j), whose
+    # packets overlap by k where the one-meter sums count them at 1
+    w_cross = 2.0 * (re(c00, c10) + re(c01, c11) + k * (re(c00, c11) + re(c01, c10)))
+    m_cross = 2.0 * re(c01, c11) + k * (re(c00, c11) + re(c01, c10))
+    lost = 1.0 - k
+    w = w0 - lost * w_cross
+    if w <= _EXTINCT:
         raise PostselectionLostError(
             "postselection extinguishes the two-meter state; no statistics exist"
         )
-    with_first = (
-        np.einsum("JK,jk,Jj,Kk->", coeff.conj(), coeff, overlap, q_moment).real
-        / weight
-    )
-
-    return abs(with_first - without_first) / g
+    # (m0 - lost m_cross) / w - m0 / w0, which never subtracts two readings
+    return lost * abs(m0 * w_cross - w0 * m_cross) / (w0 * w)

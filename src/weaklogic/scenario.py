@@ -140,10 +140,13 @@ def amplitude(s: Scenario, *ops) -> complex:
     Every weak-value numerator, ABL amplitude and meter split is one of
     these. Each operator is coerced and scanned for NaN/Inf here, once, and
     must have the scenario's dimension; a product that overflows raises
-    ValueError. With no operators this is <post|U|pre> taken through the
-    bra, which may differ from ``post_overlap`` in the last bits.
+    ValueError, without numpy's overflow warning. With no operators this is
+    <post|U|pre> taken through the bra, which may differ from
+    ``post_overlap`` in the last bits.
     """
-    return _amplitude(s, *map(as_operator, ops))
+    ops = [as_operator(op) for op in ops]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _amplitude(s, *ops)
 
 
 def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:

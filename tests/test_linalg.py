@@ -236,6 +236,25 @@ class TestStructureChecks:
         with pytest.raises(NotAProjectorError, match="^meter coupling is not a projector$"):
             measure_pointer(catalog("three-box"), big, MeterConfig(sigma=1.0, g=0.1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "big",
+        [
+            np.full((3, 3), 1e200),
+            np.full(3, 1e200),
+            np.full((3, 3), -1e200j),
+            np.full((3, 3), 1.7e308),
+        ],
+        ids=["matrix", "diagonal", "imaginary-matrix", "near-max"],
+    )
+    def test_an_overflowing_product_is_a_value_error(self, big):
+        # the overflow is named by a ValueError, not leaked as numpy's warning
+        with pytest.raises(ValueError, match="^operator product is not finite: it overflows$"):
+            compose(big, big)
+        with pytest.raises(ValueError, match="overflows$"):
+            amplitude(catalog("three-box"), big, big)
+        assert np.isfinite(compose(big, identity(3))).all()
+
     def test_parts_up_to_two_reach_the_full_check(self, monkeypatch):
         products = []
         spy(monkeypatch, linalg._product, lambda a, b: products.append(a.shape))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weaklogic import meter
 from weaklogic import (
+    CATALOG_NAMES,
     MeterConfig,
     MeterGridError,
     NotAProjectorError,
@@ -292,6 +293,49 @@ class TestReadoutBits:
         # the real draws do reach a zero mean_p, whose sign the bits compare
         assert real_zeros > 100
 
+    def test_trapezoid_keeps_every_signed_zero(self):
+        # rows whose imaginary parts are all zeros of either sign, beside
+        # real parts of one or either sign: the sum's sign is all that is left
+        rng = np.random.default_rng(1812)
+        parts = np.array([0.0, -0.0, -1.0, -5e-324, -2.5, 1.0, 5e-324, 0.7])
+        for i in range(300):
+            n = int(rng.integers(2, 40))
+            q = np.cumsum(rng.uniform(0.1, 1.0, size=n))
+            y = np.empty((3, n), dtype=complex)
+            y.real = rng.choice(parts[1:5] if i % 3 == 0 else parts, size=(3, n))
+            y.imag = rng.choice(parts[:2] if i % 3 < 2 else parts, size=(3, n))
+            for rows in (y, y.real.copy()):
+                sums = meter._trapezoid(rows, np.diff(q), np.empty_like(rows))
+                for row, total in zip(rows, sums):
+                    assert bits(total) == bits(np.trapezoid(row, q)), row
+
+    def test_every_row_of_one_pass(self):
+        rng = np.random.default_rng(1811)
+        zeros = 0
+        for i in range(200):
+            sigma = float(10.0 ** rng.uniform(-2, 3))
+            points = int(rng.choice([52, 1000, 4096, 8192]))
+            if i % 3 == 0:
+                # real amplitudes of either sign, with signed-zero imaginary parts
+                alpha, beta = (complex(rng.normal(), rng.choice([0.0, -0.0])) for _ in range(2))
+            else:
+                alpha, beta = (complex(*rng.normal(size=2)) for _ in range(2))
+            ratios = 10.0 ** rng.uniform(-8, 0.5, size=int(rng.integers(2, 6)))
+            configs = [
+                MeterConfig(sigma=sigma, g=float(g), grid_points=points)
+                for g in sorted(sigma * ratios, reverse=True)
+            ]
+            try:
+                rows = meter._readouts(alpha, beta, configs)
+            except MeterGridError:
+                continue
+            assert len(rows) == len(configs)
+            for cfg, stats in zip(configs, rows):
+                expected = readout_reference(alpha, beta, sigma, cfg.g, points)
+                assert bits(stats) == bits(meter.PointerStats(*expected)), (alpha, beta, cfg)
+                zeros += stats.mean_p == 0.0
+        assert zeros > 50
+
 
 class TestWeakLimitEstimate:
     @pytest.mark.parametrize(
@@ -340,12 +384,12 @@ class TestWeakLimitEstimate:
         eps = 1e-6
         s = build_scenario("pole", ("a", "b"), [1, 0], [eps, 1])
         p = np.full((2, 2), 0.5, dtype=complex)
-        readouts = []
-        spy(monkeypatch, meter._readout, lambda alpha, beta, cfg: readouts.append(cfg.g))
+        rows = []
+        spy(monkeypatch, meter._readouts, lambda a, b, configs: rows.extend(c.g for c in configs))
         with pytest.raises(SweepDivergenceError):
             weak_limit_estimate(s, p, 1.0, SWEEP)
-        # its message prints the grid's changes, so every point is read
-        assert sorted(readouts, reverse=True) == list(SWEEP)
+        # its message prints the grid's changes, so every point is read as a row
+        assert sorted(rows, reverse=True) == list(SWEEP)
 
 
 EPS = np.finfo(float).eps
@@ -480,19 +524,20 @@ class TestSweepReadsOnlyNeededGrids:
 
     @pytest.fixture
     def readouts(self, monkeypatch):
+        """The couplings of the grid rows of each call of the readout kernel."""
         calls = []
-        spy(monkeypatch, meter._readout, lambda alpha, beta, cfg: calls.append(cfg.g))
+        spy(monkeypatch, meter._readouts, lambda a, b, configs: calls.append([c.g for c in configs]))
         return calls
 
     def test_readme_sweep_reads_two_grids(self, readouts):
         s = catalog("hardy")
         weak_limit_estimate(s, evaluate_text("Np*Ne", s.channels), 1.0, SWEEP)
-        assert readouts == list(SWEEP[-2:])
+        assert readouts == [list(SWEEP[-2:])]  # two rows of one pass
 
     def test_single_readout_reads_one_grid(self, readouts):
         s = catalog("hardy")
         measure_pointer(s, s.channel("NpNe"), MeterConfig(sigma=1.0, g=0.1))
-        assert readouts == [0.1]
+        assert readouts == [[0.1]]
 
     @pytest.mark.parametrize("alpha,beta", [(0.3, 0.4), (0.2 + 0.1j, -0.5j)])
     def test_knife_edge_reads_every_grid(self, readouts, alpha, beta):
@@ -502,7 +547,7 @@ class TestSweepReadsOnlyNeededGrids:
         assert sweep[1] != 0.1
         got = _outcome(lambda: weak_limit_estimate(s, p, 1.0, sweep))
         assert got == _outcome(lambda: sweep_reference(*split, 1.0, sweep))
-        assert sorted(readouts, reverse=True) == sweep
+        assert sorted(itertools.chain(*readouts), reverse=True) == sweep
 
     def test_extinct_head_is_read_where_the_sweep_reaches_it(self, readouts):
         # both amplitudes tiny and aligned: the weight, |alpha|^2 + |beta|^2
@@ -513,7 +558,27 @@ class TestSweepReadsOnlyNeededGrids:
         sweep = [10.0, 1e-3, 1e-4, 1e-16]
         with pytest.raises(PostselectionLostError):
             weak_limit_estimate(s, p, 1.0, sweep)
-        assert readouts == [10.0]
+        assert readouts == [[10.0]]
+
+    @pytest.mark.parametrize(
+        "sweep,error",
+        [
+            # the second-smallest coupling loses the postselection: that
+            # error comes first, though the smallest is below the rounding floor
+            ([1e-9, 1e-16], PostselectionLostError),
+            # the second-smallest grid is too coarse: that error comes
+            # first, though the smallest coupling loses the postselection
+            ([600.0, 1e-9], MeterGridError),
+        ],
+    )
+    def test_rows_fail_in_sweep_order(self, readouts, sweep, error):
+        # alpha = -beta: the weight 2 |beta|^2 (1 - k) vanishes as g shrinks
+        s, p = _sweep_scenario(-0.3, 0.3)
+        split = meter._split(s, p)
+        got = _outcome(lambda: weak_limit_estimate(s, p, 1.0, sweep))
+        assert got == _outcome(lambda: sweep_reference(*split, 1.0, sweep))
+        assert got[0] is error
+        assert readouts == [sweep]  # both couplings are rows of one call
 
 
 class TestClosedForm:
@@ -548,7 +613,7 @@ class TestClosedForm:
             g = sigma * float(10.0 ** rng.uniform(-14, math.log10(505.8)))
             cfg = MeterConfig(sigma=sigma, g=g)
             try:
-                stats = meter._readout(alpha, beta, cfg)
+                (stats,) = meter._readouts(alpha, beta, [cfg])
             except (MeterGridError, PostselectionLostError):
                 continue
             w, estimate = meter._closed_form(alpha, beta, sigma, g)
@@ -596,6 +661,24 @@ class TestSequentialDisturbance:
         p2 = evaluate_text("R1*R2", s.channels)
         zero = np.zeros((4, 4), dtype=complex)
         assert sequential_disturbance(s, zero, p2, 1.0, 0.05) == 0.0
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_zero_first_coupling_is_exactly_silent_everywhere(self, name):
+        s = catalog(name)
+        zero = np.zeros((s.dim, s.dim), dtype=complex)
+        for p2 in s.channels.values():
+            for sigma, g in itertools.product((0.5, 1.0, 2.0), (1e-3, 0.1, 0.5)):
+                assert sequential_disturbance(s, zero, p2, sigma, g) == 0.0
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_exactly_silent_where_the_packets_coincide(self, name):
+        # at sigma = 1e8 the overlap k of a meter's two packets rounds to 1,
+        # so 1 - k, which multiplies every cross-branch term, is 0
+        s = catalog(name)
+        assert meter._overlap(1e8, 0.1) == 1.0
+        for p1, p2 in itertools.product(s.channels.values(), repeat=2):
+            for g in (1e-3, 0.1):
+                assert sequential_disturbance(s, p1, p2, 1e8, g) == 0.0
 
     def test_zero_first_coupling_still_needs_the_postselection(self):
         s = build_scenario(
