@@ -38,8 +38,9 @@ proves each operand that needs the full proof (one that fails is proved
 again wherever it is named, so each error names its position), forms and
 tests each product of two proven operands, and takes the weak value of each
 proven operand. So the AND audit ``Lj | Lk`` reuses the ``Lj*Lk`` of the OR
-audit ``Lj*Lk | Rj*Rk`` and its weak value. A near-pole weak value warns on
-every use, from the classifier's line, whether it was taken afresh or not.
+audit ``Lj*Lk | Rj*Rk`` and its weak value. A near-pole weak value warns
+once, from the classifier's line, when the call takes it; its reuses do not
+warn again, and each verdict's weak values carry the ``near_pole`` flag.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
 from .linalg import _one_form, _product, _within_struct_tol
 from .scenario import Scenario, _Batch
-from .weak import WeakValue, _warn_near_pole, _weak_value
+from .weak import WeakValue, _weak_value
 
 
 class SumCase(Enum):
@@ -160,13 +161,12 @@ class AuditVerdict:
 
 
 def _weak(s: Scenario, op: np.ndarray, batch: _Batch) -> WeakValue:
-    """``_weak_value`` of a proven operand, taken once per batch. Every use
-    warns near the pole as a fresh one would, naming the caller's line."""
+    """``_weak_value`` of a proven operand, taken once per batch. Near the
+    pole it warns when taken, naming the caller's line; a reuse does not
+    warn again, and its ``near_pole`` flag still says so."""
     w = batch.weak_values.get(id(op))
     if w is None:
         w = batch.weak_values[id(op)] = _weak_value(s, op, stacklevel=3)
-    elif w.near_pole:
-        _warn_near_pole(w.denominator, stacklevel=2)
     return w
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .audit import AuditReport, _audit_pair, audit_all
 from .errors import PhysicsError, ScenarioError
+from .expr import evaluate_text
 from .meter import MeterConfig, measure_pointer, weak_limit_estimate
 from .scenario import (
     CATALOG_NAMES,
@@ -25,7 +26,6 @@ from .scenario import (
     _Batch,
     catalog,
     default_audit_pairs,
-    expression_operator,
     load_scenario,
     parse_audit_pairs,
     scenario_document,
@@ -253,7 +253,7 @@ def _cmd_meter(args) -> int:
     s = _resolve_scenario(args)
     if (args.g is None) == (args.sweep is None):
         raise _UsageError("exactly one of --g or --sweep is required")
-    p = expression_operator(s, args.expr)
+    p = evaluate_text(args.expr, s.channels)
     if args.sweep is not None:
         estimate = weak_limit_estimate(s, p, args.sigma, args.sweep)
         exact = weak_value(s, p).value

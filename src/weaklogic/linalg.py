@@ -10,7 +10,11 @@ Each public function that takes an operator coerces it with ``as_operator``,
 which also scans it for NaN/Inf, and hands it to a private kernel (``_act``,
 ``_sum``, ``_compose``, ``_complement``, ``_proves_projector``) that does not
 coerce again; the library's own callers use the kernels on operators that
-were checked where they entered.
+were checked where they entered. A public function whose products or result
+can overflow forms them under ``np.errstate(over="ignore", invalid="ignore")``
+and raises ValueError naming the overflow where one is not finite; the
+kernels are not guarded, as the library's own operands are proven projectors,
+whose products are bounded.
 
 Every structural check (idempotence, self-adjointness, commutation,
 orthogonality, a vanishing product, unitarity) passes exactly when
@@ -142,8 +146,11 @@ def _act(m: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 def act(op, amps: np.ndarray) -> np.ndarray:
     """The operator applied to an amplitude vector. A diagonal acts elementwise;
-    adding 0.0 turns a -0.0 into the +0.0 that the matrix product's sum gives."""
-    return _act(as_operator(op), amps)
+    adding 0.0 turns a -0.0 into the +0.0 that the matrix product's sum gives.
+    A result that overflows raises ValueError."""
+    op = as_operator(op)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_act(op, amps), "operator applied to the amplitudes")
 
 
 def apply(op: np.ndarray, v: State) -> State:
@@ -181,20 +188,27 @@ def _sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
+def _finite(result: np.ndarray, what: str) -> np.ndarray:
+    """``result``, or ValueError naming the overflow when it is not finite."""
+    if not np.isfinite(result).all():
+        raise ValueError(f"{what} is not finite: it overflows")
+    return result
+
+
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Operator product a.b (apply b first). A product that overflows raises
     ValueError, without numpy's overflow warning; the library's own products,
     of proven projectors, are bounded and use ``_compose`` unguarded."""
     a, b = as_operator(a), as_operator(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        product = _compose(a, b)
-    if not np.isfinite(product).all():
-        raise ValueError("operator product is not finite: it overflows")
-    return product
+        return _finite(_compose(a, b), "operator product")
 
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _sum(as_operator(a), as_operator(b))
+    """Operator sum a + b; ValueError where it overflows."""
+    a, b = as_operator(a), as_operator(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_sum(a, b), "operator sum")
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
@@ -249,14 +263,21 @@ def _self_adjoint(m: np.ndarray) -> bool:
     return _within_struct_tol(r)
 
 
+def _bounded(m: np.ndarray) -> bool:
+    """Whether no real or imaginary part of m exceeds 2 in magnitude: then
+    each entry of a product of two such d x d matrices is at most 8d in
+    modulus, far from overflow."""
+    parts = np.ascontiguousarray(m).view(float)
+    return parts.max() <= 2.0 and parts.min() >= -2.0
+
+
 def _proves_projector(p: np.ndarray) -> bool:
     """``is_projector`` of an operator that ``as_operator`` returned. An
     operand with a real or imaginary part above 2 in magnitude fails before
     p.p is formed, which could overflow: |z| >= |part| > 2 for an entry z
     puts an eigenvalue of a self-adjoint p beyond 2 in magnitude, where
     lambda^2 - lambda exceeds 2, so p is not idempotent within STRUCT_TOL."""
-    parts = np.ascontiguousarray(p).view(float)
-    if parts.max() > 2.0 or parts.min() < -2.0:
+    if not _bounded(p):
         return False
     r = _product(p, p)
     r -= p
@@ -278,12 +299,18 @@ def require_projector(p, what: str) -> np.ndarray:
 
 
 def commutes(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a.b - b.a vanishes entrywise; ValueError where either
+    product overflows, whose residual would not decide it."""
     a, b = _pair(a, b)
-    r = _product(a, b)
-    r -= _product(b, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _finite(_product(a, b), "operator product")
+        r -= _finite(_product(b, a), "operator product")
     return _within_struct_tol(r)
 
 
 def orthogonal(p: np.ndarray, q: np.ndarray) -> bool:
-    """True when the operator product p.q vanishes entrywise."""
-    return _within_struct_tol(_product(*_pair(p, q)))
+    """True when the operator product p.q vanishes entrywise; ValueError
+    where it overflows."""
+    p, q = _pair(p, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _within_struct_tol(_finite(_product(p, q), "operator product"))

@@ -31,11 +31,13 @@ sequential_disturbance builds no grid. Packet a, the pointer shifted by
 a g, overlaps packet b by exp(-((a - b) g)^2 / (8 sigma^2)), and their
 q-moment is that overlap times (a + b) g / 2; both integrals are exact.
 With k the overlap of the two packets of a meter, the two-meter weight and
-q-moment are the one-meter ones, w0 and m0, less (1 - k) times the terms
-W_x and M_x in which the first meter's branches differ. With q-moments in
-units of g, the disturbance is (1 - k) |m0 W_x - w0 M_x| / (w0 w), for w the
-two-meter weight: no two readings are subtracted, and it is exactly 0 where
-k rounds to 1 or the first projector is 0.
+q-moment are the one-meter ones, w0 and m0 (the weight and the real part of
+the moment of _moments, whose m / w is a sweep's closed-form estimate), less
+(1 - k) times the terms W_x and M_x in which the first meter's branches
+differ. With q-moments in units of g, the disturbance is
+(1 - k) |m0 W_x - w0 M_x| / (w0 w), for w the two-meter weight: no two
+readings are subtracted, and it is exactly 0 where k rounds to 1 or the
+first projector is 0.
 
 A weak-limit sweep counts as divergent only when its last change exceeds
 both its first change and the rounding floor of one estimate,
@@ -268,18 +270,18 @@ def _overlap(sigma: float, g: float) -> float:
     return math.exp(-g * g / (8.0 * sigma * sigma))
 
 
-def _closed_form(alpha: complex, beta: complex, sigma: float, g: float) -> tuple[float, complex]:
-    """Postselection weight w and weak-limit estimate of the exact packet
-    moments: with k the packet overlap and cross = conj(alpha) beta,
+def _moments(alpha: complex, beta: complex, k: float) -> tuple[float, complex]:
+    """Postselection weight w and complex q-moment m, in units of g, of the
+    pointer state alpha phi(q) + beta phi(q - g) whose two packets overlap
+    by k: with cross = conj(alpha) beta,
 
         w = |alpha|^2 + |beta|^2 + 2 k Re(cross),
-        mean_q / g + i 2 sigma^2 mean_p / g = (|beta|^2 + k cross) / w.
+        m = |beta|^2 + k cross,
 
-    The estimate is NaN where w is not positive."""
-    k = _overlap(sigma, g)
+    so that m / w = mean_q / g + i 2 sigma^2 mean_p / g, the weak-limit
+    estimate, where w is positive."""
     cross = alpha.conjugate() * beta
-    w = abs(alpha) ** 2 + abs(beta) ** 2 + 2.0 * k * cross.real
-    return w, (abs(beta) ** 2 + k * cross) / w if w > 0.0 else complex(math.nan, math.nan)
+    return abs(alpha) ** 2 + abs(beta) ** 2 + 2.0 * k * cross.real, abs(beta) ** 2 + k * cross
 
 
 def weak_limit_estimate(
@@ -326,9 +328,9 @@ def weak_limit_estimate(
     bounded = {}  # head index: (closed-form estimate, its _GRID_GAP bound)
     for i, cfg in enumerate(configs[:-2]):
         _check_grid(cfg)
-        w, estimate = _closed_form(alpha, beta, cfg.sigma, cfg.g)
+        w, m = _moments(alpha, beta, _overlap(cfg.sigma, cfg.g))
         if w - _GRID_GAP * _EPS * scale > _EXTINCT:
-            bounded[i] = estimate, _GRID_GAP * _EPS * cfg.halfwidth / cfg.g * scale / w
+            bounded[i] = m / w, _GRID_GAP * _EPS * cfg.halfwidth / cfg.g * scale / w
         else:
             read(i)  # raises PostselectionLostError where the grid would
     e_prev, e_min = read(n - 2, n - 1)
@@ -394,12 +396,12 @@ def sequential_disturbance(
     def re(x: complex, y: complex) -> float:
         return (x.conjugate() * y).real
 
-    w0 = abs(a0) ** 2 + abs(a1) ** 2 + 2.0 * k * re(a0, a1)
+    w0, m0 = _moments(a0, a1, k)
     if w0 <= _EXTINCT:
         raise PostselectionLostError(
             "postselection extinguishes the meter state; no statistics exist"
         )
-    m0 = abs(a1) ** 2 + k * re(a0, a1)
+    m0 = m0.real
     # the terms of the first meter's differing branches (J != j), whose
     # packets overlap by k where the one-meter sums count them at 1
     w_cross = 2.0 * (re(c00, c10) + re(c01, c11) + k * (re(c00, c11) + re(c01, c10)))

@@ -18,11 +18,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioError
-from .expr import _fold, evaluate_text, parse
+from .expr import _fold, parse
 from .linalg import (
     SCALAR_TOL,
     State,
     _act,
+    _bounded,
     _compose,
     _proves_projector,
     _real_diagonal,
@@ -91,9 +92,9 @@ class Scenario:
                 raise ScenarioError(
                     f"evolution must be {dim}x{dim}, got {ev.shape[0]}x{ev.shape[1]}"
                 )
-            r = ev.conj().T @ ev
-            r -= identity(dim)
-            if not _within_struct_tol(r):
+            # a part beyond 2 puts its column's norm beyond 2, so such an ev
+            # fails before ev^dagger ev, which could overflow, is formed
+            if not (_bounded(ev) and _within_struct_tol(ev.conj().T @ ev - identity(dim))):
                 raise ScenarioError("evolution is not unitary")
             ev.setflags(write=False)
         table: dict[str, np.ndarray] = {}
@@ -160,15 +161,6 @@ def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
     return value
 
 
-def expression_operator(s: Scenario, text: str) -> np.ndarray:
-    """Operator of a projector expression over the scenario's channels: a
-    diagonal when every channel it uses is one, else a matrix, not proved a
-    projector. The audits and the CLI's ``strong`` and ``abl`` form the same
-    operator and prove it, a product of proven factors by its
-    self-adjointness."""
-    return evaluate_text(text, s.channels)
-
-
 class _Batch:
     """One call's record of which operators are proven projectors, and its
     evaluation of expressions over a scenario, each step made once.
@@ -207,8 +199,8 @@ class _Batch:
         return m
 
     def fold(self, text: str) -> np.ndarray:
-        """The operator of ``text``, bit for bit as ``expression_operator``
-        forms it, folded once per batch."""
+        """The operator of ``text``, bit for bit as ``evaluate_text(text,
+        s.channels)`` forms it, folded once per batch."""
         if text not in self.operands:
             self.operands[text] = _fold(parse(text), self.channels, self.product)
         return self.operands[text]

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NearPoleWarning, PostselectionLostError
+from .expr import evaluate_text
 from .linalg import as_operator
-from .scenario import Scenario, _amplitude, expression_operator
+from .scenario import Scenario, _amplitude
 
 #: Numerator magnitudes at or below this count as a vanishing weak value.
 ZERO_TOL = 1e-12
@@ -38,8 +40,14 @@ class WeakValue:
 
 
 def weak_value(s: Scenario, op: np.ndarray) -> WeakValue:
-    """Weak value <post|U A|pre> / <post|U|pre> of an arbitrary operator."""
-    return _weak_value(s, as_operator(op), stacklevel=3)
+    """Weak value <post|U A|pre> / <post|U|pre> of an arbitrary operator;
+    ValueError where the numerator or the ratio overflows."""
+    op = as_operator(op)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _weak_value(s, op, stacklevel=3)
+    if not cmath.isfinite(w.value):
+        raise ValueError("weak value is not finite: it overflows")
+    return w
 
 
 def _weak_value(s: Scenario, op: np.ndarray, stacklevel: int = 2) -> WeakValue:
@@ -54,7 +62,12 @@ def _weak_value(s: Scenario, op: np.ndarray, stacklevel: int = 2) -> WeakValue:
     numerator = _amplitude(s, op)
     near_pole = abs(denominator) < POLE_TOL
     if near_pole:
-        _warn_near_pole(denominator, stacklevel)
+        warnings.warn(
+            f"postselection overlap {abs(denominator):.3e} is below {POLE_TOL:g}; "
+            "weak value may not be representative of meter readings",
+            NearPoleWarning,
+            stacklevel=stacklevel,
+        )
     return WeakValue(
         value=numerator / denominator,
         numerator=numerator,
@@ -64,17 +77,6 @@ def _weak_value(s: Scenario, op: np.ndarray, stacklevel: int = 2) -> WeakValue:
     )
 
 
-def _warn_near_pole(denominator: complex, stacklevel: int) -> None:
-    """The NearPoleWarning of a weak value over ``denominator``, naming the
-    frame its caller's ``warnings.warn(..., stacklevel=stacklevel)`` would."""
-    warnings.warn(
-        f"postselection overlap {abs(denominator):.3e} is below {POLE_TOL:g}; "
-        "weak value may not be representative of meter readings",
-        NearPoleWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
 def weak_value_expr(s: Scenario, text: str) -> WeakValue:
     """Weak value of a projector expression over the scenario's channels."""
-    return _weak_value(s, expression_operator(s, text))
+    return _weak_value(s, evaluate_text(text, s.channels), stacklevel=3)

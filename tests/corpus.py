@@ -10,7 +10,9 @@ warnings it raised (category and message; the file and line a warning
 names depend on the checkout). ``tests/test_corpus.py`` replays them.
 
 Re-record the digests, only when a change is meant to alter CLI output, with
-the command below; it writes only the documents that are missing.
+the command below; it writes only the documents that are missing, and prints
+the argv of each entry whose digest changed, and of each entry added or
+removed.
 
     PYTHONPATH=src python tests/corpus.py
 """
@@ -224,6 +226,21 @@ def outcome(argv: list[str]) -> str:
     return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
 
+def moved(old: list[dict], new: list[dict]) -> list[str]:
+    """One line for each argv whose digest changed from ``old`` to ``new``,
+    in ``new``'s order, then one for each argv added or removed."""
+    before = {tuple(e["argv"]): e["sha256"] for e in old}
+    after = {tuple(e["argv"]): e["sha256"] for e in new}
+    lines = []
+    for argv, digest in after.items():
+        if argv not in before:
+            lines.append(f"added: {' '.join(argv)}")
+        elif before[argv] != digest:
+            lines.append(f"changed: {' '.join(argv)}")
+    lines += [f"removed: {' '.join(argv)}" for argv in before if argv not in after]
+    return lines
+
+
 def record() -> int:
     CORPUS.mkdir(parents=True, exist_ok=True)
     for spec in SPECS:
@@ -231,8 +248,11 @@ def record() -> int:
         if not path.exists():  # a recorded document stays as it is
             path.write_text(json.dumps(make_document(*spec), indent=1) + "\n", encoding="utf-8")
     PAIRS.write_text(json.dumps(PAIR_LIST, indent=1) + "\n", encoding="utf-8")
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
     entries = [{"argv": argv, "sha256": outcome(argv)} for argv in commands()]
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    for line in moved(old, entries):
+        print(line)
     print(f"recorded {len(entries)} digests in {GOLDEN}")
     return 0
 

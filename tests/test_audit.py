@@ -41,7 +41,7 @@ from weaklogic import (
 from weaklogic import linalg
 from weaklogic.audit import _audit_pair
 from weaklogic.linalg import dense
-from weaklogic.scenario import _amplitude, expression_operator
+from weaklogic.scenario import _amplitude
 from helpers import (
     dproj,
     generic_labels,
@@ -618,7 +618,7 @@ class TestProofStillRuns:
         ]
         classify = classify_sum if kind == "sum" else classify_product
         with pytest.raises(NotAProjectorError, match="first operand is not a projector"):
-            classify(s, expression_operator(s, "L1 + L2"), s.channel("R3"))
+            classify(s, evaluate_text("L1 + L2", s.channels), s.channel("R3"))
 
     @pytest.mark.parametrize("name", ["pigeonhole2", "pigeonhole3", "three-box", "hardy", "rotated"])
     def test_report_has_the_bits_of_the_full_proof(self, name):
@@ -688,9 +688,10 @@ class TestBatchIsPairByPair:
     """One audit_all call shares across its pairs its channel table, the
     fold and proof of each operand text, its products and the weak value of
     each proven operand. Its report must be the one each pair gives audited
-    alone, to the bit, with the same NearPoleWarnings in the same order from
-    the same lines: a weak value taken once warns on every use. Checked on
-    dense channels and on basis channels, whose products need no test."""
+    alone, to the bit. Its NearPoleWarnings must be the pairs' own, in the
+    same order from the same lines, less each repeat of a weak value the
+    call already took: a weak value warns once, when it is taken. Checked
+    on dense channels and on basis channels, whose products need no test."""
 
     PAIRS = [
         ("L1*L2", "R1*R2", "sum"),
@@ -705,16 +706,52 @@ class TestBatchIsPairByPair:
         ("L1*L2", "nosuch", "sum"),
     ]
 
+    # the weak values each pair takes, in the order it warns: the operands,
+    # then a product of proven operands, which the call forms once, or a sum
+    # ("+"), taken afresh each time. L1*L2*L3 folds as (L1*L2)*L3, the
+    # product of the fifth pair; the last two pairs fail before any is taken.
+    TAKES = [
+        ("L1*L2", "R1*R2", "+"),
+        ("L1", "L2", "L1*L2"),
+        ("L2", "L1", "L2*L1"),
+        ("L1*L2*L3", "R1*R2*R3", "+"),
+        ("L1*L2", "L3", "L1*L2*L3"),
+        ("L1*L2", "L3", "L1*L2*L3"),
+        ("L1 + R1", "L2", "(L1 + R1)*L2"),
+        ("L1 + R1", "L2", "(L1 + R1)*L2"),
+        (),
+        (),
+    ]
+
     @staticmethod
-    def _alone(s, pairs):
-        entries = []
-        for expr_a, expr_b, kind in pairs:
-            try:
-                verdict = _audit_pair(s, expr_a, expr_b, kind)
-                entries.append(AuditEntry(expr_a, expr_b, kind, verdict, None))
-            except (ExpressionError, PhysicsError, ValueError) as exc:
-                entries.append(AuditEntry(expr_a, expr_b, kind, None, str(exc)))
-        return entries
+    def _recorded(audit):
+        """The entries ``audit()`` returns, and the warnings it raised."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entries = list(audit())
+        return entries, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+    @classmethod
+    def _alone(cls, s, pairs):
+        """Each pair audited alone, as entries, and the warnings a batch of
+        them raises: each pair's own, less those of weak values taken before."""
+        entries, kept, taken = [], [], set()
+        for (expr_a, expr_b, kind), takes in zip(pairs, cls.TAKES):
+            def one():
+                try:
+                    verdict = _audit_pair(s, expr_a, expr_b, kind)
+                    return [AuditEntry(expr_a, expr_b, kind, verdict, None)]
+                except (ExpressionError, PhysicsError, ValueError) as exc:
+                    return [AuditEntry(expr_a, expr_b, kind, None, str(exc))]
+
+            entry, caught = cls._recorded(one)
+            entries += entry
+            assert len(caught) in (0, len(takes))
+            for w, key in zip(caught, takes):
+                if key == "+" or key not in taken:
+                    kept.append(w)
+                taken.add(key)
+        return entries, kept
 
     @staticmethod
     def _near_pole(s):
@@ -737,19 +774,15 @@ class TestBatchIsPairByPair:
             assert 1e-12 < abs(s.post_overlap) < 1e-6
         elif which == "replaced":
             s = dataclasses.replace(s, name="replaced")
-        got, want = [], []
-        for record, audit in (
-            (got, lambda: audit_all(s, self.PAIRS).entries),
-            (want, lambda: self._alone(s, self.PAIRS)),
-        ):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                record.append(json.dumps([entry.to_dict() for entry in audit()]))
-            record.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
-        assert got == want
-        poles = [w for w in got[1] if w[0] is NearPoleWarning]
-        assert len(poles) == len(got[1]) == (24 if which.endswith("near-pole") else 0)  # three per audited pair
-        assert json.loads(got[0])[1]["case"] == "ii"
+        got, got_warnings = self._recorded(lambda: audit_all(s, self.PAIRS).entries)
+        want, want_warnings = self._alone(s, self.PAIRS)
+        report = json.dumps([entry.to_dict() for entry in got])
+        assert report == json.dumps([entry.to_dict() for entry in want])
+        assert got_warnings == want_warnings
+        poles = [w for w in got_warnings if w[0] is NearPoleWarning]
+        # the eight pairs audited apart take 24 weak values, 12 of them distinct
+        assert len(poles) == len(got_warnings) == (12 if which.endswith("near-pole") else 0)
+        assert json.loads(report)[1]["case"] == "ii"
 
     def test_threads_share_a_scenario(self):
         # each call keeps its products to itself, so calls on one scenario

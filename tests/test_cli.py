@@ -1,8 +1,11 @@
 import ast
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -30,6 +33,7 @@ THREE_BOX_FILE = {
 }
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = PERFBENCH.parent / "README.md"
 
 #: stdout bytes and exit codes of the README command lines, each in table
 #: and json form (recorded by perfbench/capture_cli_oracle.py)
@@ -344,6 +348,31 @@ def test_readme_command_output_is_byte_identical(capsys, entry):
     code, out, _ = run(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert out.encode("utf-8") == entry["stdout"].encode("utf-8")
+
+
+def _readme_block(heading: str, fence: str) -> list[str]:
+    """The lines of the first ``fence`` code block after ``heading`` in README.md."""
+    text = README.read_text(encoding="utf-8")
+    after = text[text.index(f"\n{heading}\n"):]
+    start = after.index(f"\n{fence}\n") + len(fence) + 2
+    return after[start:after.index("\n```\n", start)].splitlines()
+
+
+class TestReadme:
+    def test_cli_block_is_the_oracle_in_table_form(self):
+        lines = [shlex.split(line, comments=True) for line in _readme_block("## CLI", "```")]
+        assert all(argv[0] == "weaklogic" for argv in lines)
+        table = [e["argv"] for e in README_GOLDEN if e["argv"][-2:] == ["--format", "table"]]
+        assert [[*argv[1:], "--format", "table"] for argv in lines] == table
+
+    def test_python_block_prints_its_comments(self):
+        lines = _readme_block("## Library", "```python")
+        comments = [line.split("# ", 1)[1] for line in lines if line.startswith("print(")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec("\n".join(lines), {})
+        assert len(comments) == 3
+        assert out.getvalue().splitlines() == comments
 
 
 class TestBenchmarkHooks:

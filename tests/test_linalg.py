@@ -1,3 +1,6 @@
+import dataclasses
+import numbers
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from weaklogic import (
     STRUCT_TOL,
     MeterConfig,
     NotAProjectorError,
+    PhysicsError,
     State,
     abl_prob,
     add,
@@ -14,6 +18,7 @@ from weaklogic import (
     basis_projector,
     bayes_check,
     born_prob,
+    build_scenario,
     catalog,
     classify_product,
     classify_sum,
@@ -546,6 +551,11 @@ ENTRY_POINTS = {
     "collapse": (lambda op: collapse(S.pre_state, op), "operator"),
     "cond_prob_post": (lambda op: cond_prob_post(S, op), "operator"),
     "abl_prob": (lambda op: abl_prob(S, op), "operator"),
+    "bayes_check": (lambda op: bayes_check(S, op), "operator"),
+    "commutes": (lambda op: commutes(GOOD, op), "operator"),
+    "orthogonal": (lambda op: orthogonal(op, GOOD), "operator"),
+    "dense": (dense, "operator"),
+    "diagonal": (diagonal, "operator"),
     "classify_sum": (lambda op: classify_sum(S, op, GOOD), "first operand"),
     "classify_sum second": (lambda op: classify_sum(S, GOOD, op), "second operand"),
     "classify_product": (lambda op: classify_product(S, op, GOOD), "first operand"),
@@ -587,3 +597,64 @@ class TestEveryEntryPointRejectsNonFinite:
             weak_value(S, p)
         with pytest.raises(ValueError, match="^first operand contains non-finite entries$"):
             classify_sum(S, p, GOOD)
+
+
+#: Each public function that coerces an operator, called on two operands: the
+#: entry points above on the first, and each function of two on both.
+TWO_OPERANDS = {
+    **{name: (lambda f: lambda a, b: f(a))(function) for name, (function, _) in ENTRY_POINTS.items()},
+    "compose both": compose,
+    "add both": add,
+    "commutes both": commutes,
+    "orthogonal both": orthogonal,
+    "amplitude both": lambda a, b: amplitude(S, a, b),
+    "classify_sum both": lambda a, b: classify_sum(S, a, b),
+    "classify_product both": lambda a, b: classify_product(S, a, b),
+    "sequential_disturbance both": lambda a, b: sequential_disturbance(S, a, b, 1.0, 0.05),
+    "build_scenario": lambda a, b: build_scenario("x", S.labels, [1, 1, 0], [0, 1, 1], a, {"P": b}),
+}
+
+# a real or imaginary part: 0, or of either sign and log-uniform up to 1e308
+_PART = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-30.0, 308.0)),
+)
+_LARGE = st.one_of(
+    st.lists(_PART, min_size=18, max_size=18).map(lambda v: np.array(v).view(complex).reshape(3, 3)),
+    st.lists(_PART, min_size=6, max_size=6).map(lambda v: np.array(v).view(complex)),
+    st.lists(_PART, min_size=3, max_size=3).map(lambda v: np.array(v, dtype=complex)),
+)
+
+
+def _leaves(result):
+    """The numbers and arrays of a result, through dataclasses and tuples."""
+    if dataclasses.is_dataclass(result):
+        for f in dataclasses.fields(result):
+            yield from _leaves(getattr(result, f.name))
+    elif isinstance(result, (tuple, list)):
+        for item in result:
+            yield from _leaves(item)
+    elif isinstance(result, (numbers.Number, np.ndarray)):
+        yield result
+
+
+class TestNoOverflowEscapes:
+    """A finite operand, however large, gets a documented answer from every
+    public function that coerces it: a result with no non-finite entry, a
+    ValueError or a physics error, never numpy's overflow warning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(call=st.sampled_from(sorted(TWO_OPERANDS)), a=_LARGE, b=st.one_of(_LARGE, st.just(GOOD)))
+    def test_a_large_finite_operand_gets_a_documented_answer(self, call, a, b):
+        try:
+            result = TWO_OPERANDS[call](a, b)
+        except (ValueError, PhysicsError):
+            return
+        assert all(np.isfinite(x).all() for x in _leaves(result))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_commuting_operands_that_overflow_are_not_called_non_commuting(self):
+        big = np.full((3, 3), 1e200)
+        with pytest.raises(ValueError, match="^operator product is not finite: it overflows$"):
+            commutes(big, big)

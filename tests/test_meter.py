@@ -592,7 +592,8 @@ class TestClosedForm:
             sigma = float(10.0 ** rng.uniform(-3, 4))
             g = sigma * float(10.0 ** rng.uniform(-6, 2.7))
             mean_q, mean_p, weight = pointer_oracle(alpha, beta, g, sigma)
-            w, estimate = meter._closed_form(alpha, beta, sigma, g)
+            w, m = meter._moments(alpha, beta, meter._overlap(sigma, g))
+            estimate = m / w
             assert w == pytest.approx(weight, rel=1e-14)
             assert estimate == pytest.approx(
                 mean_q / g + 1j * (2.0 * sigma**2 * mean_p / g), rel=1e-12
@@ -616,7 +617,8 @@ class TestClosedForm:
                 (stats,) = meter._readouts(alpha, beta, [cfg])
             except (MeterGridError, PostselectionLostError):
                 continue
-            w, estimate = meter._closed_form(alpha, beta, sigma, g)
+            w, m = meter._moments(alpha, beta, meter._overlap(sigma, g))
+            estimate = m / w
             grid = stats.mean_q / g + 1j * (2.0 * sigma**2 * stats.mean_p / g)
             units = abs(alpha) ** 2 + abs(beta) ** 2
             worst_weight = max(worst_weight, abs(stats.success_prob - w) / (EPS * units))

@@ -44,7 +44,7 @@ from weaklogic import linalg
 from weaklogic.cli import main
 from weaklogic.expr import Name
 from weaklogic.linalg import dense
-from weaklogic.scenario import amplitude, expression_operator
+from weaklogic.scenario import amplitude
 from helpers import (
     bits,
     hardy_beamsplitter,
@@ -401,21 +401,21 @@ class TestDiagonals:
             with pytest.raises(ScenarioError, match="channel 'p' is not a projector"):
                 build_scenario("x", ("a", "b"), [1, 1], [1, 0], None, {"p": entries})
 
-    def test_expression_operator_picks_the_form(self):
+    def test_evaluation_over_channels_picks_the_form(self):
         s = catalog("three-box")
-        assert expression_operator(s, "A + B*C").ndim == 1
+        assert evaluate_text("A + B*C", s.channels).ndim == 1
         matrices = {name: dense(p) for name, p in s.channels.items()}
         np.testing.assert_array_equal(
-            np.diag(expression_operator(s, "A + B*C")), evaluate_text("A + B*C", matrices)
+            np.diag(evaluate_text("A + B*C", s.channels)), evaluate_text("A + B*C", matrices)
         )
         mixed = build_scenario(
             "x", ("a", "b"), [1, 1], [1, 0], None,
             {"D": np.diag([1.0, 0.0]), "M": np.full((2, 2), 0.5)},
         )
-        assert expression_operator(mixed, "D").ndim == 1
-        assert expression_operator(mixed, "D*M").shape == (2, 2)
+        assert evaluate_text("D", mixed.channels).ndim == 1
+        assert evaluate_text("D*M", mixed.channels).shape == (2, 2)
         with pytest.raises(UnboundNameError) as exc:
-            expression_operator(s, "A + Z")
+            evaluate_text("A + Z", s.channels)
         with pytest.raises(UnboundNameError) as dense_exc:
             evaluate_text("A + Z", matrices)
         assert str(exc.value) == str(dense_exc.value)
@@ -502,7 +502,7 @@ def _each(function):
     def run(s, runs):
         errors = []
         for texts in runs:
-            ops = {text: expression_operator(s, text) for text in texts}
+            ops = {text: evaluate_text(text, s.channels) for text in texts}
             try:
                 function(s, *(ops[text] for text in texts))
                 errors.append(None)
@@ -569,7 +569,7 @@ class TestOneProofRecord:
     @pytest.mark.parametrize("caller", CALLERS)
     def test_a_channel_is_not_proved_again(self, caller, proofs):
         s = catalog("pigeonhole2")
-        assert expression_operator(s, "(L1)") is s.channel("L1")
+        assert evaluate_text("(L1)", s.channels) is s.channel("L1")
         (error,) = self._run(caller, "L1", "L2")
         assert error is None or "not a projector" not in error
         assert proofs == []
