@@ -1,20 +1,23 @@
 """Complex linear algebra over small labelled Hilbert spaces.
 
 States carry basis labels so that reports stay readable. An operator is a
-complex square matrix or, for a real diagonal operator, its 1-D diagonal. Only
-this module branches on the form: diagonals combine elementwise in O(d) with
+complex square matrix or, for a real diagonal operator, its 1-D diagonal. The
+kernels here branch on the form: diagonals combine elementwise in O(d) with
 the bits of the dense products, and a diagonal meeting a matrix becomes one.
-Everything is immutable and pure.
+Elsewhere only ``scenario._Batch.product`` reads the form, to skip the
+self-adjointness test of a product of two real diagonals. Everything is
+immutable and pure.
 
 Each public function that takes an operator coerces it with ``as_operator``,
 which also scans it for NaN/Inf, and hands it to a private kernel (``_act``,
-``_sum``, ``_compose``, ``_complement``, ``_proves_projector``) that does not
-coerce again; the library's own callers use the kernels on operators that
-were checked where they entered. A public function whose products or result
-can overflow forms them under ``np.errstate(over="ignore", invalid="ignore")``
-and raises ValueError naming the overflow where one is not finite; the
-kernels are not guarded, as the library's own operands are proven projectors,
-whose products are bounded.
+``_sum``, ``_compose``, ``_proves_projector``) that does not coerce again;
+the library's own callers use the kernels, and ``_complement``, on
+operators that were checked where they entered and on amplitudes that
+``State`` scanned. A public function whose products or result can overflow
+forms them under ``np.errstate(over="ignore", invalid="ignore")`` and raises
+ValueError naming the overflow where one is not finite; the kernels are not
+guarded, as the library's own operands are proven projectors, whose products
+are bounded.
 
 Every structural check (idempotence, self-adjointness, commutation,
 orthogonality, a vanishing product, unitarity) passes exactly when
@@ -69,18 +72,14 @@ def dense(entries, what: str = "operator") -> np.ndarray:
 
 
 def _real_diagonal(m: np.ndarray) -> np.ndarray | None:
-    """``diagonal`` of an operator that ``as_operator`` returned."""
+    """The real diagonal of an operator that ``as_operator`` returned, as a
+    read-only copy, or None when ``dense`` of it would not give back every
+    bit of the operator, signed zeros included."""
     d = np.array(np.diagonal(m) if m.ndim == 2 else m)
     if d.imag.any() or m.ndim == 2 and np.diag(d).tobytes() != m.tobytes():
         return None
     d.setflags(write=False)
     return d
-
-
-def diagonal(entries) -> np.ndarray | None:
-    """The operator's real diagonal as a read-only copy, or None when ``dense``
-    of it would not give back every bit of the operator, signed zeros included."""
-    return _real_diagonal(as_operator(entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,24 +137,20 @@ def inner(u: State, v: State) -> complex:
 
 
 def _act(m: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """``act`` of an operator that ``as_operator`` returned."""
+    """An operator that ``as_operator`` returned applied to an amplitude
+    vector. A diagonal acts elementwise; adding 0.0 turns a -0.0 into the
+    +0.0 that the matrix product's sum gives."""
     if len(m) != amps.size:
         raise ValueError(f"dimension mismatch: operator {len(m)} vs state {amps.size}")
     return m * amps + 0.0 if m.ndim == 1 else m @ amps
 
 
-def act(op, amps: np.ndarray) -> np.ndarray:
-    """The operator applied to an amplitude vector. A diagonal acts elementwise;
-    adding 0.0 turns a -0.0 into the +0.0 that the matrix product's sum gives.
-    A result that overflows raises ValueError."""
+def apply(op: np.ndarray, v: State) -> State:
+    """Apply an operator to a state; the result is not renormalized. A result
+    that overflows raises ValueError."""
     op = as_operator(op)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_act(op, amps), "operator applied to the amplitudes")
-
-
-def apply(op: np.ndarray, v: State) -> State:
-    """Apply an operator to a state; the result is not renormalized."""
-    return State(act(op, v.amps), v.labels)
+        return State(_finite(_act(op, v.amps), "operator applied to the amplitudes"), v.labels)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,19 +206,9 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _finite(_sum(a, b), "operator sum")
 
 
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of an operator in either form, in that form."""
-    return m.conj() if m.ndim == 1 else m.conj().T
-
-
 def _complement(m: np.ndarray) -> np.ndarray:
-    """``complement`` of an operator that ``as_operator`` returned."""
+    """1 - m, in the form of an operator that ``as_operator`` returned."""
     return (np.ones(len(m), dtype=complex) if m.ndim == 1 else identity(len(m))) - m
-
-
-def complement(op) -> np.ndarray:
-    """1 - op, in the operator's form."""
-    return _complement(as_operator(op))
 
 
 def identity(dim: int) -> np.ndarray:

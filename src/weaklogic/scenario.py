@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
@@ -18,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioError
-from .expr import _fold, parse
+from .expr import _NAME_RE, _fold, parse
 from .linalg import (
     SCALAR_TOL,
     State,
@@ -29,18 +28,14 @@ from .linalg import (
     _real_diagonal,
     _self_adjoint,
     _within_struct_tol,
-    apply,
     as_operator,
     basis_projector,
     dense,
     identity,
-    inner,
     require_projector,
 )
 
 CATALOG_NAMES = ("pigeonhole2", "pigeonhole3", "three-box", "hardy")
-
-_CHANNEL_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +94,7 @@ class Scenario:
             ev.setflags(write=False)
         table: dict[str, np.ndarray] = {}
         for ch_name, entries in self.channels.items():
-            if not (isinstance(ch_name, str) and _CHANNEL_NAME_RE.match(ch_name)):
+            if not (isinstance(ch_name, str) and _NAME_RE.fullmatch(ch_name)):
                 raise ScenarioError(f"channel name {ch_name!r} is not a valid identifier")
             p = as_operator(entries, f"channel {ch_name!r}")
             if len(p) != dim:
@@ -110,10 +105,11 @@ class Scenario:
                 raise ScenarioError(f"channel {ch_name!r} is not a projector")
             p.setflags(write=False)
             table[ch_name] = p
+        ket = pre.amps if ev is None else _act(ev, pre.amps)
         for attr, value in (
             ("labels", labels), ("dim", dim), ("evolution", ev),
             ("channels", MappingProxyType(table)),
-            ("post_overlap", inner(post, pre if ev is None else apply(ev, pre))),
+            ("post_overlap", complex(np.vdot(post.amps, ket))),
             ("bra", post if ev is None else State(ev.conj().T @ post.amps, labels)),
         ):
             object.__setattr__(self, attr, value)
@@ -134,24 +130,16 @@ def effective_bra(s: Scenario) -> State:
     return s.bra
 
 
-def amplitude(s: Scenario, *ops) -> complex:
-    """Matrix element <bra|ops[0] ... ops[-1]|pre>, i.e. <post|U ops|pre>;
-    the last operator acts first.
+def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
+    """Matrix element <bra|ops[0] ... ops[-1]|pre>, i.e. <post|U ops|pre>,
+    of operators that ``as_operator`` returned; the last operator acts first.
 
     Every weak-value numerator, ABL amplitude and meter split is one of
-    these. Each operator is coerced and scanned for NaN/Inf here, once, and
-    must have the scenario's dimension; a product that overflows raises
-    ValueError, without numpy's overflow warning. With no operators this is
-    <post|U|pre> taken through the bra, which may differ from
-    ``post_overlap`` in the last bits.
+    these. Each operator must have the scenario's dimension; a product that
+    overflows raises ValueError. With no operators this is <post|U|pre>
+    taken through the bra, which may differ from ``post_overlap`` in the
+    last bits.
     """
-    ops = [as_operator(op) for op in ops]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _amplitude(s, *ops)
-
-
-def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
-    """``amplitude`` of operators that ``as_operator`` returned."""
     ket = s.pre_state.amps
     for op in reversed(ops):
         ket = _act(op, ket)

@@ -304,6 +304,13 @@ class TestMeterCommand:
         assert code == 1
         assert "exactly one" in err
 
+    @pytest.mark.parametrize("sweep", [",", " , ,", ""])
+    def test_empty_sweep_is_exit_1(self, capsys, sweep):
+        code, out, err = run(
+            capsys, "meter", "--scenario", "three-box", "--expr", "C", "--sweep", sweep
+        )
+        assert (code, out, err) == (1, "", "error: argument --sweep: sweep list is empty\n")
+
     @pytest.mark.parametrize(
         "flags",
         [

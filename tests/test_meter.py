@@ -15,6 +15,7 @@ from weaklogic import (
     NotAProjectorError,
     PostselectionLostError,
     SweepDivergenceError,
+    basis_projector,
     build_scenario,
     catalog,
     evaluate_text,
@@ -53,6 +54,13 @@ class TestMeterConfig:
             MeterConfig(sigma=1.0, g=-0.1)
         with pytest.raises(ValueError):
             MeterConfig(sigma=1.0, g=0.1, grid_points=4)
+
+    @pytest.mark.parametrize(
+        "sigma, g", [(math.nan, 0.1), (1.0, math.nan), (1.0, math.inf), (-math.inf, 0.1)]
+    )
+    def test_non_finite_parameters_are_named(self, sigma, g):
+        with pytest.raises(ValueError, match="^sigma and coupling strength g must be finite$"):
+            MeterConfig(sigma=sigma, g=g)
 
     @pytest.mark.parametrize(
         "sigma,g",
@@ -730,6 +738,35 @@ class TestSequentialDisturbance:
         p = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(PostselectionLostError):
             sequential_disturbance(s, p, p, 1.0, 0.1)
+
+    # over labels JK, P1 projects onto J = 1 and P2 onto K = 1; they commute,
+    # so c_JK = <bra|S2_K S1_J|pre> is conj(post_JK) pre_JK, set entry by entry
+    LABELS = ("00", "01", "10", "11")
+    P1 = basis_projector(LABELS, ["10", "11"])
+    P2 = basis_projector(LABELS, ["01", "11"])
+
+    def test_one_meter_extinction_fires_where_two_meters_would_not(self):
+        # c = (1, 1, -1, -1)/4: both a_K = c_0K + c_1K vanish, so the one-meter
+        # weight w0 is 0, while the two-meter weight, (1 - k^2)/4, is not
+        s = build_scenario("x", self.LABELS, [1, 1, 1, 1], [1, 1, -1, -1])
+        with pytest.raises(
+            PostselectionLostError,
+            match="^postselection extinguishes the meter state; no statistics exist$",
+        ):
+            sequential_disturbance(s, self.P1, self.P2, 1.0, 0.05)
+
+    def test_two_meter_extinction_fires_where_one_meter_would_not(self):
+        # c00 = c10 = a/2 and c01 = c11 = 0: w0 = |a|^2 = 1.5e-14 is above the
+        # cut, the two-meter weight w0 (1 + k)/2, with k = e^-2 at g = 4, is not
+        e = math.sqrt(7.5e-15)
+        s = build_scenario("x", self.LABELS, [1, 0, 1, 0], [e, 1, e, 0])
+        stats = measure_pointer(s, self.P2, MeterConfig(1.0, 4.0))
+        assert stats.success_prob == pytest.approx(1.5e-14, rel=1e-9)
+        with pytest.raises(
+            PostselectionLostError,
+            match="^postselection extinguishes the two-meter state; no statistics exist$",
+        ):
+            sequential_disturbance(s, self.P1, self.P2, 1.0, 4.0)
 
     @pytest.mark.parametrize("name", ["pigeonhole2", "pigeonhole3", "three-box", "hardy"])
     def test_closed_form_matches_quadrature_oracle(self, name):

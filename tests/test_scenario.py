@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from weaklogic import (
     CATALOG_NAMES,
     MeterConfig,
+    ParseError,
     PhysicsError,
     ScenarioError,
     UnboundNameError,
@@ -43,8 +44,8 @@ from weaklogic import (
 from weaklogic import linalg
 from weaklogic.cli import main
 from weaklogic.expr import Name
-from weaklogic.linalg import dense
-from weaklogic.scenario import amplitude
+from weaklogic.linalg import as_operator, dense
+from weaklogic.scenario import _amplitude
 from helpers import (
     bits,
     hardy_beamsplitter,
@@ -194,6 +195,29 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="not a valid identifier"):
             load_scenario(_with({"channels": {"2bad": {"basis": ["A"]}}}))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "scenario document must be a JSON object"),
+            ('"boxes"', "scenario document must be a JSON object"),
+            (_with(name=""), "'name' must be a non-empty string"),
+            (_with(name=3), "'name' must be a non-empty string"),
+            (_with(dim=True), "'dim' must be a positive integer"),
+            (_with(dim=0), "'dim' must be a positive integer"),
+            (_with(dim=3.0), "'dim' must be a positive integer"),
+            (_with(channels=[]), "'channels' must be an object"),
+            (_with({"channels": {"A": {"basis": "A"}}}), "channel 'A': 'basis' must list labels"),
+            (_with({"channels": {"A": {"basis": [1]}}}), "channel 'A': 'basis' must list labels"),
+        ],
+        ids=[
+            "list", "string", "empty name", "numeric name", "dim true", "dim zero",
+            "dim float", "channels list", "basis string", "basis number",
+        ],
+    )
+    def test_each_document_check_names_its_field(self, text, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            load_scenario(text)
+
     def test_label_count_mismatch(self):
         with pytest.raises(ScenarioError, match="list of 3 strings"):
             load_scenario(_with(labels=["A", "B"]))
@@ -215,6 +239,48 @@ class TestBuildScenario:
     def test_duplicate_labels(self):
         with pytest.raises(ScenarioError, match="unique"):
             build_scenario("x", ("a", "a"), [1, 0], [0, 1])
+
+    @pytest.mark.parametrize("source", [*CATALOG_NAMES, *range(6)])
+    def test_post_overlap_is_the_raw_inner_product_bit_for_bit(self, source):
+        # a catalog name, or the seed of a random scenario with evolution
+        if isinstance(source, str):
+            s = catalog(source)
+        else:
+            rng = np.random.default_rng(source)
+            s = random_scenario(rng, int(rng.integers(1, 7)), with_evolution=True)
+        pre = s.pre_state.amps
+        ket = pre if s.evolution is None else s.evolution @ pre
+        assert bits(s.post_overlap) == bits(complex(np.vdot(s.post_state.amps, ket)))
+
+    def test_no_labels(self):
+        with pytest.raises(ScenarioError, match="^scenario needs at least one basis label$"):
+            build_scenario("x", (), [], [])
+
+    def test_evolution_dimension_enforced(self):
+        with pytest.raises(ScenarioError, match="^evolution must be 3x3, got 2x2$"):
+            build_scenario("x", ("a", "b", "c"), [1, 0, 0], [0, 1, 0], identity(2))
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet="aZz09_ +*()\n\t\u00e9\u0661"),
+            st.from_regex(r"[A-Za-z][A-Za-z0-9_]*", fullmatch=True),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_channel_name_is_exactly_an_expression_name(self, text):
+        try:
+            is_name = parse(text) == Name(text)
+        except ParseError:
+            is_name = False
+        try:
+            build_scenario("x", ("a",), [1], [1], None, {text: [1.0]})
+        except ScenarioError as exc:
+            assert str(exc) == f"channel name {text!r} is not a valid identifier"
+            accepted = False
+        else:
+            accepted = True
+        assert accepted is is_name
 
     def test_channel_dimension_enforced(self):
         with pytest.raises(ScenarioError, match="must be 2x2"):
@@ -764,34 +830,29 @@ class TestAmplitude:
         from helpers import random_scenario
 
         s = random_scenario(rng, 5, with_evolution=True)
-        a, b = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(2))
+        a, b = (
+            as_operator(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))) for _ in range(2)
+        )
         bra, pre = s.bra.amps, s.pre_state.amps
-        assert amplitude(s) == complex(np.vdot(bra, pre))
-        assert amplitude(s, a) == complex(np.vdot(bra, a @ pre))
+        assert _amplitude(s) == complex(np.vdot(bra, pre))
+        assert _amplitude(s, a) == complex(np.vdot(bra, a @ pre))
         # the last operator acts first, and the products keep that order
-        assert amplitude(s, a, b) == complex(np.vdot(bra, a @ (b @ pre)))
-        assert amplitude(s) == pytest.approx(s.post_overlap, abs=1e-12)
+        assert _amplitude(s, a, b) == complex(np.vdot(bra, a @ (b @ pre)))
+        assert _amplitude(s) == pytest.approx(s.post_overlap, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "op, match",
-        [
-            (np.ones((3, 2)), "square"),
-            (np.full((3, 3), np.nan), "non-finite"),
-            (identity(4), "dimension mismatch"),
-        ],
-    )
-    def test_operator_checked(self, op, match):
-        s = catalog("three-box")
-        with pytest.raises(ValueError, match=match):
-            amplitude(s, identity(3), op)
+    def test_dimension_checked(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: operator 4 vs state 3$"):
+            _amplitude(catalog("three-box"), identity(3), identity(4))
 
     def test_overflowing_product_rejected(self):
         s = catalog("three-box")
-        huge = 1e308 * identity(3)
-        assert cmath.isfinite(amplitude(s, huge))
+        huge = as_operator(1e308 * identity(3))
+        assert cmath.isfinite(_amplitude(s, huge))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="not finite"):
-                amplitude(s, huge, huge)
+            with pytest.raises(
+                ValueError, match="^matrix element is not finite: the operator product overflows$"
+            ):
+                _amplitude(s, huge, huge)
 
 
 class TestAuditPairData:
@@ -819,5 +880,11 @@ class TestAuditPairData:
             parse_audit_pairs('[{"a": "x"}]')
         with pytest.raises(ScenarioError, match="invalid JSON"):
             parse_audit_pairs("nope")
+
+    @pytest.mark.parametrize("field", ["a", "b", "kind"])
+    def test_a_field_that_is_not_a_string(self, field):
+        item = {"a": "x", "b": "y", "kind": "sum", field: 1}
+        with pytest.raises(ScenarioError, match="^audit pair #1 fields must be strings$"):
+            parse_audit_pairs(json.dumps([{"a": "x", "b": "y", "kind": "sum"}, item]))
         with pytest.raises(ScenarioError, match="duplicate key 'kind'"):
             parse_audit_pairs('[{"a": "x", "b": "y", "kind": "sum", "kind": "product"}]')

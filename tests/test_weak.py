@@ -89,6 +89,13 @@ class TestErrorsAndFlags:
         assert w.near_pole
         assert w.value == pytest.approx(w.numerator / w.denominator, rel=1e-12)
 
+    def test_an_overflowing_ratio_is_a_value_error(self):
+        # the numerator, about 1e302, is finite; its ratio to 1e-8 is not
+        s = build_scenario("pole", ("a", "b"), [1, 0], [1e-8, 1])
+        with pytest.warns(NearPoleWarning):
+            with pytest.raises(ValueError, match="^weak value is not finite: it overflows$"):
+                weak_value(s, np.full((2, 2), 1e302))
+
     @staticmethod
     def _near_pole_warnings(call):
         with warnings.catch_warnings(record=True) as caught:
