@@ -5,6 +5,16 @@ expression or file), 2 physics error (extinguished postselection, violated
 audit preconditions, and similar). Output is deterministic byte for byte for
 identical inputs; numbers are printed with 12 significant digits in table
 mode and at full precision in JSON mode.
+
+Each command is declared once, as one entry of ``_COMMANDS``: its name, its
+help line, its handler, whether it reads a scenario, its own arguments and
+its parser defaults. ``build_parser`` builds every subcommand from these
+entries and adds ``--format`` to each, and ``--scenario`` and ``--file`` to
+each that reads a scenario. A handler only computes: it takes the resolved
+scenario (``None`` for ``list``) and the parsed arguments, and returns the
+payload and its table rows, or ``None`` for one row per payload field.
+``main`` resolves the scenario before the handler runs its own checks,
+prints the result through ``_emit``, and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -78,17 +88,24 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(args, payload: dict, rows: list[tuple[str, str]] | None = None) -> int:
+def _emit(fmt: str, payload: dict, rows: list[tuple[str, str]] | None) -> None:
     """Print the payload as JSON, or as a table of ``rows`` (by default one
     row per payload field)."""
-    if args.format == "json":
+    if fmt == "json":
         print(json.dumps(payload, indent=2, default=_json_default))
-        return 0
+        return
     if rows is None:
         rows = [(key, _cell(value)) for key, value in payload.items()]
     width = max(len(key) for key, _ in rows)
     print("\n".join(f"{key:<{width}}  {value}" for key, value in rows))
-    return 0
+
+
+def _read(path: str, what: str) -> str:
+    """The text of a UTF-8 file named on the command line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # UnicodeDecodeError is no OSError
+        raise ScenarioError(f"cannot read {what} file: {exc}") from None
 
 
 def _resolve_scenario(args) -> Scenario:
@@ -96,12 +113,7 @@ def _resolve_scenario(args) -> Scenario:
         raise _UsageError("exactly one of --scenario or --file is required")
     if args.scenario:
         return catalog(args.scenario)
-    path = Path(args.file)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from None
-    return load_scenario(text)
+    return load_scenario(_read(args.file, "scenario"))
 
 
 def _projector(s: Scenario, text: str) -> np.ndarray:
@@ -111,7 +123,7 @@ def _projector(s: Scenario, text: str) -> np.ndarray:
     return p
 
 
-def _cmd_list(args) -> int:
+def _cmd_list(_s, _args):
     entries = []
     rows = []
     for name in CATALOG_NAMES:
@@ -119,12 +131,10 @@ def _cmd_list(args) -> int:
         channels = list(s.channels)
         entries.append({"name": name, "dim": s.dim, "channels": channels})
         rows.append((name, f"dim={s.dim}  channels={','.join(channels)}"))
-    return _emit(args, {"scenarios": entries}, rows)
+    return {"scenarios": entries}, rows
 
 
-def _cmd_show(args) -> int:
-    s = _resolve_scenario(args)
-    doc = scenario_document(s)
+def _cmd_show(s, _args):
     rows = [
         ("name", s.name),
         ("dim", str(s.dim)),
@@ -139,11 +149,10 @@ def _cmd_show(args) -> int:
             key = "evolution" if i == 0 else ""
             rows.append((key, " ".join(fmt_complex(z) for z in row)))
     rows.append(("channels", " ".join(s.channels)))
-    return _emit(args, doc, rows)
+    return scenario_document(s), rows
 
 
-def _cmd_strong(args) -> int:
-    s = _resolve_scenario(args)
+def _cmd_strong(s, args):
     p = _projector(s, args.expr)
     payload = {
         "scenario": s.name,
@@ -153,24 +162,21 @@ def _cmd_strong(args) -> int:
         "abl": abl_prob(s, p),
         "bayes_residual": bayes_check(s, p),
     }
-    return _emit(args, payload)
+    return payload, None
 
 
-def _cmd_abl(args) -> int:
-    s = _resolve_scenario(args)
-    p = _projector(s, args.expr)
-    value = abl_prob(s, p)
+def _cmd_abl(s, args):
+    value = abl_prob(s, _projector(s, args.expr))
     payload = {
         "scenario": s.name,
         "expression": args.expr,
         "abl": value,
         "abl_complement": 1.0 - value,
     }
-    return _emit(args, payload)
+    return payload, None
 
 
-def _cmd_weak(args) -> int:
-    s = _resolve_scenario(args)
+def _cmd_weak(s, args):
     w = weak_value_expr(s, args.expr)
     payload = {
         "scenario": s.name,
@@ -181,7 +187,7 @@ def _cmd_weak(args) -> int:
         "is_zero": w.is_zero,
         "near_pole": w.near_pole,
     }
-    return _emit(args, payload)
+    return payload, None
 
 
 def _verdict_rows(kind: str, expr_a: str, expr_b: str, verdict) -> list[tuple[str, str]]:
@@ -200,13 +206,12 @@ def _verdict_rows(kind: str, expr_a: str, expr_b: str, verdict) -> list[tuple[st
     ]
 
 
-def _cmd_audit_pair(args) -> int:
-    s = _resolve_scenario(args)
+def _cmd_audit_pair(s, args):
     verdict = _audit_pair(s, args.expr, args.expr2, args.kind)
     payload = {"scenario": s.name, "expr_a": args.expr, "expr_b": args.expr2}
     payload.update(verdict.to_dict())
     rows = [("scenario", s.name)] + _verdict_rows(args.kind, args.expr, args.expr2, verdict)
-    return _emit(args, payload, rows)
+    return payload, rows
 
 
 def _report_rows(report: AuditReport) -> list[tuple[str, str]]:
@@ -233,51 +238,34 @@ def _report_rows(report: AuditReport) -> list[tuple[str, str]]:
     return rows
 
 
-def _cmd_audit_all(args) -> int:
-    s = _resolve_scenario(args)
+def _cmd_audit_all(s, args):
     if args.pairs:
-        try:
-            text = Path(args.pairs).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ScenarioError(f"cannot read audit-pair file: {exc}") from None
-        pairs = parse_audit_pairs(text)
+        pairs = parse_audit_pairs(_read(args.pairs, "audit-pair"))
     elif args.scenario:
         pairs = default_audit_pairs(args.scenario)
     else:
         pairs = ()
     report = audit_all(s, pairs)
-    return _emit(args, report.to_dict(), _report_rows(report))
+    return report.to_dict(), _report_rows(report)
 
 
-def _cmd_meter(args) -> int:
-    s = _resolve_scenario(args)
+def _cmd_meter(s, args):
     if (args.g is None) == (args.sweep is None):
         raise _UsageError("exactly one of --g or --sweep is required")
     p = evaluate_text(args.expr, s.channels)
+    payload = {"scenario": s.name, "expression": args.expr, "sigma": args.sigma}
     if args.sweep is not None:
         estimate = weak_limit_estimate(s, p, args.sigma, args.sweep)
         exact = weak_value(s, p).value
-        payload = {
-            "scenario": s.name,
-            "expression": args.expr,
-            "sigma": args.sigma,
-            "sweep": args.sweep,
-            "estimate": estimate,
-            "weak_value": exact,
-            "abs_error": abs(estimate - exact),
-        }
-        return _emit(args, payload)
-    stats = measure_pointer(s, p, MeterConfig(sigma=args.sigma, g=args.g))
-    payload = {
-        "scenario": s.name,
-        "expression": args.expr,
-        "sigma": args.sigma,
-        "g": args.g,
-        "mean_q": stats.mean_q,
-        "mean_p": stats.mean_p,
-        "success_prob": stats.success_prob,
-    }
-    return _emit(args, payload)
+        payload.update(
+            sweep=args.sweep, estimate=estimate, weak_value=exact, abs_error=abs(estimate - exact)
+        )
+    else:
+        stats = measure_pointer(s, p, MeterConfig(sigma=args.sigma, g=args.g))
+        payload.update(
+            g=args.g, mean_q=stats.mean_q, mean_p=stats.mean_p, success_prob=stats.success_prob
+        )
+    return payload, None
 
 
 def _sweep_csv(text: str) -> list[float]:
@@ -290,15 +278,39 @@ def _sweep_csv(text: str) -> list[float]:
     return values
 
 
-def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", help=f"catalog name ({', '.join(CATALOG_NAMES)})")
-    sub.add_argument("--file", help="path to a scenario JSON file")
-    sub.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
+def _required(flag: str, text: str) -> tuple[str, dict]:
+    return flag, {"required": True, "help": text}
+
+
+_PROJECTOR = _required("--expr", "projector expression")
+
+#: One declaration per command: name, help, handler, whether it reads a
+#: scenario (``--scenario``/``--file``), its own arguments as (flag,
+#: ``add_argument`` keywords), and its parser defaults.
+_COMMANDS = (
+    ("list", "list built-in scenarios", _cmd_list, False, (), {}),
+    ("show", "print a scenario definition", _cmd_show, True, (), {}),
+    ("strong", "Born, postselected, and conditioned probabilities", _cmd_strong, True,
+     (_PROJECTOR,), {}),
+    ("abl", "outcome probability conditioned on pre- and postselection", _cmd_abl, True,
+     (_PROJECTOR,), {}),
+    ("weak", "weak value of an operator expression", _cmd_weak, True,
+     (_required("--expr", "operator expression"),), {}),
+    *(
+        (f"audit-{kind}", f"audit an {logic} combination ({kind})", _cmd_audit_pair, True,
+         (_required("--expr", "first projector expression"),
+          _required("--expr2", "second projector expression")), {"kind": kind})
+        for kind, logic in (("sum", "OR"), ("product", "AND"))
+    ),
+    ("audit-all", "run a scenario's audit-pair batch", _cmd_audit_all, True,
+     (("--pairs", {"help": "path to a JSON list of {a, b, kind} audit pairs"}),), {}),
+    ("meter", "pointer statistics at finite coupling, or a weak-limit sweep", _cmd_meter, True,
+     (_PROJECTOR,
+      ("--sigma", {"type": float, "default": 1.0, "help": "pointer spread"}),
+      ("--g", {"type": float, "help": "coupling strength"}),
+      ("--sweep", {"type": _sweep_csv, "help": "decreasing CSV couplings for extrapolation"})),
+     {}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,70 +322,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p_list = sub.add_parser("list", help="list built-in scenarios")
-    p_list.add_argument(
-        "--format", choices=("table", "json"), default="table",
-        help="output format (default: table)",
-    )
-    p_list.set_defaults(handler=_cmd_list)
-
-    p_show = sub.add_parser("show", help="print a scenario definition")
-    _add_scenario_args(p_show)
-    p_show.set_defaults(handler=_cmd_show)
-
-    p_strong = sub.add_parser(
-        "strong", help="Born, postselected, and conditioned probabilities"
-    )
-    _add_scenario_args(p_strong)
-    p_strong.add_argument("--expr", required=True, help="projector expression")
-    p_strong.set_defaults(handler=_cmd_strong)
-
-    p_abl = sub.add_parser(
-        "abl", help="outcome probability conditioned on pre- and postselection"
-    )
-    _add_scenario_args(p_abl)
-    p_abl.add_argument("--expr", required=True, help="projector expression")
-    p_abl.set_defaults(handler=_cmd_abl)
-
-    p_weak = sub.add_parser("weak", help="weak value of an operator expression")
-    _add_scenario_args(p_weak)
-    p_weak.add_argument("--expr", required=True, help="operator expression")
-    p_weak.set_defaults(handler=_cmd_weak)
-
-    for kind, logic in (("sum", "OR"), ("product", "AND")):
-        p_pair = sub.add_parser(f"audit-{kind}", help=f"audit an {logic} combination ({kind})")
-        _add_scenario_args(p_pair)
-        p_pair.add_argument("--expr", required=True, help="first projector expression")
-        p_pair.add_argument("--expr2", required=True, help="second projector expression")
-        p_pair.set_defaults(handler=_cmd_audit_pair, kind=kind)
-
-    p_all = sub.add_parser("audit-all", help="run a scenario's audit-pair batch")
-    _add_scenario_args(p_all)
-    p_all.add_argument(
-        "--pairs", help="path to a JSON list of {a, b, kind} audit pairs"
-    )
-    p_all.set_defaults(handler=_cmd_audit_all)
-
-    p_meter = sub.add_parser(
-        "meter", help="pointer statistics at finite coupling, or a weak-limit sweep"
-    )
-    _add_scenario_args(p_meter)
-    p_meter.add_argument("--expr", required=True, help="projector expression")
-    p_meter.add_argument("--sigma", type=float, default=1.0, help="pointer spread")
-    p_meter.add_argument("--g", type=float, help="coupling strength")
-    p_meter.add_argument(
-        "--sweep", type=_sweep_csv, help="decreasing CSV couplings for extrapolation"
-    )
-    p_meter.set_defaults(handler=_cmd_meter)
-
+    for name, summary, handler, reads_scenario, arguments, defaults in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        if reads_scenario:
+            command.add_argument("--scenario", help=f"catalog name ({', '.join(CATALOG_NAMES)})")
+            command.add_argument("--file", help="path to a scenario JSON file")
+        command.add_argument(
+            "--format", choices=("table", "json"), default="table",
+            help="output format (default: table)",
+        )
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(handler=handler, **defaults)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        s = _resolve_scenario(args) if hasattr(args, "scenario") else None  # list has no --scenario
+        _emit(args.format, *args.handler(s, args))
+        return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (_UsageError, ValueError) as exc:  # ExpressionError, ScenarioError

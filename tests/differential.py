@@ -9,6 +9,10 @@ in one subprocess per tree, both at once:
 
 - every CLI command, in table and JSON form, on each document, plus
   ``list`` and each catalog scenario;
+- the parser once per argv, as written: the top-level ``--help`` and that
+  of each command, and usage errors (a missing or unknown flag value, an
+  unknown command, both or neither of ``--g``/``--sweep`` and of
+  ``--scenario``/``--file``, and missing files);
 - ``audit_all`` in-process on each document, over the pairs of the golden
   corpus and a few more.
 
@@ -95,6 +99,32 @@ DOC_RUNS = [
     ["meter", "--expr", "A", "--sigma", "1e-200", "--g", "0"],
     ["meter", "--expr", "A", "--sigma", "1e200", "--sweep", "1e-1,1e-2"],
 ]
+
+
+#: Every CLI command, each of whose ``--help`` is a run.
+COMMANDS = (
+    "list", "show", "strong", "abl", "weak", "audit-sum", "audit-product", "audit-all", "meter"
+)
+
+
+def _parser_runs(missing: str) -> list[list[str]]:
+    """Help and usage-error argvs, run as written; ``missing`` names no file."""
+    three_box = ["--scenario", "three-box"]
+    return [
+        ["--help"],
+        *([cmd, "--help"] for cmd in COMMANDS),
+        ["frobnicate"],
+        ["weak", *three_box],
+        ["audit-sum", *three_box, "--expr", "A"],
+        ["show", *three_box, "--format", "xml"],
+        ["meter", *three_box, "--expr", "A", "--sigma", "wide", "--g", "0.1"],
+        ["meter", *three_box, "--expr", "A", "--g", "0.1", "--sweep", "1e-1,1e-2"],
+        ["meter", *three_box, "--expr", "A"],
+        ["show", *three_box, "--file", missing],
+        ["show"],
+        ["show", "--file", missing],
+        ["audit-all", *three_box, "--pairs", missing],
+    ]
 
 
 def _pairs(vec) -> list:
@@ -197,6 +227,7 @@ def _jobs(files: int, seed: int, where: Path) -> dict:
         for cmd, *rest in DOC_RUNS + [["audit-all", "--pairs", str(pairs_path)]]:
             runs.append([cmd, "--file", str(path), *rest])
     cli = [[*argv, "--format", fmt] for argv in runs for fmt in ("table", "json")]
+    cli += _parser_runs(str(where / "missing.json"))
     return {"cli": cli, "audit": audits}
 
 

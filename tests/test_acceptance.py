@@ -3,7 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-from contextlib import contextmanager
+import io
+import json
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from weaklogic import (
     weak_value,
     weak_value_expr,
 )
+from weaklogic.cli import main
 from helpers import (
     dproj,
     hardy_beamsplitter,
@@ -42,6 +46,7 @@ from helpers import (
 
 TOL = 1e-12
 SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 @contextmanager
@@ -307,3 +312,46 @@ def test_criterion_11_meter_oracle_agreement():
             assert abs(stats.mean_q - mean_q) <= 1e-9
             assert abs(stats.mean_p - mean_p) <= 1e-9
             assert abs(stats.success_prob - weight) <= 1e-9
+
+
+def _cli(*argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_criterion_12_nested_mach_zehnder():
+    with criterion(12, "nested Mach-Zehnder example"):
+        scenario = ("--file", str(EXAMPLES / "nested-mzi.json"))
+        for expr, expected in (("A", 1.0), ("B", -1.0), ("C", 1.0), ("E", 0.0), ("F", 0.0)):
+            code, out, _ = _cli("weak", *scenario, "--expr", expr, "--format", "json")
+            assert code == 0
+            weak = json.loads(out)
+            value = complex(weak["value"]["re"], weak["value"]["im"])
+            assert weak["is_zero"] is (expected == 0.0)
+            # E's numerator is a rounding residue of the normalization (about
+            # 3e-18), not an exact zero; the flag, not the bits, marks it
+            assert abs(value - expected) < (1e-15 if expected == 0.0 else TOL)
+        pairs = str(EXAMPLES / "nested-mzi-pairs.json")
+        code, out, _ = _cli("audit-all", *scenario, "--pairs", pairs, "--format", "json")
+        assert code == 0
+        verdicts = [
+            (entry["kind"], entry["expr_a"], entry["expr_b"], entry.get("case", entry.get("error")))
+            for entry in json.loads(out)["pairs"]
+        ]
+        assert verdicts == [
+            ("sum", "A", "B", "III"),
+            ("sum", "E", "F", "I"),
+            ("sum", "A", "C", "II"),
+            ("sum", "E", "C", "I/II-degenerate"),
+            ("product", "A", "E", "projectors do not commute; their product is not a projector"),
+        ]
+        code, out, err = _cli("audit-product", *scenario, "--expr", "A", "--expr2", "E")
+        assert (code, out) == (2, "")
+        assert "projectors do not commute" in err
+        for expr, expected in (("A", 1.0), ("B", 0.2), ("C", 1.0)):
+            code, out, _ = _cli("abl", *scenario, "--expr", expr, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["abl"] == pytest.approx(expected, abs=TOL)

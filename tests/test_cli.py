@@ -466,6 +466,24 @@ class TestScenarioIO:
         assert code == 0
         assert "is_zero      true" in out
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (("show", "--file"), "scenario"),
+            (("audit-all", "--scenario", "three-box", "--pairs"), "audit-pair"),
+        ],
+    )
+    def test_file_not_utf8_is_named_exit_1(self, capsys, tmp_path, argv, what):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps(THREE_BOX_FILE).encode("utf-16"))  # starts \xff\xfe
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: cannot read {what} file: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
+
     def test_list_command(self, capsys):
         code, out, _ = run(capsys, "list")
         assert code == 0
