@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 user error (bad flags, unknown scenario, malformed
-expression or file), 2 physics error (extinguished postselection, violated
-audit preconditions, and similar). Output is deterministic byte for byte for
-identical inputs; numbers are printed with 12 significant digits in table
-mode and at full precision in JSON mode.
+expression or file) or a stdout closed by its reader, 2 physics error
+(extinguished postselection, violated audit preconditions, and similar). A
+closed stdout leaves stderr empty; ``--help`` then exits 1, or 0 where
+stdout is unbuffered, as argparse ignores a failed write of the help.
+Output is deterministic byte for byte for identical inputs; numbers are
+printed with 12 significant digits in table mode and at full precision in
+JSON mode.
 
 Each command is declared once, as one entry of ``_COMMANDS``: its name, its
 help line, its handler, whether it reads a scenario, its own arguments and
@@ -13,14 +16,16 @@ entries and adds ``--format`` to each, and ``--scenario`` and ``--file`` to
 each that reads a scenario. A handler only computes: it takes the resolved
 scenario (``None`` for ``list``) and the parsed arguments, and returns the
 payload and its table rows, or ``None`` for one row per payload field.
-``main`` resolves the scenario before the handler runs its own checks,
-prints the result through ``_emit``, and maps errors to exit codes.
+``_run`` resolves the scenario before the handler runs its own checks,
+prints the result through ``_emit``, and maps errors to exit codes;
+``main`` flushes stdout and maps a closed stdout to exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         s = _resolve_scenario(args) if hasattr(args, "scenario") else None  # list has no --scenario
@@ -351,6 +356,17 @@ def main(argv=None) -> int:
     except PhysicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader is gone; stdout's last flush, at exit, goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

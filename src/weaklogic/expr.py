@@ -13,6 +13,7 @@ product as an AND; evaluation performs no physics validation, so the result
 need not itself be a projector. A chain of '+' or '*' parses into one flat
 ``Sum`` or ``Product`` of any length; a parenthesised chain stays one
 operand of its parent, so the tree keeps the grouping the text spelled.
+One rule reads both chains: a chain of '+' over chains of '*' over factors.
 Parentheses may nest at most ``MAX_NESTING`` deep, so a tree is at most 101
 levels deep, and its dataclass methods, ``evaluate`` and every other walk of
 it need fewer than 500 frames of Python's default recursion limit of 1,000.
@@ -52,77 +53,58 @@ Node = Union[Name, Sum, Product]
 MAX_NESTING = 50
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_SINGLE = {"+": "PLUS", "*": "STAR", "(": "LPAREN", ")": "RPAREN"}
+
+#: The chains from loosest to tightest binding: each level reads a chain of
+#: its operator over the next level, and the level past the last a factor.
+_CHAINS = (("+", Sum), ("*", Product))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The (text, position) tokens, last first after an end token
+    ``("", len(text))``, so that ``pop`` takes the next one."""
     tokens = []
     pos = depth = 0
     while pos < len(text):
         ch = text[pos]
         if ch.isspace():
             pos += 1
-            continue
-        if ch in _SINGLE:
+        elif ch in "+*()":
             depth += (ch == "(") - (ch == ")")
             if depth > MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
-            tokens.append((_SINGLE[ch], ch, pos))
+            tokens.append((ch, pos))
             pos += 1
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            tokens.append(("NAME", m.group(), pos))
+        elif m := _NAME_RE.match(text, pos):
+            tokens.append((m.group(), pos))
             pos = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("END", "", len(text)))
-    return tokens
+        else:
+            raise ParseError(f"unexpected character {ch!r}", pos)
+    tokens.append(("", len(text)))
+    return tokens[::-1]
 
 
-class _TokenStream:
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self._tokens[self._i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self._tokens[self._i]
-        self._i += 1
-        return tok
-
-
-def _parse_expr(ts: _TokenStream) -> Node:
-    operands = [_parse_term(ts)]
-    while ts.peek()[0] == "PLUS":
-        ts.take()
-        operands.append(_parse_term(ts))
-    return Sum(tuple(operands)) if len(operands) > 1 else operands[0]
-
-
-def _parse_term(ts: _TokenStream) -> Node:
-    operands = [_parse_factor(ts)]
-    while ts.peek()[0] == "STAR":
-        ts.take()
-        operands.append(_parse_factor(ts))
-    return Product(tuple(operands)) if len(operands) > 1 else operands[0]
-
-
-def _parse_factor(ts: _TokenStream) -> Node:
-    kind, text, pos = ts.take()
-    if kind == "NAME":
-        return Name(text)
-    if kind == "LPAREN":
-        node = _parse_expr(ts)
-        kind, _, pos = ts.take()
-        if kind != "RPAREN":
+def _parse(tokens: list[tuple[str, int]], level: int = 0) -> Node:
+    """Read a chain of ``_CHAINS[level]`` off ``tokens``, or past the last
+    level a factor: a name or a parenthesised expression."""
+    if level < len(_CHAINS):
+        op, chain = _CHAINS[level]
+        operands = [_parse(tokens, level + 1)]
+        while tokens[-1][0] == op:
+            tokens.pop()
+            operands.append(_parse(tokens, level + 1))
+        return chain(tuple(operands)) if len(operands) > 1 else operands[0]
+    tok, pos = tokens.pop()
+    if tok == "(":
+        node = _parse(tokens)
+        tok, pos = tokens.pop()
+        if tok != ")":
             raise ParseError("expected ')'", pos)
         return node
-    if kind == "END":
+    if tok[:1].isalpha():  # only the tokenizer makes tokens: this is a name
+        return Name(tok)
+    if not tok:
         raise ParseError("expected a channel name or '('", pos)
-    raise ParseError(f"unexpected {text!r}", pos)
+    raise ParseError(f"unexpected {tok!r}", pos)
 
 
 @lru_cache(maxsize=1024)
@@ -134,12 +116,12 @@ def parse(text: str) -> Node:
     tree handed to every later call; a text that raises ``ParseError`` is
     not kept and raises afresh.
     """
-    ts = _TokenStream(_tokenize(text))
-    if ts.peek()[0] == "END":
-        raise ParseError("empty expression", ts.peek()[2])
-    node = _parse_expr(ts)
-    kind, tok, pos = ts.peek()
-    if kind != "END":
+    tokens = _tokenize(text)
+    if not tokens[-1][0]:
+        raise ParseError("empty expression", tokens[-1][1])
+    node = _parse(tokens)
+    tok, pos = tokens[-1]
+    if tok:
         raise ParseError(f"unexpected {tok!r} after expression", pos)
     return node
 

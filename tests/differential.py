@@ -13,6 +13,8 @@ in one subprocess per tree, both at once:
   of each command, and usage errors (a missing or unknown flag value, an
   unknown command, both or neither of ``--g``/``--sweep`` and of
   ``--scenario``/``--file``, and missing files);
+- each of ``BAD_EXPRESSIONS`` on ``three-box``, once as ``weak --expr`` and
+  once as the second operand of ``audit-sum``;
 - ``audit_all`` in-process on each document, over the pairs of the golden
   corpus and a few more.
 
@@ -101,6 +103,14 @@ DOC_RUNS = [
 ]
 
 
+#: Malformed expressions, an unknown channel name, and the nesting limit:
+#: 50 nested parentheses parse, 51 fail at the 51st '('.
+BAD_EXPRESSIONS = (
+    "", "   ", "A +", "+A", "A B", "(A", "A)", "()", "A $ B", "A*(B+", "Nowhere",
+    *("(" * depth + "A" + ")" * depth for depth in (50, 51)),
+)
+
+
 #: Every CLI command, each of whose ``--help`` is a run.
 COMMANDS = (
     "list", "show", "strong", "abl", "weak", "audit-sum", "audit-product", "audit-all", "meter"
@@ -124,6 +134,8 @@ def _parser_runs(missing: str) -> list[list[str]]:
         ["show"],
         ["show", "--file", missing],
         ["audit-all", *three_box, "--pairs", missing],
+        *(["weak", *three_box, "--expr", text] for text in BAD_EXPRESSIONS),
+        *(["audit-sum", *three_box, "--expr", "A", "--expr2", text] for text in BAD_EXPRESSIONS),
     ]
 
 

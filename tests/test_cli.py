@@ -5,7 +5,9 @@ import importlib
 import inspect
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -582,3 +584,36 @@ class TestDeterminismAndExitCodes:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "COMMAND" in out
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["list"],
+            ["audit-all", "--file", "examples/nested-mzi.json",
+             "--pairs", "examples/nested-mzi-pairs.json", "--format", "json"],
+            ["--help"],
+        ],
+        ids=["list", "audit-all", "help"],
+    )
+    def test_closed_stdout_exits_quietly(self, argv, unbuffered):
+        # stdout is a pipe whose read end is closed before the process
+        # starts, so its first write or flush fails, every time
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(inspect.getfile(main)).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "weaklogic.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, cwd=README.parent, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        # argparse ignores a failed write of the help, which an unbuffered
+        # stdout reports at once
+        expected = (0, 1) if argv == ["--help"] else (1,)
+        assert proc.returncode in expected
