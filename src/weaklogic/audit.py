@@ -22,7 +22,7 @@ tolerance can only come from the threshold itself; the sum is then reported
 as vanishing, case I.
 
 Both classifiers reject an operand that is not a projector. Each call
-records which operators are proven in one ``scenario._Batch``: a channel of
+records which operators are proven in a ``scenario._Batch``: a channel of
 the scenario was proved a projector once, when the scenario was built, and is
 not proved again; in the expression text ``audit_all`` takes, a product of
 proven factors is proven when it is self-adjoint within STRUCT_TOL, the step
@@ -32,15 +32,22 @@ operand, such as a sum, a non-commuting product or a copy of a channel, is
 coerced, scanned for NaN/Inf and proved. The weak values are then taken of
 the proven operands and their combination without checking them again.
 
-One ``audit_all`` call takes each of these steps once for all its pairs and
-keeps nothing past the call: it parses and folds each distinct operand text,
-proves each operand that needs the full proof (one that fails is proved
-again wherever it is named, so each error names its position), forms and
-tests each product of two proven operands, and takes the weak value of each
-proven operand. So the AND audit ``Lj | Lk`` reuses the ``Lj*Lk`` of the OR
-audit ``Lj*Lk | Rj*Rk`` and its weak value. A near-pole weak value warns
-once, from the classifier's line, when the call takes it; its reuses do not
-warn again, and each verdict's weak values carry the ``near_pole`` flag.
+``classify_sum`` and ``classify_product`` take the caller's arrays, which
+the caller may change in place, so each call keeps its record to itself.
+``audit_all`` works on the scenario's own record of expression texts, which
+holds only what the library made and lives as long as the scenario (up to
+64 MiB of operators and texts; past that, the next call starts it over). Each distinct
+operand text is parsed and folded, each operand that needs the full proof
+proved, each product of two proven operands formed and tested, and each
+orthogonality of the sum audit tested once per record: a second call on the
+same scenario forms no product. A failed proof is not kept, so an operand
+that fails is proved again wherever it is named, and each error names its
+position. The weak value of each proven operand is taken once per call. So
+the AND audit ``Lj | Lk`` reuses the ``Lj*Lk`` of the OR audit ``Lj*Lk |
+Rj*Rk`` and, within the call, its weak value. A near-pole weak value warns
+once per call, from the classifier's line, when the call takes it; its
+reuses do not warn again, and each verdict's weak values carry the
+``near_pole`` flag. Threads may share a scenario: each makes the same bits.
 """
 
 from __future__ import annotations
@@ -178,10 +185,13 @@ def classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
 
 
 def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
-    """``classify_sum`` of two proven projectors, their weak values taken
-    through ``batch``."""
+    """``classify_sum`` of two proven projectors, their orthogonality tested
+    once per record of ``batch`` and their weak values taken through it."""
     a, b = _one_form(pa, pb)
-    if not _within_struct_tol(_product(a, b)):
+    orthogonal = batch.orthogonal.get((id(pa), id(pb)))
+    if orthogonal is None:
+        orthogonal = batch.orthogonal[id(pa), id(pb)] = _within_struct_tol(_product(a, b))
+    if not orthogonal:
         raise AuditPreconditionError(
             "projectors are not orthogonal; their sum does not represent a "
             "disjunction of exclusive alternatives"
@@ -307,11 +317,12 @@ def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport
 
     Errors in individual pairs are collected as entries rather than raised,
     so one bad pair does not abort the rest of the report. The pairs share
-    one ``_Batch``: each distinct operand text is folded and proved, each
-    product of proven operands formed, and each weak value of a proven
-    operand taken, once per call.
+    one ``_Batch`` over the scenario's record: each distinct operand text is
+    folded and proved, each product of proven operands formed and each
+    orthogonality tested once per record, and each weak value of a proven
+    operand taken once per call.
     """
-    batch = _Batch(s)
+    batch = _Batch(s, kept=True)
     entries = []
     for expr_a, expr_b, kind in pairs:
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
@@ -53,7 +54,8 @@ class Scenario:
     bit (every basis channel), else as its matrix (``linalg.dense``). ``dim``,
     ``post_overlap`` = <post|U|pre> and ``bra`` = U^dagger |post>, against
     which intermediate-time matrix elements are taken, are derived, not
-    arguments.
+    arguments. Each scenario also keeps the private record of expression
+    texts that ``_Batch`` describes; ``dataclasses.replace`` starts it empty.
     """
 
     name: str
@@ -111,6 +113,7 @@ class Scenario:
             ("channels", MappingProxyType(table)),
             ("post_overlap", complex(np.vdot(post.amps, ket))),
             ("bra", post if ev is None else State(ev.conj().T @ post.amps, labels)),
+            ("_record", _new_record(table)),
         ):
             object.__setattr__(self, attr, value)
 
@@ -149,9 +152,21 @@ def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
     return value
 
 
+#: Bytes of operators and texts that a scenario's record may hold when a
+#: call starts; past them the call starts the record over.
+_RECORD_CAP = 64 << 20
+
+
+def _new_record(channels: Mapping[str, np.ndarray]) -> tuple:
+    """A new record for ``_Batch``: its maps ``proven`` (seeded with
+    ``channels``), ``operands``, ``products`` and ``orthogonal``, and its
+    list ``sizes``."""
+    return {id(p): p for p in channels.values()}, {}, {}, {}, []
+
+
 class _Batch:
-    """One call's record of which operators are proven projectors, and its
-    evaluation of expressions over a scenario, each step made once.
+    """A record of which operators are proven projectors, and an evaluation of
+    expressions over a scenario, each step made once.
 
     ``proven`` maps ``id(P)`` to P for each proven P: the scenario's
     channels, all proved when it was made (a bare channel name evaluates to
@@ -160,38 +175,66 @@ class _Batch:
     self-adjoint within STRUCT_TOL, for then PQ = (PQ)^dagger = QP and
     (PQ)^2 = PPQQ = PQ. Its idempotence is not checked: (PQ)^2 - PQ =
     P(QP - PQ)Q is at most QP - PQ in norm. Holding each value, the map
-    keeps its ids from being reused while the batch lives, and so may key
-    the products and weak values of proven operators by id. A call makes
-    its own, so nothing is shared or kept past it.
+    keeps its ids from being reused while the record lives, and so may key
+    the products, orthogonality flags and weak values of proven operators
+    by id.
+
+    ``_Batch(s)`` makes a record for one call, which the call drops when it
+    returns: the classifiers and the meter prove the caller's own arrays,
+    which the caller may change in place before the next call.
+    ``_Batch(s, kept=True)`` works on the record of ``s``, which holds only
+    what the library made: the read-only operator of each text it folded,
+    the proofs of those, each product of proven operands and whether each
+    pair the sum audit tested is orthogonal. A failed proof is not kept. So
+    the calls on one scenario fold, prove, multiply and test each of these
+    once. ``sizes`` lists the bytes of each operator the record made and
+    of each text it holds, so that whitespace variants of one text count
+    too. When a call starts with more than ``_RECORD_CAP`` of them in the
+    record, it binds a new one in a single step; a call in progress keeps
+    the maps it started with. ``weak_values`` is always the call's own, so
+    each call warns near the pole. Threads sharing a scenario may both make
+    a step; each makes the same bits.
     """
 
-    def __init__(self, s: Scenario):
+    def __init__(self, s: Scenario, kept: bool = False):
         self.channels = s.channels
-        self.proven = {id(p): p for p in s.channels.values()}
-        self.operands: dict = {}  # text: operator
-        self.products: dict = {}  # (id(P), id(Q)): PQ of proven P, Q
+        if kept and sum(s._record[-1]) > _RECORD_CAP:
+            object.__setattr__(s, "_record", _new_record(s.channels))
+        record = s._record if kept else _new_record(s.channels)
+        self.proven, self.operands, self.products, self.orthogonal, self.sizes = record
         self.weak_values: dict = {}  # id(P): weak value of proven P
 
     def product(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """PQ, formed and tested once when P and Q are both proven, and then
         proven itself when self-adjoint. A proven diagonal is real
         (``as_operator`` makes a complex one a matrix), and real diagonals
-        multiply to a real diagonal, which is not tested."""
+        multiply to a real diagonal, which is not tested. PQ is proven
+        before it is stored, so no other thread finds it unproven."""
         if id(p) not in self.proven or id(q) not in self.proven:
             return _compose(p, q)
         m = self.products.get((id(p), id(q)))
         if m is None:
-            m = self.products[id(p), id(q)] = _compose(p, q)
+            m = _compose(p, q)
+            m.setflags(write=False)
             if m.ndim == 1 or _self_adjoint(m):
                 self.proven[id(m)] = m
+            self.products[id(p), id(q)] = m
+            self.sizes.append(m.nbytes)
         return m
 
     def fold(self, text: str) -> np.ndarray:
         """The operator of ``text``, bit for bit as ``evaluate_text(text,
-        s.channels)`` forms it, folded once per batch."""
-        if text not in self.operands:
-            self.operands[text] = _fold(parse(text), self.channels, self.product)
-        return self.operands[text]
+        s.channels)`` forms it, folded once per record and read-only."""
+        op = self.operands.get(text)
+        if op is None:
+            op = _fold(parse(text), self.channels, self.product)
+            size = sys.getsizeof(text)
+            if id(op) not in self.proven:  # neither a channel nor a proven product
+                op.setflags(write=False)
+                size += op.nbytes
+            self.operands[text] = op
+            self.sizes.append(size)
+        return op
 
     def prove(self, op, what: str) -> np.ndarray:
         """``op`` if it is proven, else ``require_projector(op, what)``: coerced,

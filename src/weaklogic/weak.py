@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearPoleWarning, PostselectionLostError
-from .expr import evaluate_text
 from .linalg import as_operator
-from .scenario import Scenario, _amplitude
+from .scenario import Scenario, _Batch, _amplitude
 
 #: Numerator magnitudes at or below this count as a vanishing weak value.
 ZERO_TOL = 1e-12
@@ -78,5 +77,8 @@ def _weak_value(s: Scenario, op: np.ndarray, stacklevel: int = 2) -> WeakValue:
 
 
 def weak_value_expr(s: Scenario, text: str) -> WeakValue:
-    """Weak value of a projector expression over the scenario's channels."""
-    return _weak_value(s, evaluate_text(text, s.channels), stacklevel=3)
+    """Weak value of a projector expression over the scenario's channels. The
+    text's operator is folded once per scenario, in the record that
+    ``audit_all`` also keeps (``scenario._Batch``); the weak value is taken,
+    and warns near the pole, at each call."""
+    return _weak_value(s, _Batch(s, kept=True).fold(text), stacklevel=3)

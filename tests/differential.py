@@ -15,17 +15,20 @@ in one subprocess per tree, both at once:
   ``--scenario``/``--file``, and missing files);
 - each of ``BAD_EXPRESSIONS`` on ``three-box``, once as ``weak --expr`` and
   once as the second operand of ``audit-sum``;
-- ``audit_all`` in-process on each document, over the pairs of the golden
-  corpus and a few more.
+- in-process on each document, loaded once: ``audit_all`` over the pairs
+  of the golden corpus and a few more, ``audit_all`` again over the same
+  pairs in reversed order, and ``weak_value_expr`` of each distinct operand
+  text.
 
 Job by job it compares stdout, stderr, exit code and warnings (category and
-message) of each CLI run, and the report of each ``audit_all`` call with the
-bits of every weak value, numerator and denominator. It prints this tree's
+message) of each CLI run, and for each document the reports of both
+``audit_all`` calls and the weak values, with the bits of every weak value,
+numerator and denominator. It prints this tree's
 runs by command and exit code, the differences by command and field, and
 the first differences. It exits 1 if a difference is not named by an
 ``--expect``: ``CMD`` names every field of a command, ``CMD:FIELD`` one of
 ``stdout``, ``stderr``, ``exit`` and ``warnings``, or for ``audit_all``
-``report`` and ``warnings``.
+``report``, ``repeat``, ``weak`` and ``warnings``.
 
 The documents cycle through the kinds of ``corpus.make_document`` (basis,
 rotated and signed-zero channels, with or without evolution, near-pole or
@@ -270,28 +273,54 @@ def _run_cli(argv) -> dict:
     }
 
 
+def _attempt(call):
+    """What ``call()`` returns, or the exception it raises as text."""
+    try:
+        return call()
+    except Exception as exc:  # an escaped exception is an outcome to compare
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _weak_bits(w) -> list:
+    return [*_hex(w.value), *_hex(w.numerator), *_hex(w.denominator), w.is_zero, w.near_pole]
+
+
+def _texts(pairs) -> list[str]:
+    """The distinct operand texts of audit pairs, in order."""
+    return list(dict.fromkeys(text for a, b, _ in pairs for text in (a, b)))
+
+
+def _entries(report) -> list:
+    return [
+        entry.error if entry.verdict is None else [
+            entry.verdict.case.value,
+            entry.verdict.consistent,
+            [_weak_bits(w) for w in entry.verdict.weak_values],
+        ]
+        for entry in report.entries
+    ]
+
+
 def _run_audit(path, pairs) -> dict:
-    from weaklogic import audit_all, load_scenario
+    """One document loaded once, then audited twice, the second time in
+    reversed pair order, and the weak value of each distinct operand text
+    taken; a scenario that keeps stale state across calls shows here."""
+    from weaklogic import audit_all, load_scenario, weak_value_expr
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            report = audit_all(load_scenario(Path(path).read_text(encoding="utf-8")), pairs)
-            entries = [
-                entry.error if entry.verdict is None else [
-                    entry.verdict.case.value,
-                    entry.verdict.consistent,
-                    [
-                        [*_hex(w.value), *_hex(w.numerator), *_hex(w.denominator)]
-                        + [w.is_zero, w.near_pole]
-                        for w in entry.verdict.weak_values
-                    ],
-                ]
-                for entry in report.entries
-            ]
-        except Exception as exc:  # an escaped exception is an outcome to compare
-            entries = f"raised {type(exc).__name__}: {exc}"
-    return {"report": entries, "warnings": _caught(caught)}
+        s = _attempt(lambda: load_scenario(Path(path).read_text(encoding="utf-8")))
+        if isinstance(s, str):
+            results = {"report": s, "repeat": s, "weak": s}
+        else:
+            results = {
+                "report": _attempt(lambda: _entries(audit_all(s, pairs))),
+                "repeat": _attempt(lambda: _entries(audit_all(s, pairs[::-1]))),
+                "weak": [
+                    _attempt(lambda: _weak_bits(weak_value_expr(s, text))) for text in _texts(pairs)
+                ],
+            }
+    return {**results, "warnings": _caught(caught)}
 
 
 def worker(jobs_path: str, out_path: str) -> None:
@@ -403,8 +432,10 @@ def main(argv=None) -> int:
             results = _run_trees({"against": checkout, "this": ROOT}, jobs_path, where)
         finally:
             _git("worktree", "remove", "--force", str(checkout))
+    texts = len(_texts(jobs["audit"][0][1])) if jobs["audit"] else 0
     print(f"against {args.against} ({commit[:12]}): {args.files} documents, seed {args.seed}, "
-          f"{len(jobs['cli'])} CLI runs and {len(jobs['audit'])} audit_all calls per tree")
+          f"{len(jobs['cli'])} CLI runs per tree; on each document that loads, 2 audit_all "
+          f"calls and {texts} weak_value_expr calls")
     return 1 if compare(jobs, results["against"], results["this"], args.expect) else 0
 
 

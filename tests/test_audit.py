@@ -37,12 +37,14 @@ from weaklogic import (
     parse,
     sequential_disturbance,
     weak_limit_estimate,
+    weak_value_expr,
 )
-from weaklogic import linalg
+from weaklogic import linalg, scenario
 from weaklogic.audit import _audit_pair
 from weaklogic.linalg import dense
 from weaklogic.scenario import _amplitude
 from helpers import (
+    bits,
     dproj,
     generic_labels,
     pigeonhole_document,
@@ -438,7 +440,8 @@ class TestProofCost:
     that; any other operand is proved once per call. One audit_all call
     forms and tests each product of two proven operands once. Counted on
     the d x d product kernel, the self-adjointness test and the proof
-    kernel, on a pigeonhole whose channels are all dense."""
+    kernel, on a pigeonhole whose channels are all dense, made afresh for
+    each test: the scenario keeps its products and proofs across calls."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -458,7 +461,7 @@ class TestProofCost:
         spy(monkeypatch, linalg._proves_projector, proof)
         return calls
 
-    @pytest.fixture(scope="class")
+    @pytest.fixture
     def s(self):
         s = rotated_pigeonhole(np.random.default_rng(7), 4)
         assert s.dim == 16 and all(p.ndim == 2 for p in s.channels.values())
@@ -496,6 +499,40 @@ class TestProofCost:
         entries = audit_all(s, pairs).entries
         assert [entry.error for entry in entries] == [None] * 6
         assert (calls["products"], calls["self_adjoint"], calls["proofs"]) == (9, 6, 0)
+
+    def test_a_second_call_forms_tests_and_proves_nothing(self, s, calls):
+        # the scenario's record keeps the products of the first call, their
+        # proofs and the orthogonality of each sum pair; the repeated sum
+        # L1 + R1 keeps the proof it got in the first call
+        pairs = [
+            pair
+            for k in range(2, 5)
+            for pair in ((f"L1*L{k}", f"R1*R{k}", "sum"), ("L1", f"L{k}", "product"),
+                         ("L1 + R1", f"L{k}", "product"))
+        ]
+        first = audit_all(s, pairs)
+        # 9 products and 6 tests of the sum pairs, 3 and 3 of (L1 + R1)*Lk,
+        # and 1 and 1 in the proof of L1 + R1
+        assert (calls["products"], calls["self_adjoint"], calls["proofs"]) == (13, 10, 1)
+        calls.clear()
+        second = audit_all(s, pairs)
+        assert (calls["products"], calls["self_adjoint"], calls["proofs"]) == (0, 0, 0)
+        assert bits(second) == bits(first)
+
+    def test_weak_value_expr_forms_its_product_once(self, s, calls):
+        first = weak_value_expr(s, "L1*L2")
+        assert calls["products"] == 1
+        assert bits(weak_value_expr(s, "L1*L2")) == bits(first)
+        assert calls["products"] == 1
+
+    def test_a_replaced_scenario_starts_an_empty_record(self, s, calls):
+        pairs = [("L1*L2", "R1*R2", "sum"), ("L1", "L2", "product")]
+        audit_all(s, pairs)
+        t = dataclasses.replace(s, name="replaced")
+        calls.clear()
+        assert bits(audit_all(t, pairs).entries) == bits(audit_all(s, pairs).entries)
+        # t's calls form and test its products afresh; s's call forms none
+        assert (calls["products"], calls["self_adjoint"], calls["proofs"]) == (3, 2, 0)
 
     def test_a_repeated_sum_is_proved_once(self, s, calls):
         # L1 + R1 is the identity: proved for the first pair that names it
@@ -536,6 +573,93 @@ class TestProofCost:
         assert calls["proofs"] == 0
         sequential_disturbance(s, np.array(p), q, 1.0, 0.05)
         assert calls["proofs"] == 1
+
+
+class TestRecordKeepsWhatTheLibraryMade:
+    """A scenario keeps the operators, proofs, products and orthogonality
+    flags of the expression texts it was audited on, and nothing else: a
+    caller's array is proved at each call, and the record starts over past
+    its cap of bytes when a call starts."""
+
+    @pytest.fixture
+    def s(self):
+        return rotated_pigeonhole(np.random.default_rng(7), 3)
+
+    @pytest.mark.parametrize("kind", ["sum", "product"])
+    def test_a_caller_array_changed_in_place_is_proved_again(self, s, kind):
+        classify = classify_sum if kind == "sum" else classify_product
+        pa = np.array(s.channel("L1"))
+        pb = s.channel("R1" if kind == "sum" else "L2")
+        classify(s, pa, pb)
+        pa *= 2
+        with pytest.raises(NotAProjectorError, match="^first operand is not a projector$"):
+            classify(s, pa, pb)
+
+    def test_a_meter_coupling_changed_in_place_is_proved_again(self, s):
+        p = np.array(s.channel("L1"))
+        config = MeterConfig(sigma=1.0, g=0.1)
+        measure_pointer(s, p, config)
+        p *= 2
+        with pytest.raises(NotAProjectorError, match="^meter coupling is not a projector$"):
+            measure_pointer(s, p, config)
+
+    @staticmethod
+    def _held(s):
+        """Bytes of the operators the record of ``s`` holds beyond its
+        channels, each counted once."""
+        proven, operands, products = s._record[:3]
+        made = {id(m): m for held in (proven, operands, products) for m in held.values()}
+        for p in s.channels.values():
+            made.pop(id(p))
+        return sum(m.nbytes for m in made.values())
+
+    def test_the_record_starts_over_past_its_cap(self, s, monkeypatch):
+        # each call forms two products of 1 KiB; past a cap of 3 KiB the
+        # next call starts over, so the record never holds more than the
+        # cap and one call's own
+        calls = [[(f"L{j}*L{k}", f"R{j}*R{k}", "sum")] for j in range(1, 4) for k in range(1, 4)]
+        one = dataclasses.replace(s)
+        audit_all(one, calls[0])
+        own = self._held(one)
+        assert own == 2 * 16 * s.dim**2
+        monkeypatch.setattr(scenario, "_RECORD_CAP", 3 * own // 2)
+        held = []
+        for pairs in calls:
+            report = audit_all(s, pairs)
+            assert bits(report) == bits(audit_all(dataclasses.replace(s), pairs))
+            held.append(self._held(s))
+        assert max(held) <= scenario._RECORD_CAP + own
+        assert held == [own, 2 * own] * 4 + [own]
+
+    def test_each_text_counts_toward_the_cap(self, s, monkeypatch):
+        # whitespace variants fold to one product, but the record holds each
+        # text, so 200 of them start it over before it holds them all
+        monkeypatch.setattr(scenario, "_RECORD_CAP", 4096)
+        want = bits(weak_value_expr(s, "L1*L2"))
+        assert all(bits(weak_value_expr(s, "L1*L2" + " " * i)) == want for i in range(200))
+        assert len(s._record[1]) < 100
+
+    def test_threads_share_a_scenario_as_its_record_starts_over(self, monkeypatch):
+        # 4 threads make 20 calls each on one scenario, whose record starts
+        # over at nearly every call, while the other threads still use the
+        # maps they started with; every report keeps the bits of a serial
+        # call on a fresh scenario
+        s = rotated_pigeonhole(np.random.default_rng(17), 3)
+        orders = [TestBatchIsPairByPair.PAIRS, TestBatchIsPairByPair.PAIRS[::-1]]
+        want = [bits(audit_all(dataclasses.replace(s), pairs)) for pairs in orders]
+        monkeypatch.setattr(scenario, "_RECORD_CAP", 4 * 16 * s.dim**2)
+
+        def calls(t):
+            return [bits(audit_all(s, orders[(t + i) % 2])) == want[(t + i) % 2] for i in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = [ok for thread in pool.map(calls, range(4)) for ok in thread]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [True] * 80
 
 
 class TestBatchCost:
@@ -785,8 +909,8 @@ class TestBatchIsPairByPair:
         assert json.loads(report)[1]["case"] == "ii"
 
     def test_threads_share_a_scenario(self):
-        # each call keeps its products to itself, so calls on one scenario
-        # from more threads than cores, switching often, give one report
+        # calls on one scenario share its record of products; from more
+        # threads than cores, switching often, they give one report
         s = rotated_pigeonhole(np.random.default_rng(17), 3)
         want = json.dumps(audit_all(s, self.PAIRS).to_dict())
         interval = sys.getswitchinterval()

@@ -120,6 +120,18 @@ class TestErrorsAndFlags:
         files = self._near_pole_warnings(lambda: audit_all(s, pairs))
         assert files == [audit.__file__] * 5
 
+    def test_each_call_warns_near_the_pole(self):
+        # the scenario keeps the operators of its texts, not their weak
+        # values: each call takes its own, and warns
+        s = build_scenario(
+            "pole", ("a", "b", "c"), [1, 1, 0], [1, -1 + 1e-8, 1], None,
+            {"A": [1.0, 0.0, 0.0], "B": [0.0, 1.0, 0.0], "U": [1.0, 0.0, 1.0]},
+        )
+        pairs = [("A", "B", "sum"), ("A", "U", "product")]
+        for _ in range(2):
+            assert self._near_pole_warnings(lambda: audit_all(s, pairs)) == [audit.__file__] * 5
+            assert self._near_pole_warnings(lambda: weak_value_expr(s, "A*U")) == [__file__]
+
     def test_parse_errors_propagate(self):
         s = catalog("three-box")
         with pytest.raises(ParseError):
