@@ -38,15 +38,19 @@ the caller may change in place, so each call keeps its record to itself.
 holds only what the library made and lives as long as the scenario (up to
 64 MiB of operators and texts; past that, the next call starts it over). Each distinct
 operand text is parsed and folded, each operand that needs the full proof
-proved, each product of two proven operands formed and tested, and each
-orthogonality of the sum audit tested once per record: a second call on the
-same scenario forms no product. A failed proof is not kept, so an operand
-that fails is proved again wherever it is named, and each error names its
-position. The weak value of each proven operand is taken once per call. So
-the AND audit ``Lj | Lk`` reuses the ``Lj*Lk`` of the OR audit ``Lj*Lk |
-Rj*Rk`` and, within the call, its weak value. A near-pole weak value warns
-once per call, from the classifier's line, when the call takes it; its
-reuses do not warn again, and each verdict's weak values carry the
+proved, each product of two proven operands formed and tested, each pair's
+orthogonality tested (the sum audit requires it, the product audit refuses
+it: one test of PQ per pair, which the sum audit does not keep), and each
+numerator <post|U P|pre> taken, of a proven operand or of an orthogonal
+pair's sum, once per record: a second call on the same scenario forms no
+product and takes no matrix element. A failed proof is not kept, so an
+operand that fails is proved again wherever it is named, and each error
+names its position. The ``WeakValue`` of each proven operand is built once
+per call. So the AND
+audit ``Lj | Lk`` reuses the ``Lj*Lk`` of the OR audit ``Lj*Lk | Rj*Rk``,
+its numerator and, within the call, its weak value. A near-pole weak value
+warns once per call, from the classifier's line, when the call builds it;
+its reuses do not warn again, and each verdict's weak values carry the
 ``near_pole`` flag. Threads may share a scenario: each makes the same bits.
 """
 
@@ -59,7 +63,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
-from .linalg import _one_form, _product, _within_struct_tol
 from .scenario import Scenario, _Batch
 from .weak import WeakValue, _weak_value
 
@@ -168,12 +171,13 @@ class AuditVerdict:
 
 
 def _weak(s: Scenario, op: np.ndarray, batch: _Batch) -> WeakValue:
-    """``_weak_value`` of a proven operand, taken once per batch. Near the
-    pole it warns when taken, naming the caller's line; a reuse does not
-    warn again, and its ``near_pole`` flag still says so."""
+    """``_weak_value`` of a proven operand, built once per call from the
+    numerator ``batch`` keeps. Near the pole it warns when built, naming the
+    caller's line; a reuse does not warn again, and its ``near_pole`` flag
+    still says so."""
     w = batch.weak_values.get(id(op))
     if w is None:
-        w = batch.weak_values[id(op)] = _weak_value(s, op, stacklevel=3)
+        w = batch.weak_values[id(op)] = _weak_value(s, lambda: batch.amplitude(op), stacklevel=3)
     return w
 
 
@@ -186,19 +190,15 @@ def classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
 
 def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
     """``classify_sum`` of two proven projectors, their orthogonality tested
-    once per record of ``batch`` and their weak values taken through it."""
-    a, b = _one_form(pa, pb)
-    orthogonal = batch.orthogonal.get((id(pa), id(pb)))
-    if orthogonal is None:
-        orthogonal = batch.orthogonal[id(pa), id(pb)] = _within_struct_tol(_product(a, b))
-    if not orthogonal:
+    and their numerators taken once per record of ``batch``."""
+    if not batch.orthogonal_pair(pa, pb):
         raise AuditPreconditionError(
             "projectors are not orthogonal; their sum does not represent a "
             "disjunction of exclusive alternatives"
         )
     wa = _weak(s, pa, batch)
     wb = _weak(s, pb, batch)
-    ws = _weak_value(s, a + b)
+    ws = _weak_value(s, lambda: batch.amplitude(pa, pb))
     if wa.is_zero and wb.is_zero:
         ws = replace(ws, is_zero=True)
         case = SumCase.I
@@ -238,8 +238,7 @@ def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdic
 
 def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
     """``classify_product`` of two proven projectors, their product formed
-    and tested by the product step of ``batch`` and the weak values taken
-    through it."""
+    and tested and their numerators taken once per record of ``batch``."""
     # (PQ)^dagger = QP: the product is self-adjoint, and so proven, exactly
     # when P, Q commute
     product = batch.product(pa, pb)
@@ -247,7 +246,7 @@ def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch
         raise AuditPreconditionError(
             "projectors do not commute; their product is not a projector"
         )
-    if _within_struct_tol(product):
+    if batch.orthogonal_pair(pa, pb):
         raise AuditPreconditionError(
             "projector product vanishes as an operator; the conjunction is "
             "trivially empty"
@@ -318,9 +317,9 @@ def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport
     Errors in individual pairs are collected as entries rather than raised,
     so one bad pair does not abort the rest of the report. The pairs share
     one ``_Batch`` over the scenario's record: each distinct operand text is
-    folded and proved, each product of proven operands formed and each
-    orthogonality tested once per record, and each weak value of a proven
-    operand taken once per call.
+    folded and proved, each product of proven operands formed, each
+    orthogonality tested and each numerator taken once per record, and each
+    weak value of a proven operand built once per call.
     """
     batch = _Batch(s, kept=True)
     entries = []

@@ -28,6 +28,7 @@ from .linalg import (
     _proves_projector,
     _real_diagonal,
     _self_adjoint,
+    _sum,
     _within_struct_tol,
     as_operator,
     basis_projector,
@@ -159,9 +160,9 @@ _RECORD_CAP = 64 << 20
 
 def _new_record(channels: Mapping[str, np.ndarray]) -> tuple:
     """A new record for ``_Batch``: its maps ``proven`` (seeded with
-    ``channels``), ``operands``, ``products`` and ``orthogonal``, and its
-    list ``sizes``."""
-    return {id(p): p for p in channels.values()}, {}, {}, {}, []
+    ``channels``), ``operands``, ``products``, ``orthogonal`` and
+    ``amplitudes``, and its list ``sizes``."""
+    return {id(p): p for p in channels.values()}, {}, {}, {}, {}, []
 
 
 class _Batch:
@@ -176,32 +177,36 @@ class _Batch:
     (PQ)^2 = PPQQ = PQ. Its idempotence is not checked: (PQ)^2 - PQ =
     P(QP - PQ)Q is at most QP - PQ in norm. Holding each value, the map
     keeps its ids from being reused while the record lives, and so may key
-    the products, orthogonality flags and weak values of proven operators
-    by id.
+    the products, orthogonality flags and matrix elements of the operators
+    the record holds by id.
 
     ``_Batch(s)`` makes a record for one call, which the call drops when it
     returns: the classifiers and the meter prove the caller's own arrays,
     which the caller may change in place before the next call.
     ``_Batch(s, kept=True)`` works on the record of ``s``, which holds only
     what the library made: the read-only operator of each text it folded,
-    the proofs of those, each product of proven operands and whether each
-    pair the sum audit tested is orthogonal. A failed proof is not kept. So
-    the calls on one scenario fold, prove, multiply and test each of these
-    once. ``sizes`` lists the bytes of each operator the record made and
-    of each text it holds, so that whitespace variants of one text count
-    too. When a call starts with more than ``_RECORD_CAP`` of them in the
-    record, it binds a new one in a single step; a call in progress keeps
-    the maps it started with. ``weak_values`` is always the call's own, so
-    each call warns near the pole. Threads sharing a scenario may both make
-    a step; each makes the same bits.
+    the proofs of those, each product of proven operands, whether each
+    pair of proven operands the audits tested is orthogonal, and the
+    numerator <bra|P|pre> of each operator it holds and of each orthogonal
+    pair's sum. A failed proof is not kept. So the calls on one scenario
+    fold, prove, multiply, test and take each matrix element of these once.
+    ``sizes`` lists the bytes of each operator the record made and of each
+    text it holds, so that whitespace variants of one text count too. When
+    a call starts with more than ``_RECORD_CAP`` of them in the record, it
+    binds a new one in a single step; a call in progress keeps the maps it
+    started with. ``weak_values`` is always the call's own, so each call
+    builds its own ``WeakValue`` and warns near the pole. Threads sharing a
+    scenario may both make a step; each makes the same bits, and both go on
+    with the operator stored first.
     """
 
     def __init__(self, s: Scenario, kept: bool = False):
-        self.channels = s.channels
+        self.scenario = s
         if kept and sum(s._record[-1]) > _RECORD_CAP:
             object.__setattr__(s, "_record", _new_record(s.channels))
         record = s._record if kept else _new_record(s.channels)
-        self.proven, self.operands, self.products, self.orthogonal, self.sizes = record
+        (self.proven, self.operands, self.products, self.orthogonal,
+         self.amplitudes, self.sizes) = record
         self.weak_values: dict = {}  # id(P): weak value of proven P
 
     def product(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -209,7 +214,8 @@ class _Batch:
         proven itself when self-adjoint. A proven diagonal is real
         (``as_operator`` makes a complex one a matrix), and real diagonals
         multiply to a real diagonal, which is not tested. PQ is proven
-        before it is stored, so no other thread finds it unproven."""
+        before it is stored, so no other thread finds it unproven; of two
+        threads that form it at once, both return the one stored first."""
         if id(p) not in self.proven or id(q) not in self.proven:
             return _compose(p, q)
         m = self.products.get((id(p), id(q)))
@@ -218,22 +224,48 @@ class _Batch:
             m.setflags(write=False)
             if m.ndim == 1 or _self_adjoint(m):
                 self.proven[id(m)] = m
-            self.products[id(p), id(q)] = m
             self.sizes.append(m.nbytes)
+            m = self.products.setdefault((id(p), id(q)), m)
         return m
+
+    def orthogonal_pair(self, p: np.ndarray, q: np.ndarray) -> bool:
+        """Whether PQ of proven P and Q vanishes within STRUCT_TOL, tested
+        once per record: the sum audit requires it, and the product audit
+        refuses it. The test reads the kept ``product`` PQ where there is
+        one, and else forms PQ for itself alone."""
+        key = (id(p), id(q))
+        flag = self.orthogonal.get(key)
+        if flag is None:
+            m = self.products.get(key)
+            flag = self.orthogonal[key] = _within_struct_tol(_compose(p, q) if m is None else m)
+        return flag
+
+    def amplitude(self, p: np.ndarray, q: np.ndarray | None = None) -> complex:
+        """``_amplitude`` of an operator the record holds, or with ``q`` of
+        the sum P + Q of an orthogonal pair, keyed like ``orthogonal``;
+        taken once per record."""
+        key = id(p) if q is None else (id(p), id(q))
+        value = self.amplitudes.get(key)
+        if value is None:
+            op = p if q is None else _sum(p, q)
+            value = self.amplitudes[key] = _amplitude(self.scenario, op)
+        return value
 
     def fold(self, text: str) -> np.ndarray:
         """The operator of ``text``, bit for bit as ``evaluate_text(text,
-        s.channels)`` forms it, folded once per record and read-only."""
+        s.channels)`` forms it, folded once per record and read-only. Of
+        two threads that fold it at once, both return the one stored
+        first, so that the record holds each operator whose numerator it
+        keeps."""
         op = self.operands.get(text)
         if op is None:
-            op = _fold(parse(text), self.channels, self.product)
+            op = _fold(parse(text), self.scenario.channels, self.product)
             size = sys.getsizeof(text)
             if id(op) not in self.proven:  # neither a channel nor a proven product
                 op.setflags(write=False)
                 size += op.nbytes
-            self.operands[text] = op
             self.sizes.append(size)
+            op = self.operands.setdefault(text, op)
         return op
 
     def prove(self, op, what: str) -> np.ndarray:

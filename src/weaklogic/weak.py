@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,22 +44,23 @@ def weak_value(s: Scenario, op: np.ndarray) -> WeakValue:
     ValueError where the numerator or the ratio overflows."""
     op = as_operator(op)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _weak_value(s, op, stacklevel=3)
+        w = _weak_value(s, lambda: _amplitude(s, op), stacklevel=3)
     if not cmath.isfinite(w.value):
         raise ValueError("weak value is not finite: it overflows")
     return w
 
 
-def _weak_value(s: Scenario, op: np.ndarray, stacklevel: int = 2) -> WeakValue:
-    """``weak_value`` of an operator that ``as_operator`` returned. A
-    NearPoleWarning names the frame ``stacklevel`` up: by default the caller,
-    which ``weak_value`` passes on as its own caller."""
+def _weak_value(s: Scenario, amplitude: Callable[[], complex], stacklevel: int = 2) -> WeakValue:
+    """A new ``WeakValue`` whose numerator ``amplitude()`` takes, once the
+    postselection is known not to be lost. A NearPoleWarning names the frame
+    ``stacklevel`` up: by default the caller, which ``weak_value`` passes on
+    as its own caller."""
     denominator = s.post_overlap
     if abs(denominator) <= ZERO_TOL:
         raise PostselectionLostError(
             "postselection overlap vanishes; no weak value exists"
         )
-    numerator = _amplitude(s, op)
+    numerator = amplitude()
     near_pole = abs(denominator) < POLE_TOL
     if near_pole:
         warnings.warn(
@@ -78,7 +80,9 @@ def _weak_value(s: Scenario, op: np.ndarray, stacklevel: int = 2) -> WeakValue:
 
 def weak_value_expr(s: Scenario, text: str) -> WeakValue:
     """Weak value of a projector expression over the scenario's channels. The
-    text's operator is folded once per scenario, in the record that
-    ``audit_all`` also keeps (``scenario._Batch``); the weak value is taken,
-    and warns near the pole, at each call."""
-    return _weak_value(s, _Batch(s, kept=True).fold(text), stacklevel=3)
+    text's operator and its numerator are taken once per scenario, in the
+    record that ``audit_all`` also keeps (``scenario._Batch``); the
+    ``WeakValue`` is built, and warns near the pole, at each call."""
+    batch = _Batch(s, kept=True)
+    op = batch.fold(text)
+    return _weak_value(s, lambda: batch.amplitude(op), stacklevel=3)

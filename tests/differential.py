@@ -31,8 +31,10 @@ the first differences. It exits 1 if a difference is not named by an
 ``report``, ``repeat``, ``weak`` and ``warnings``.
 
 The documents cycle through the kinds of ``corpus.make_document`` (basis,
-rotated and signed-zero channels, with or without evolution, near-pole or
-lost postselection) and five more families:
+rotated and signed-zero channels, with or without evolution) and five more
+families, and on a period of their own through ``OVERLAPS``, so that every
+20 documents ask for 4 near-pole and 4 lost postselections (a ``near-zero``
+document of more than one dimension sets its own):
 
 - ``perturbed``: rotated channels, each with a Hermitian perturbation of
   size 1e-14 to 1e-9, around the tolerance of the projector proof;
@@ -69,6 +71,10 @@ SHOWN = 10
 KINDS = (
     "basis", "rotated", "signed-zero", "perturbed", "noncommuting", "rank1", "near-zero", "overflow"
 )
+
+#: Postselections of ``corpus.make_document``, cycled beside ``KINDS``:
+#: 5 is prime to 8, so each kind meets each in 40 documents.
+OVERLAPS = (None, None, None, "near-pole", "lost")
 
 #: Pairs of ``audit-all --pairs`` and of the in-process ``audit_all``,
 #: after the golden corpus's own.
@@ -150,8 +156,9 @@ def _matrix(m) -> dict:
     return {"matrix": [_pairs(row) for row in m]}
 
 
-def _document(kind: str, seed: int, rng) -> str:
-    """The text of one document of ``kind``; ``rng`` draws its shape."""
+def _document(kind: str, overlap: str | None, seed: int, rng) -> str:
+    """The text of one document of ``kind`` and ``overlap``; ``rng`` draws
+    its shape."""
     import numpy as np
 
     from corpus import make_document
@@ -159,7 +166,6 @@ def _document(kind: str, seed: int, rng) -> str:
 
     dim = int(rng.integers(1, 7))
     evolution = bool(rng.integers(2))
-    overlap = [None, None, None, "near-pole", "lost"][int(rng.integers(5))]
     base = kind if kind in ("basis", "signed-zero") else "rotated"
     with np.errstate(invalid="ignore"):  # a lost postselection of a zero vector
         doc = make_document(seed, dim, base, evolution, overlap)
@@ -235,9 +241,9 @@ def _jobs(files: int, seed: int, where: Path) -> dict:
     audits = []
     rng = np.random.default_rng(seed)
     for i in range(files):
-        kind = KINDS[i % len(KINDS)]
+        kind, overlap = KINDS[i % len(KINDS)], OVERLAPS[i % len(OVERLAPS)]
         path = where / f"d{i:03d}-{kind}.json"
-        path.write_text(_document(kind, int(rng.integers(2**31)), rng), encoding="utf-8")
+        path.write_text(_document(kind, overlap, int(rng.integers(2**31)), rng), encoding="utf-8")
         audits.append([str(path), [[p["a"], p["b"], p["kind"]] for p in pairs]])
         for cmd, *rest in DOC_RUNS + [["audit-all", "--pairs", str(pairs_path)]]:
             runs.append([cmd, "--file", str(path), *rest])

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -439,9 +440,11 @@ class TestProofCost:
     self-adjoint product of proven factors in an expression is proven by
     that; any other operand is proved once per call. One audit_all call
     forms and tests each product of two proven operands once. Counted on
-    the d x d product kernel, the self-adjointness test and the proof
-    kernel, on a pigeonhole whose channels are all dense, made afresh for
-    each test: the scenario keeps its products and proofs across calls."""
+    the d x d product kernel, the self-adjointness test, the proof kernel,
+    the residual test, the matrix element, the operator acting on a vector
+    and the operator sum, on a pigeonhole whose channels are all dense, made
+    afresh for each test: the scenario keeps its products, proofs and
+    numerators across calls."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -459,6 +462,9 @@ class TestProofCost:
         spy(monkeypatch, linalg._product, product)
         spy(monkeypatch, linalg._self_adjoint, self_adjoint)
         spy(monkeypatch, linalg._proves_projector, proof)
+        for name, kernel in (("struct_tol", linalg._within_struct_tol), ("amplitudes", _amplitude),
+                             ("act", linalg._act), ("sums", linalg._sum)):
+            spy(monkeypatch, kernel, lambda *args, name=name: calls.update([name]))
         return calls
 
     @pytest.fixture
@@ -488,6 +494,34 @@ class TestProofCost:
         assert cases[::order] == [SumCase.III, ProductCase.II]
         assert (calls["products"], calls["proofs"]) == (3, 0)
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_an_orthogonal_pair_is_tested_once(self, s, calls, order):
+        # the sum's orthogonality test and the product's vanishing test are
+        # one test of L1*R1, made by whichever audit comes first. The
+        # product audit forms, keeps and tests L1*R1 for self-adjointness;
+        # the sum audit reads it when kept, and else forms it for the test
+        # alone, so with the sum audit first it is formed twice
+        pairs = [("L1", "R1", "sum"), ("L1", "R1", "product")][::order]
+        entries = audit_all(s, pairs).entries[::order]
+        assert entries[0].verdict.case is SumCase.II
+        assert entries[1].error == (
+            "projector product vanishes as an operator; the conjunction is trivially empty"
+        )
+        # one residual test of self-adjointness, one of the product itself
+        products = 2 if order == 1 else 1
+        assert (calls["products"], calls["self_adjoint"], calls["struct_tol"]) == (products, 1, 2)
+
+    def test_pairs_sharing_an_operand_keep_their_own_flags_and_numerators(self, s):
+        # each flag and each sum's numerator is keyed by both operands: L1
+        # is orthogonal to R1 and to R1*L2, and its sums with them differ;
+        # it is not orthogonal to L2
+        pairs = [("L1", "R1", "sum"), ("L1", "R1*L2", "sum"),
+                 ("L1", "R1", "product"), ("L1", "L2", "product")]
+        alone = [audit_all(dataclasses.replace(s), [pair]).entries[0] for pair in pairs]
+        assert [entry.error is None for entry in alone] == [True, True, False, True]
+        for _ in range(2):
+            assert bits(audit_all(s, pairs).entries) == bits(tuple(alone))
+
     def test_a_qubit_batch_forms_each_product_once(self, s, calls):
         # the benchmark's batch for qubit 1: 12 products and 9 tests when
         # each pair formed its own
@@ -502,8 +536,9 @@ class TestProofCost:
 
     def test_a_second_call_forms_tests_and_proves_nothing(self, s, calls):
         # the scenario's record keeps the products of the first call, their
-        # proofs and the orthogonality of each sum pair; the repeated sum
-        # L1 + R1 keeps the proof it got in the first call
+        # proofs, the orthogonality of each pair and the numerator of each
+        # weak value; the repeated sum L1 + R1 keeps the proof it got in the
+        # first call
         pairs = [
             pair
             for k in range(2, 5)
@@ -514,9 +549,14 @@ class TestProofCost:
         # 9 products and 6 tests of the sum pairs, 3 and 3 of (L1 + R1)*Lk,
         # and 1 and 1 in the proof of L1 + R1
         assert (calls["products"], calls["self_adjoint"], calls["proofs"]) == (13, 10, 1)
+        # the 9 numerators of the sum pairs, whose 3 sums are formed for
+        # them, and those of L1, the Lk, L1 + R1 and the (L1 + R1)*Lk; L1 +
+        # R1 is the fourth sum
+        assert (calls["amplitudes"], calls["act"], calls["sums"]) == (17, 17, 4)
         calls.clear()
         second = audit_all(s, pairs)
-        assert (calls["products"], calls["self_adjoint"], calls["proofs"]) == (0, 0, 0)
+        # no product, residual test, proof, matrix element or sum
+        assert calls == collections.Counter()
         assert bits(second) == bits(first)
 
     def test_weak_value_expr_forms_its_product_once(self, s, calls):
@@ -576,10 +616,10 @@ class TestProofCost:
 
 
 class TestRecordKeepsWhatTheLibraryMade:
-    """A scenario keeps the operators, proofs, products and orthogonality
-    flags of the expression texts it was audited on, and nothing else: a
-    caller's array is proved at each call, and the record starts over past
-    its cap of bytes when a call starts."""
+    """A scenario keeps the operators, proofs, products, orthogonality
+    flags and numerators of the expression texts it was audited on, and
+    nothing else: a caller's array is proved and weighed at each call, and
+    the record starts over past its cap of bytes when a call starts."""
 
     @pytest.fixture
     def s(self):
@@ -594,6 +634,21 @@ class TestRecordKeepsWhatTheLibraryMade:
         pa *= 2
         with pytest.raises(NotAProjectorError, match="^first operand is not a projector$"):
             classify(s, pa, pb)
+
+    @pytest.mark.parametrize("kind", ["sum", "product"])
+    def test_a_caller_array_rewritten_in_place_gets_new_weak_values(self, s, kind):
+        # a copy of L1 rewritten as R1 keeps its id; for the sum, a copy of
+        # R1 rewritten as L1 keeps the pair orthogonal
+        classify = classify_sum if kind == "sum" else classify_product
+        second = "R1" if kind == "sum" else "L2"
+        pa, pb = np.array(s.channel("L1")), np.array(s.channel(second))
+        before = classify(s, pa, pb)
+        pa[...] = s.channel("R1")
+        if kind == "sum":
+            pb[...] = s.channel("L1")
+        after = classify(s, pa, pb)
+        want = classify(s, s.channel("R1"), s.channel("L1" if kind == "sum" else second))
+        assert bits(after) == bits(want) != bits(before)
 
     def test_a_meter_coupling_changed_in_place_is_proved_again(self, s):
         p = np.array(s.channel("L1"))
@@ -668,7 +723,8 @@ class TestBatchCost:
     two basis channels, a real diagonal, needs no self-adjointness test.
     Counted on one qubit's batch of an 8-qubit basis pigeonhole, as the
     benchmark audits it: 14 pairs name 28 texts, 22 of them distinct, and
-    take 42 weak values of 29 distinct operators."""
+    take 42 weak values of 29 distinct operators. A second call on the
+    scenario keeps every numerator and test of the first."""
 
     def test_a_basis_qubit_batch_parses_and_weighs_each_operand_once(self, monkeypatch):
         s = load_scenario(json.dumps(pigeonhole_document(8)))
@@ -676,14 +732,21 @@ class TestBatchCost:
         spy(monkeypatch, parse, lambda text: calls.update(["parse"]))
         spy(monkeypatch, _amplitude, lambda s, *ops: calls.update(["amplitudes"]))
         spy(monkeypatch, linalg._self_adjoint, lambda m: calls.update(["self_adjoint"]))
+        spy(monkeypatch, linalg._within_struct_tol, lambda r: calls.update(["struct_tol"]))
         pairs = [
             pair
             for k in range(2, 9)
             for pair in ((f"L1*L{k}", f"R1*R{k}", "sum"), ("L1", f"L{k}", "product"))
         ]
-        cases = [entry.verdict.case for entry in audit_all(s, pairs).entries]
+        first = audit_all(s, pairs)
+        cases = [entry.verdict.case for entry in first.entries]
         assert cases == [SumCase.III, ProductCase.II] * 7
         assert (calls["parse"], calls["amplitudes"], calls["self_adjoint"]) == (22, 29, 0)
+        # each pair's orthogonality or vanishing test
+        assert calls["struct_tol"] == 14
+        calls.clear()
+        assert bits(audit_all(s, pairs)) == bits(first)
+        assert calls == collections.Counter()
 
 
 class TestScanCost:
@@ -908,17 +971,71 @@ class TestBatchIsPairByPair:
         assert len(poles) == len(got_warnings) == (12 if which.endswith("near-pole") else 0)
         assert json.loads(report)[1]["case"] == "ii"
 
-    def test_threads_share_a_scenario(self):
-        # calls on one scenario share its record of products; from more
-        # threads than cores, switching often, they give one report
-        s = rotated_pigeonhole(np.random.default_rng(17), 3)
-        want = json.dumps(audit_all(s, self.PAIRS).to_dict())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    @staticmethod
+    def _hold_one(monkeypatch, kernel, call):
+        """``call("held")`` in a thread held at its first call of ``kernel``,
+        while ``call("free")`` runs to its end in this one."""
+        held, release = threading.Event(), threading.Event()
+        holder = threading.Thread(target=call, args=("held",))
+
+        def hold(*args):
+            if threading.current_thread() is holder and not held.is_set():
+                held.set()
+                release.wait(timeout=60)
+
+        spy(monkeypatch, kernel, hold)
+        holder.start()
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                reports = pool.map(lambda _: audit_all(s, self.PAIRS).to_dict(), range(32))
-                got = [json.dumps(report) for report in reports]
+            assert held.wait(timeout=60)
+            call("free")
         finally:
-            sys.setswitchinterval(interval)
-        assert got == [want] * 32
+            release.set()
+            holder.join(timeout=60)
+        assert not holder.is_alive()
+
+    @staticmethod
+    def _keys_name_held_operators(s):
+        # every id that keys a flag or a numerator is that of an operator
+        # the record holds, so no freed operator's id can be reused for
+        # another while the record lives
+        proven, operands, products, orthogonal, amplitudes, _ = s._record
+        held = {id(m) for kept in (proven, operands, products) for m in kept.values()}
+        for key in (*orthogonal, *amplitudes):
+            assert set(key if isinstance(key, tuple) else (key,)) <= held
+
+    def test_threads_share_a_scenario(self, monkeypatch):
+        # one thread is held inside the self-adjointness test of the first
+        # product it forms, L1*L2 of a product pair, while the main thread
+        # audits the same pairs on the scenario and reads its products and
+        # numerators: it must not find L1*L2 before its proof. Both give
+        # the report of a fresh scenario.
+        s = rotated_pigeonhole(np.random.default_rng(17), 3)
+        pairs = [("L1", "L2", "product"), *self.PAIRS]
+        want = json.dumps(audit_all(dataclasses.replace(s), pairs).to_dict())
+        got = {}
+
+        def audit(who):
+            got[who] = json.dumps(audit_all(s, pairs).to_dict())
+
+        self._hold_one(monkeypatch, linalg._self_adjoint, audit)
+        assert got == {"free": want, "held": want}
+        self._keys_name_held_operators(s)
+        # both threads go on with the L1*L2 stored first
+        _, operands, products, *_ = s._record
+        assert operands["L1*L2"] is products[id(s.channel("L1")), id(s.channel("L2"))]
+
+    def test_threads_weigh_one_operator_per_text(self, monkeypatch):
+        # one thread is held inside the sum L1 + L2, an operator that no
+        # proof keeps, while the main thread folds and weighs the same
+        # text: both go on with the operator stored first, whose numerator
+        # the record keeps
+        s = rotated_pigeonhole(np.random.default_rng(17), 3)
+        want = bits(weak_value_expr(dataclasses.replace(s), "L1 + L2"))
+        got = {}
+
+        def weigh(who):
+            got[who] = bits(weak_value_expr(s, "L1 + L2"))
+
+        self._hold_one(monkeypatch, linalg._sum, weigh)
+        assert got == {"free": want, "held": want}
+        self._keys_name_held_operators(s)
