@@ -36,8 +36,6 @@ from .errors import (
 )
 from .expr import evaluate, evaluate_text, parse, unparse
 from .linalg import (
-    STRUCT_TOL,
-    SCALAR_TOL,
     State,
     add,
     apply,
@@ -68,6 +66,7 @@ from .scenario import (
     scenario_document,
 )
 from .strong import CollapseOutcome, abl_prob, bayes_check, born_prob, collapse, cond_prob_post
+from .tolerances import SCALAR_TOL, STRUCT_TOL
 from .weak import WeakValue, weak_value, weak_value_expr
 
 __version__ = "0.1.0"

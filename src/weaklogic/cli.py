@@ -5,9 +5,10 @@ expression or file) or a stdout closed by its reader, 2 physics error
 (extinguished postselection, violated audit preconditions, and similar). A
 closed stdout leaves stderr empty; ``--help`` then exits 1, or 0 where
 stdout is unbuffered, as argparse ignores a failed write of the help.
-Output is deterministic byte for byte for identical inputs; numbers are
-printed with 12 significant digits in table mode and at full precision in
-JSON mode.
+Output is deterministic byte for byte for identical inputs on one BLAS
+kernel and one numpy SIMD level; another kernel can move the last digits
+of printed numbers. Numbers are printed with 12 significant digits in table
+mode and at full precision in JSON mode.
 
 Each command is declared once, as one entry of ``_COMMANDS``: its name, its
 help line, its handler, whether it reads a scenario, its own arguments and

@@ -22,12 +22,8 @@ are bounded.
 Every structural check (idempotence, self-adjointness, commutation,
 orthogonality, a vanishing product, unitarity) passes exactly when
 ``np.max(np.abs(r)) <= STRUCT_TOL`` for its residual r, and decides that
-through one test, ``_within_struct_tol``. Each residual is formed in a buffer
-the check owns, in place: ``r = m.T.copy()`` conjugated and subtracted from
-m, or ``r = p @ p`` less p, never a strided temporary. The test reads the
-largest real or imaginary part of r first. As max(|Re z|, |Im z|) <= |z| <=
-sqrt(2) max(|Re z|, |Im z|), a part above STRUCT_TOL fails the check and
-parts all within STRUCT_TOL/2 pass it; only in between is |r| taken.
+through one test, ``_within_struct_tol``. The thresholds are those of
+``tolerances``.
 """
 
 from __future__ import annotations
@@ -38,12 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotAProjectorError
-
-#: Tolerance for structural matrix checks (projector, commutation, orthogonality).
-STRUCT_TOL = 1e-10
-
-#: Tolerance for scalar comparisons.
-SCALAR_TOL = 1e-12
+from .tolerances import SCALAR_TOL, STRUCT_TOL
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -227,25 +218,14 @@ def basis_projector(labels: Sequence[str], members: Iterable[str]) -> np.ndarray
 
 
 def _within_struct_tol(r: np.ndarray) -> bool:
-    """Whether ``np.max(np.abs(r)) <= STRUCT_TOL`` for a complex residual r
-    whose last axis is contiguous; a NaN fails. Reads the parts of r, and
-    takes |r| only when its largest part lies in (STRUCT_TOL/2, STRUCT_TOL]."""
-    parts = r.view(float)
-    hi, lo = parts.max(), parts.min()
-    if not (hi <= STRUCT_TOL and lo >= -STRUCT_TOL):
-        return False
-    if hi <= STRUCT_TOL / 2 and lo >= -STRUCT_TOL / 2:
-        return True
+    """Whether ``np.max(np.abs(r)) <= STRUCT_TOL`` for a complex residual r;
+    a NaN fails."""
     return bool(np.max(np.abs(r)) <= STRUCT_TOL)
 
 
 def _self_adjoint(m: np.ndarray) -> bool:
-    """Whether every entry of m - m^dagger is within STRUCT_TOL; a NaN fails.
-    The residual is formed in a copy, so m is never written."""
-    r = m.T.copy()
-    np.conjugate(r, out=r)
-    np.subtract(m, r, out=r)
-    return _within_struct_tol(r)
+    """Whether every entry of m - m^dagger is within STRUCT_TOL; a NaN fails."""
+    return _within_struct_tol(m - m.T.conj())
 
 
 def _bounded(m: np.ndarray) -> bool:

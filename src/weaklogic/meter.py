@@ -10,16 +10,16 @@ postselection the pointer wavefunction is
     alpha = <post|U (1 - P)|pre>,  beta = <post|U P|pre>.
 
 The readouts (measure_pointer, weak_limit_estimate) are quadratures on a
-uniform grid over [-(12 sigma + 2 g), 12 sigma + 2 g]. The grid spacing
-must not exceed sigma / 2, or MeterGridError is raised: up to that spacing
-the trapezoid sums match the closed-form moments to about 1e-16, at a
-spacing near sigma they can be off by 1e-7, and beyond it the readouts are
-wrong. A non-zero coupling at or below eps * halfwidth raises
-MeterGridError too: there q - g rounds to q on the grid and the shift is
-lost. The q-derivative needed for the momentum mean is evaluated from the
-exact derivative of the Gaussian components; finite differences at the
-default grid resolution bias the momentum readout by more than the
-advertised tolerances. With this convention mean_q / g tends to Re and
+uniform grid of 4,096 points over [-(12 sigma + 2 g), 12 sigma + 2 g]. The
+grid spacing must not exceed sigma / 2, so g at most 505.875 sigma, or
+MeterGridError is raised: up to that spacing the trapezoid sums match the
+closed-form moments to about 1e-16, at a spacing near sigma they can be
+off by 1e-7, and beyond it the readouts are wrong. A non-zero coupling at
+or below eps * halfwidth raises MeterGridError too: there q - g rounds to
+q on the grid and the shift is lost. The q-derivative needed for the
+momentum mean is evaluated from the exact derivative of the Gaussian
+components; finite differences at the grid's resolution bias the momentum
+readout by more than the advertised tolerances. With this convention mean_q / g tends to Re and
 2 sigma^2 mean_p / g to Im of the weak value as g tends to zero.
 
 One kernel reads every grid: the couplings of one call are the rows of a
@@ -47,14 +47,14 @@ eps times the grid halfwidth, and the estimate divides it by g.
 A sweep builds the grids of its two smallest couplings, whose readouts make
 the estimate. Every larger coupling gets the grid checks without a grid, and
 the closed-form weight w of the exact packet moments: when w, less its bound
-_GRID_GAP * eps * (|alpha|^2 + |beta|^2), exceeds the extinction cut, the
+GRID_GAP * eps * (|alpha|^2 + |beta|^2), exceeds the extinction cut, the
 grid cannot lose the postselection, and otherwise the point is read on its
 grid where the sweep reaches it. The first change is the only other use of
 the larger couplings; it is taken from the closed-form estimates when it
-differs from the last change by more than their bound _GRID_GAP * eps *
+differs from the last change by more than their bound GRID_GAP * eps *
 (halfwidth / g) (|alpha|^2 + |beta|^2) / w, and read on the grid otherwise.
 A divergent sweep reads every point, so its message prints the grid's
-changes. _GRID_GAP, the C of these bounds, is over 1000 times the largest
+changes. GRID_GAP, the C of these bounds, is over 1000 times the largest
 rounding gap measured between a grid readout and its closed form.
 """
 
@@ -67,38 +67,27 @@ import numpy as np
 
 from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
 from .scenario import Scenario, _Batch, _amplitude
-
-#: Success weights at or below this count as extinguished postselection.
-_EXTINCT = 1e-14
+from .tolerances import EXTINCT, GRID_GAP
 
 #: The float rounding unit eps.
 _EPS = float(np.finfo(float).eps)
 
-#: C, the bound on the rounding gap between a grid readout and its closed
-#: form in units of eps: the grid's success weight is within
-#: C eps (|alpha|^2 + |beta|^2) of w, and its weak-limit estimate within
-#: C eps (halfwidth / g) (|alpha|^2 + |beta|^2) / w of the closed form's.
-#: Over 20,000 random draws (sigma from 1e-3 to 1e4, g from the rounding
-#: floor to the spacing limit; real, complex and nearly opposite alpha and
-#: beta) the worst gaps were 15 units for the weight and 3.2 for the
-#: estimate, both near the spacing limit: C keeps over 1000 times that.
-_GRID_GAP = 1e5
-
 
 @dataclass(frozen=True)
 class MeterConfig:
-    """Pointer discretization parameters.
+    """Pointer width sigma and coupling strength g.
 
-    The grid spans ``halfwidth`` = 12 sigma + 2 g on either side of zero,
-    wide enough that the pointer density at the edges is negligible. Sigma
-    and g are rejected when a readout term would overflow: the square of
-    the widest packet offset |q - g| = halfwidth + g, and the momentum
-    integrand, of order (halfwidth + g) / sigma^3.
+    The grid has ``grid_points`` = 4,096 points, a constant of the class,
+    over ``halfwidth`` = 12 sigma + 2 g on either side of zero, wide enough
+    that the pointer density at the edges is negligible. Sigma and g are
+    rejected when a readout term would overflow: the square of the widest
+    packet offset |q - g| = halfwidth + g, and the momentum integrand, of
+    order (halfwidth + g) / sigma^3.
     """
 
     sigma: float
     g: float
-    grid_points: int = 4096
+    grid_points = 4096
 
     def __post_init__(self):
         # Python floats, so that the range checks below overflow to inf
@@ -115,8 +104,6 @@ class MeterConfig:
             )
         if self.g < 0:
             raise ValueError("coupling strength g must be non-negative")
-        if self.grid_points < 16:
-            raise ValueError("grid_points must be at least 16")
         # x * x, not x**2: a Python float's ** raises OverflowError
         reach = self.halfwidth + self.g
         if not (
@@ -201,9 +188,9 @@ def _complex(planes: np.ndarray) -> np.ndarray:
 
 
 def _readouts(alpha: complex, beta: complex, configs: list[MeterConfig]) -> list[PointerStats]:
-    """Readouts of configs with one sigma and grid size, each config one row
-    of a single 2-D pass. Each row keeps the bits of three ``np.trapezoid``
-    calls on its own grid. Errors follow the configs' order: a row's grid
+    """Readouts of configs with one sigma, each config one row of a single
+    2-D pass. Each row keeps the bits of three ``np.trapezoid`` calls on its
+    own grid. Errors follow the configs' order: a row's grid
     checks, then its extinction cut.
 
     Every array of the pass is a view of one workspace of 13 float planes,
@@ -255,7 +242,7 @@ def _readouts(alpha: complex, beta: complex, configs: list[MeterConfig]) -> list
         p_sum = _trapezoid(flux, steps, dpsi).imag
 
         for w, mq, mp in zip(success.tolist(), q_sum.tolist(), p_sum.tolist()):
-            if w <= _EXTINCT:
+            if w <= EXTINCT:
                 raise PostselectionLostError(
                     "postselection extinguishes the meter state; no statistics exist"
                 )
@@ -325,12 +312,12 @@ def weak_limit_estimate(
         return [estimates[i] for i in indices]
 
     n = len(sweep)
-    bounded = {}  # head index: (closed-form estimate, its _GRID_GAP bound)
+    bounded = {}  # head index: (closed-form estimate, its GRID_GAP bound)
     for i, cfg in enumerate(configs[:-2]):
         _check_grid(cfg)
         w, m = _moments(alpha, beta, _overlap(cfg.sigma, cfg.g))
-        if w - _GRID_GAP * _EPS * scale > _EXTINCT:
-            bounded[i] = m / w, _GRID_GAP * _EPS * cfg.halfwidth / cfg.g * scale / w
+        if w - GRID_GAP * _EPS * scale > EXTINCT:
+            bounded[i] = m / w, GRID_GAP * _EPS * cfg.halfwidth / cfg.g * scale / w
         else:
             read(i)  # raises PostselectionLostError where the grid would
     e_prev, e_min = read(n - 2, n - 1)
@@ -343,7 +330,7 @@ def weak_limit_estimate(
         # of its estimates and C eps of itself, the rounding of abs(b - a)
         (a, da), (b, db) = (bounded.get(i) or (*read(i), 0.0) for i in (0, 1))
         change = abs(b - a)
-        if not abs(last - change) > da + db + _GRID_GAP * _EPS * change:
+        if not abs(last - change) > da + db + GRID_GAP * _EPS * change:
             a, b = read(0, 1)
             change = abs(b - a)
         if last > change:
@@ -374,16 +361,16 @@ def sequential_disturbance(
     shift of the extracted weak-value estimate and scales as g^2.
 
     The packet integrals are the closed forms of the module docstring, so
-    no grid is built. ``grid_points`` is validated through ``MeterConfig``
-    but unused; it stays only because the benchmark tracer
-    (``perfbench/tracing.py``) reads it from this signature.
+    no grid is built. ``grid_points`` is ignored; it stays only because the
+    benchmark tracer (``perfbench/tracing.py``) reads it from this
+    signature.
     """
     if g <= 0:
         raise ValueError("coupling strength g must be positive")
     batch = _Batch(s)
     p1, p2 = batch.prove(p1, "first meter coupling"), batch.prove(p2, "second meter coupling")
 
-    MeterConfig(sigma=sigma, g=g, grid_points=grid_points)
+    MeterConfig(sigma=sigma, g=g)
     k = _overlap(sigma, g)
     one, first = _amplitude(s), _amplitude(s, p1)
     second, both = _amplitude(s, p2), _amplitude(s, p2, p1)
@@ -397,7 +384,7 @@ def sequential_disturbance(
         return (x.conjugate() * y).real
 
     w0, m0 = _moments(a0, a1, k)
-    if w0 <= _EXTINCT:
+    if w0 <= EXTINCT:
         raise PostselectionLostError(
             "postselection extinguishes the meter state; no statistics exist"
         )
@@ -408,7 +395,7 @@ def sequential_disturbance(
     m_cross = 2.0 * re(c01, c11) + k * (re(c00, c11) + re(c01, c10))
     lost = 1.0 - k
     w = w0 - lost * w_cross
-    if w <= _EXTINCT:
+    if w <= EXTINCT:
         raise PostselectionLostError(
             "postselection extinguishes the two-meter state; no statistics exist"
         )

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ScenarioError
 from .expr import _NAME_RE, _fold, parse
 from .linalg import (
-    SCALAR_TOL,
     State,
     _act,
     _bounded,
@@ -36,6 +35,7 @@ from .linalg import (
     identity,
     require_projector,
 )
+from .tolerances import SCALAR_TOL
 
 CATALOG_NAMES = ("pigeonhole2", "pigeonhole3", "three-box", "hardy")
 

@@ -1,7 +1,8 @@
 """Projective (strong) measurement statistics with and without postselection.
 
 Probabilities are clamped to [0, 1] only after a tolerance check; values
-outside [-1e-10, 1 + 1e-10], and NaN, raise instead of being hidden.
+outside [-BOUNDS_TOL, 1 + BOUNDS_TOL], and NaN, raise instead of being
+hidden.
 """
 
 from __future__ import annotations
@@ -15,16 +16,11 @@ import numpy as np
 from .errors import AblUndefinedError, ConsistencyError, ZeroProbabilityError
 from .linalg import State, _act, _complement, as_operator
 from .scenario import Scenario, _amplitude
-
-_BOUNDS_TOL = 1e-10
-_REAL_TOL = 1e-12
-
-#: Squared-amplitude threshold below which a probability counts as zero.
-_NULL_PROB = 1e-24
+from .tolerances import BOUNDS_TOL, NULL_PROB, SCALAR_TOL
 
 
 def _checked_probability(value: float, what: str) -> float:
-    if not -_BOUNDS_TOL <= value <= 1.0 + _BOUNDS_TOL:  # a NaN fails too
+    if not -BOUNDS_TOL <= value <= 1.0 + BOUNDS_TOL:  # a NaN fails too
         raise ConsistencyError(f"{what} = {value!r} lies outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
@@ -50,7 +46,7 @@ def _born(state: State, p: np.ndarray) -> float:
     value = complex(np.vdot(state.amps, _act(p, state.amps)))
     if not cmath.isfinite(value):
         raise ValueError("matrix element is not finite: the operator product overflows")
-    if abs(value.imag) > _REAL_TOL:
+    if abs(value.imag) > SCALAR_TOL:
         raise ConsistencyError(
             f"expectation value has imaginary part {value.imag!r}; not a projector?"
         )
@@ -62,7 +58,7 @@ def collapse(state: State, p: np.ndarray) -> CollapseOutcome:
     p = as_operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
         probability = _born(state, p)
-        if probability <= _NULL_PROB:
+        if probability <= NULL_PROB:
             raise ZeroProbabilityError("cannot collapse onto a zero-probability outcome")
         return CollapseOutcome(probability, State(_act(p, state.amps), state.labels).normalize())
 
@@ -104,12 +100,12 @@ def abl_prob(s: Scenario, p: np.ndarray) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         hit, miss = _hit_miss(s, p)
     denominator = hit + miss
-    if denominator <= _NULL_PROB:
+    if denominator <= NULL_PROB:
         raise AblUndefinedError(
             "postselection is unreachable under this measurement; "
             "the conditional probability is undefined"
         )
-    # hit and miss are checked in [0, 1] and their sum, above _NULL_PROB,
+    # hit and miss are checked in [0, 1] and their sum, above NULL_PROB,
     # rounds to at least hit: the ratio needs no range check
     return hit / denominator
 
@@ -127,11 +123,11 @@ def bayes_check(s: Scenario, p: np.ndarray) -> float:
     p = as_operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
         outcome_prob = _born(s.pre_state, p)
-        if outcome_prob <= _NULL_PROB:
+        if outcome_prob <= NULL_PROB:
             return 0.0
         hit, miss = _hit_miss(s, p)
     post_prob = hit + miss
-    if post_prob <= _NULL_PROB:
+    if post_prob <= NULL_PROB:
         return 0.0
     lhs = (hit / post_prob) * post_prob
     rhs = (hit / outcome_prob) * outcome_prob

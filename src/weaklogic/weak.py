@@ -12,12 +12,7 @@ import numpy as np
 from .errors import NearPoleWarning, PostselectionLostError
 from .linalg import as_operator
 from .scenario import Scenario, _Batch, _amplitude
-
-#: Numerator magnitudes at or below this count as a vanishing weak value.
-ZERO_TOL = 1e-12
-
-#: Denominator magnitudes below this set the near-pole flag.
-POLE_TOL = 1e-6
+from .tolerances import POLE_TOL, ZERO_TOL
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,9 @@ the first differences. It exits 1 if a difference is not named by an
 The documents cycle through the kinds of ``corpus.make_document`` (basis,
 rotated and signed-zero channels, with or without evolution) and five more
 families, and on a period of their own through ``OVERLAPS``, so that every
-20 documents ask for 4 near-pole and 4 lost postselections (a ``near-zero``
-document of more than one dimension sets its own):
+20 documents ask for 4 near-pole and 4 lost postselections. A near-pole
+document has at least two dimensions, and only a ``near-zero`` document
+that asks for neither sets its own postselection:
 
 - ``perturbed``: rotated channels, each with a Hermitian perturbation of
   size 1e-14 to 1e-9, around the tolerance of the projector proof;
@@ -164,7 +165,8 @@ def _document(kind: str, overlap: str | None, seed: int, rng) -> str:
     from corpus import make_document
     from helpers import random_unit, random_unitary
 
-    dim = int(rng.integers(1, 7))
+    # a one-dimensional postselection is the preselection's, up to phase
+    dim = int(rng.integers(2 if overlap == "near-pole" else 1, 7))
     evolution = bool(rng.integers(2))
     base = kind if kind in ("basis", "signed-zero") else "rotated"
     with np.errstate(invalid="ignore"):  # a lost postselection of a zero vector
@@ -187,7 +189,7 @@ def _document(kind: str, overlap: str | None, seed: int, rng) -> str:
         for name, idx in cols.items():
             c = v[:, [i for i in idx if i < dim]]
             channels[name] = _matrix(c @ c.conj().T)
-    elif kind == "near-zero" and dim > 1:
+    elif kind == "near-zero" and dim > 1 and overlap is None:
         # the bra orthogonal to A|pre>, then tilted towards it by delta
         a = np.array(channels["A"]["matrix"]).view(complex)[..., 0]
         pre = np.array(doc["pre"]).view(complex)[:, 0]

@@ -24,7 +24,7 @@ from weaklogic import (
     PostselectionLostError,
     SweepDivergenceError,
     build_scenario,
-    meter,
+    tolerances,
 )
 
 
@@ -264,7 +264,7 @@ def sweep_reference(alpha, beta, sigma, sweep):
                 f"4096 points are too coarse for g/sigma = {g / sigma:.3g}"
             )
         mean_q, mean_p, success = readout_reference(alpha, beta, sigma, g)
-        if success <= meter._EXTINCT:
+        if success <= tolerances.EXTINCT:
             raise PostselectionLostError(
                 "postselection extinguishes the meter state; no statistics exist"
             )

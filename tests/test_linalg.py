@@ -361,9 +361,9 @@ _BOUNDARY = [
 
 class TestStructuralResidual:
     """Every structural check decides ``np.max(np.abs(r)) <= STRUCT_TOL``
-    through ``linalg._within_struct_tol``, which reads the residual's parts
-    first; its verdicts must be the oracles' on every input, at the bounds
-    of its shortcut and on NaN and infinities."""
+    through ``linalg._within_struct_tol``; its verdicts must be the oracles'
+    on every input, at the cut, around STRUCT_TOL/2 and STRUCT_TOL/sqrt(2),
+    and on NaN and infinities."""
 
     @pytest.mark.parametrize("z", _BOUNDARY, ids=repr)
     @pytest.mark.parametrize("form", ["diagonal", "matrix"])

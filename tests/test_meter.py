@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaklogic import meter
+from weaklogic import meter, tolerances
 from weaklogic import (
     CATALOG_NAMES,
     MeterConfig,
@@ -52,8 +52,8 @@ class TestMeterConfig:
             MeterConfig(sigma=0.0, g=0.1)
         with pytest.raises(ValueError):
             MeterConfig(sigma=1.0, g=-0.1)
-        with pytest.raises(ValueError):
-            MeterConfig(sigma=1.0, g=0.1, grid_points=4)
+        with pytest.raises(TypeError):
+            MeterConfig(sigma=1.0, g=0.1, grid_points=4096)
 
     @pytest.mark.parametrize(
         "sigma, g", [(math.nan, 0.1), (1.0, math.nan), (1.0, math.inf), (-math.inf, 0.1)]
@@ -184,10 +184,11 @@ class TestMeasurePointer:
     def test_grid_doubling_is_converged(self):
         s = catalog("hardy")
         p = s.channel("NpNe")
-        base = measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.05, grid_points=4096))
-        fine = measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.05, grid_points=8192))
-        assert abs(base.mean_q - fine.mean_q) < 1e-10
-        assert abs(base.mean_p - fine.mean_p) < 1e-10
+        base = measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.05))
+        alpha, beta = split_amplitudes(s, p)
+        fine_q, fine_p, _ = readout_reference(alpha, beta, 1.0, 0.05, grid_points=8192)
+        assert abs(base.mean_q - fine_q) < 1e-10
+        assert abs(base.mean_p - fine_p) < 1e-10
 
     def test_phase_invariance_of_mean_q(self):
         s = catalog("three-box")
@@ -230,13 +231,15 @@ class TestMeasurePointer:
     def test_grid_at_the_spacing_limit_matches_oracle(self):
         s = catalog("three-box")
         p = s.channel("C")
-        # 52 points put the spacing at 0.494 sigma, 51 points at 0.504 sigma
-        stats = measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.3, grid_points=52))
-        expected = pointer_oracle(*split_amplitudes(s, p), 0.3, 1.0)
+        # 4096 points over 2 (12 sigma + 2 g) put the spacing at exactly
+        # sigma/2 for g = 505.875 sigma; one ulp more of g puts it past that
+        limit = 505.875
+        stats = measure_pointer(s, p, MeterConfig(sigma=1.0, g=limit))
+        expected = pointer_oracle(*split_amplitudes(s, p), limit, 1.0)
         got = (stats.mean_q, stats.mean_p, stats.success_prob)
         assert got == pytest.approx(expected, abs=1e-14)
-        with pytest.raises(MeterGridError):
-            measure_pointer(s, p, MeterConfig(sigma=1.0, g=0.3, grid_points=51))
+        with pytest.raises(MeterGridError, match="coarse"):
+            measure_pointer(s, p, MeterConfig(sigma=1.0, g=float(np.nextafter(limit, np.inf))))
 
     def test_extinguished_postselection(self):
         s = build_scenario("dead", ("a", "b"), [1, 0], [0, 1])
@@ -322,7 +325,6 @@ class TestReadoutBits:
         zeros = 0
         for i in range(200):
             sigma = float(10.0 ** rng.uniform(-2, 3))
-            points = int(rng.choice([52, 1000, 4096, 8192]))
             if i % 3 == 0:
                 # real amplitudes of either sign, with signed-zero imaginary parts
                 alpha, beta = (complex(rng.normal(), rng.choice([0.0, -0.0])) for _ in range(2))
@@ -330,7 +332,7 @@ class TestReadoutBits:
                 alpha, beta = (complex(*rng.normal(size=2)) for _ in range(2))
             ratios = 10.0 ** rng.uniform(-8, 0.5, size=int(rng.integers(2, 6)))
             configs = [
-                MeterConfig(sigma=sigma, g=float(g), grid_points=points)
+                MeterConfig(sigma=sigma, g=float(g))
                 for g in sorted(sigma * ratios, reverse=True)
             ]
             try:
@@ -339,7 +341,7 @@ class TestReadoutBits:
                 continue
             assert len(rows) == len(configs)
             for cfg, stats in zip(configs, rows):
-                expected = readout_reference(alpha, beta, sigma, cfg.g, points)
+                expected = readout_reference(alpha, beta, sigma, cfg.g)
                 assert bits(stats) == bits(meter.PointerStats(*expected)), (alpha, beta, cfg)
                 zeros += stats.mean_p == 0.0
         assert zeros > 50
@@ -458,13 +460,13 @@ def _draw_sweep(rng, case):
     ratios = 10.0 ** rng.uniform(-6, 0.7, size=n)
     if case == "extinction":
         if rng.random() < 0.5:
-            # nearly opposite: the weight tends to |alpha + beta|^2 ~ _EXTINCT
-            gap = math.sqrt(meter._EXTINCT * 10.0 ** rng.uniform(-0.3, 0.3))
+            # nearly opposite: the weight tends to |alpha + beta|^2 ~ EXTINCT
+            gap = math.sqrt(tolerances.EXTINCT * 10.0 ** rng.uniform(-0.3, 0.3))
             alpha = -beta + gap * _unit(rng)
             ratios = 10.0 ** rng.uniform(-9, -4, size=n)
         else:
-            # both small, at any angle: the weight crosses _EXTINCT with g
-            scale = math.sqrt(meter._EXTINCT * 10.0 ** rng.uniform(-0.5, 0.3) / 2)
+            # both small, at any angle: the weight crosses EXTINCT with g
+            scale = math.sqrt(tolerances.EXTINCT * 10.0 ** rng.uniform(-0.5, 0.3) / 2)
             alpha, beta = scale * _unit(rng), scale * _unit(rng)
             ratios = 10.0 ** rng.uniform(-3, 0.5, size=n)
         if rng.random() < 0.3:
@@ -561,7 +563,7 @@ class TestSweepReadsOnlyNeededGrids:
         # both amplitudes tiny and aligned: the weight, |alpha|^2 + |beta|^2
         # at large g and |alpha + beta|^2 at small g, is below the cut only
         # at the first coupling; the last one lies below the rounding floor
-        alpha = beta = math.sqrt(0.8 * meter._EXTINCT / 2)
+        alpha = beta = math.sqrt(0.8 * tolerances.EXTINCT / 2)
         s, p = _sweep_scenario(alpha, beta)
         sweep = [10.0, 1e-3, 1e-4, 1e-16]
         with pytest.raises(PostselectionLostError):
@@ -591,7 +593,7 @@ class TestSweepReadsOnlyNeededGrids:
 
 class TestClosedForm:
     """The closed form behind the sweep's decisions, and the headroom of
-    its rounding bound ``_GRID_GAP``."""
+    its rounding bound ``GRID_GAP``."""
 
     def test_agrees_with_pointer_oracle(self):
         rng = np.random.default_rng(5)
@@ -634,7 +636,7 @@ class TestClosedForm:
                 worst_estimate, abs(grid - estimate) / (EPS * cfg.halfwidth / g * units / w)
             )
         assert worst_estimate > 0 and worst_weight > 0
-        assert max(worst_estimate, worst_weight) <= meter._GRID_GAP / 1000
+        assert max(worst_estimate, worst_weight) <= tolerances.GRID_GAP / 1000
 
 
 class TestSplitFormedOnce:
