@@ -19,7 +19,9 @@ The mirror cases swap the roles of the two operands and carry the same
 verdicts as their originals. The sum's weak value is the sum of its
 operands', so when both operands vanish a sum numerator above the zero
 tolerance can only come from the threshold itself; the sum is then reported
-as vanishing, case I.
+as vanishing, case I. Each kind's verdicts and narratives are defined once,
+in one table: ``_SUM_CASES`` by case, which the sum classifier's tests
+choose, and ``_PRODUCT_CASES`` by zero pattern, which gives the case too.
 
 Both classifiers reject an operand that is not a projector. Each call
 records which operators are proven in a ``scenario._Batch``: a channel of
@@ -85,67 +87,65 @@ class ProductCase(Enum):
     VI_MIRROR = "vi_mirror"
 
 
-INCONSISTENT_SUM_CASES = frozenset({SumCase.III})
-INCONSISTENT_PRODUCT_CASES = frozenset(
-    {ProductCase.III, ProductCase.IV, ProductCase.VI, ProductCase.VI_MIRROR}
-)
-
-_SUM_NARRATIVES = {
-    SumCase.I: (
+#: Each sum case: whether the OR reading is consistent, and its narrative.
+_SUM_CASES = {
+    SumCase.I: (True, (
         "no meter registers: not in the first channel, not in the second, "
         "and not in their union; the OR reading is coherent"
-    ),
-    SumCase.II: (
+    )),
+    SumCase.II: (True, (
         "all three meters register: in both channels and in their union; "
         "the OR reading is coherent"
-    ),
-    SumCase.III: (
+    )),
+    SumCase.III: (False, (
         "each channel's meter registers on its own, yet the meter for their "
         "union stays silent; presence in either channel separately cannot be "
         "reconciled with absence from their union"
-    ),
-    SumCase.DEGENERATE: (
+    )),
+    SumCase.DEGENERATE: (True, (
         "exactly one channel registers and the union follows it by "
         "additivity; the OR reading is coherent"
-    ),
+    )),
 }
 
-_PRODUCT_NARRATIVES = {
-    ProductCase.I: (
+#: Each zero pattern of the product audit (first, second, product vanishes):
+#: its case, whether the AND reading is consistent, and its narrative.
+_PRODUCT_CASES = {
+    (True, True, True): (ProductCase.I, True, (
         "no meter registers: not in either channel and not in both jointly; "
         "the AND reading is coherent"
-    ),
-    ProductCase.II: (
+    )),
+    (False, False, False): (ProductCase.II, True, (
         "all three meters register: in each channel and in both jointly; "
         "the AND reading is coherent"
-    ),
-    ProductCase.III: (
+    )),
+    (False, False, True): (ProductCase.III, False, (
         "each channel registers separately, yet the joint meter stays "
         "silent; being in each channel while not being in both defeats the "
         "AND reading"
-    ),
-    ProductCase.IV: (
+    )),
+    (True, True, False): (ProductCase.IV, False, (
         "neither channel registers, yet the joint meter does; being in both "
         "channels while being in neither defeats the AND reading"
-    ),
-    ProductCase.V: (
+    )),
+    (False, True, True): (ProductCase.V, True, (
         "the first channel registers, the second does not, and the joint "
         "meter stays silent; the AND reading is coherent"
-    ),
-    ProductCase.V_MIRROR: (
+    )),
+    (True, False, True): (ProductCase.V_MIRROR, True, (
         "the second channel registers, the first does not, and the joint "
         "meter stays silent; the AND reading is coherent"
-    ),
-    ProductCase.VI: (
+    )),
+    (False, True, False): (ProductCase.VI, False, (
         "the first channel registers and the second does not, yet the joint "
         "meter registers; presence in both without presence in each defeats "
         "the AND reading"
-    ),
-    ProductCase.VI_MIRROR: (
+    )),
+    (True, False, False): (ProductCase.VI_MIRROR, False, (
         "the second channel registers and the first does not, yet the joint "
         "meter registers; presence in both without presence in each defeats "
         "the AND reading"
-    ),
+    )),
 }
 
 
@@ -208,25 +208,8 @@ def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) ->
         case = SumCase.III
     else:
         case = SumCase.II
-    return AuditVerdict(
-        kind="sum",
-        case=case,
-        consistent=case not in INCONSISTENT_SUM_CASES,
-        weak_values=(wa, wb, ws),
-        narrative=_SUM_NARRATIVES[case],
-    )
-
-
-_PRODUCT_TABLE = {
-    (True, True, True): ProductCase.I,
-    (False, False, False): ProductCase.II,
-    (False, False, True): ProductCase.III,
-    (True, True, False): ProductCase.IV,
-    (False, True, True): ProductCase.V,
-    (True, False, True): ProductCase.V_MIRROR,
-    (False, True, False): ProductCase.VI,
-    (True, False, False): ProductCase.VI_MIRROR,
-}
+    consistent, narrative = _SUM_CASES[case]
+    return AuditVerdict("sum", case, consistent, (wa, wb, ws), narrative)
 
 
 def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
@@ -254,14 +237,8 @@ def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch
     wa = _weak(s, pa, batch)
     wb = _weak(s, pb, batch)
     wp = _weak(s, product, batch)
-    case = _PRODUCT_TABLE[(wa.is_zero, wb.is_zero, wp.is_zero)]
-    return AuditVerdict(
-        kind="product",
-        case=case,
-        consistent=case not in INCONSISTENT_PRODUCT_CASES,
-        weak_values=(wa, wb, wp),
-        narrative=_PRODUCT_NARRATIVES[case],
-    )
+    case, consistent, narrative = _PRODUCT_CASES[(wa.is_zero, wb.is_zero, wp.is_zero)]
+    return AuditVerdict("product", case, consistent, (wa, wb, wp), narrative)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Mapping, Union
 
 import numpy as np
@@ -107,15 +107,8 @@ def _parse(tokens: list[tuple[str, int]], level: int = 0) -> Node:
     raise ParseError(f"unexpected {tok!r}", pos)
 
 
-@lru_cache(maxsize=1024)
 def parse(text: str) -> Node:
-    """Parse a projector expression into its syntax tree.
-
-    A tree is immutable and depends on nothing but the text, so each of the
-    last 1,024 distinct texts parsed in the process is parsed once and its
-    tree handed to every later call; a text that raises ``ParseError`` is
-    not kept and raises afresh.
-    """
+    """Parse a projector expression into its syntax tree."""
     tokens = _tokenize(text)
     if not tokens[-1][0]:
         raise ParseError("empty expression", tokens[-1][1])

@@ -10,14 +10,16 @@ immutable and pure.
 
 Each public function that takes an operator coerces it with ``as_operator``,
 which also scans it for NaN/Inf, and hands it to a private kernel (``_act``,
-``_sum``, ``_compose``, ``_proves_projector``) that does not coerce again;
-the library's own callers use the kernels, and ``_complement``, on
-operators that were checked where they entered and on amplitudes that
-``State`` scanned. A public function whose products or result can overflow
-forms them under ``np.errstate(over="ignore", invalid="ignore")`` and raises
-ValueError naming the overflow where one is not finite; the kernels are not
-guarded, as the library's own operands are proven projectors, whose products
-are bounded.
+``_sum``, ``_compose``, ``_proves_projector``, ``_element``) that does not
+coerce again; the library's own callers use the kernels, and
+``_complement``, on operators that were checked where they entered and on
+amplitudes that ``State`` scanned. A public function whose products or
+result can overflow forms them under ``np.errstate(over="ignore",
+invalid="ignore")`` and raises ValueError naming the overflow where one is
+not finite. Of the kernels only ``_element`` is guarded: it takes every
+matrix element the library forms, inner products included, and raises
+where one is not finite. The others are not, as the library's own operands
+are proven projectors, whose products are bounded.
 
 Every structural check (idempotence, self-adjointness, commutation,
 orthogonality, a vanishing product, unitarity) passes exactly when
@@ -28,6 +30,7 @@ through one test, ``_within_struct_tol``. The thresholds are those of
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -119,12 +122,25 @@ class State:
 
 
 def inner(u: State, v: State) -> complex:
-    """Inner product <u|v>, conjugating u."""
+    """Inner product <u|v>, conjugating u; ValueError where it overflows."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
     if u.labels != v.labels:
         raise ValueError("basis label mismatch between states")
-    return complex(np.vdot(u.amps, v.amps))
+    return _element(u.amps, v.amps)
+
+
+def _element(bra: np.ndarray, ket: np.ndarray, *ops: np.ndarray) -> complex:
+    """<bra|ops[0] ... ops[-1]|ket> of two amplitude vectors and operators
+    that ``as_operator`` returned; the last operator acts first. Every
+    matrix element of the library is one of these. Where it is not finite,
+    as where a product overflows, it raises ValueError."""
+    for op in reversed(ops):
+        ket = _act(op, ket)
+    value = complex(np.vdot(bra, ket))
+    if not cmath.isfinite(value):
+        raise ValueError("matrix element is not finite: the operator product overflows")
+    return value
 
 
 def _act(m: np.ndarray, amps: np.ndarray) -> np.ndarray:

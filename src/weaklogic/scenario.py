@@ -7,7 +7,6 @@ and a table of named channel projectors that expressions can reference.
 
 from __future__ import annotations
 
-import cmath
 import json
 import sys
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from .linalg import (
     _act,
     _bounded,
     _compose,
+    _element,
     _proves_projector,
     _real_diagonal,
     _self_adjoint,
@@ -108,12 +108,12 @@ class Scenario:
                 raise ScenarioError(f"channel {ch_name!r} is not a projector")
             p.setflags(write=False)
             table[ch_name] = p
-        ket = pre.amps if ev is None else _act(ev, pre.amps)
+        evolved = () if ev is None else (ev,)
         for attr, value in (
             ("labels", labels), ("dim", dim), ("evolution", ev),
             ("channels", MappingProxyType(table)),
-            ("post_overlap", complex(np.vdot(post.amps, ket))),
-            ("bra", post if ev is None else State(ev.conj().T @ post.amps, labels)),
+            ("post_overlap", _element(post.amps, pre.amps, *evolved)),
+            ("bra", post if ev is None else State(_act(ev.conj().T, post.amps), labels)),
             ("_record", _new_record(table)),
         ):
             object.__setattr__(self, attr, value)
@@ -144,13 +144,7 @@ def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
     taken through the bra, which may differ from ``post_overlap`` in the
     last bits.
     """
-    ket = s.pre_state.amps
-    for op in reversed(ops):
-        ket = _act(op, ket)
-    value = complex(np.vdot(s.bra.amps, ket))
-    if not cmath.isfinite(value):
-        raise ValueError("matrix element is not finite: the operator product overflows")
-    return value
+    return _element(s.bra.amps, s.pre_state.amps, *ops)
 
 
 #: Bytes of operators and texts that a scenario's record may hold when a

@@ -7,14 +7,13 @@ hidden.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AblUndefinedError, ConsistencyError, ZeroProbabilityError
-from .linalg import State, _act, _complement, as_operator
+from .linalg import State, _act, _complement, _element, as_operator
 from .scenario import Scenario, _amplitude
 from .tolerances import BOUNDS_TOL, NULL_PROB, SCALAR_TOL
 
@@ -43,9 +42,7 @@ def born_prob(state: State, p: np.ndarray) -> float:
 
 def _born(state: State, p: np.ndarray) -> float:
     """``born_prob`` of an operator that ``as_operator`` returned."""
-    value = complex(np.vdot(state.amps, _act(p, state.amps)))
-    if not cmath.isfinite(value):
-        raise ValueError("matrix element is not finite: the operator product overflows")
+    value = _element(state.amps, state.amps, p)
     if abs(value.imag) > SCALAR_TOL:
         raise ConsistencyError(
             f"expectation value has imaginary part {value.imag!r}; not a projector?"

@@ -1,6 +1,7 @@
 """Differential check of the CLI and ``audit_all`` against another revision.
 
     python tests/differential.py --against REV [--files N] [--seed S] [--expect CMD[:FIELD]]...
+                                 [--env VAR=VALUE]...
 
 The script checks REV out with ``git worktree add --detach`` into a
 temporary directory (local git only) and removes it on exit. It writes N
@@ -28,14 +29,18 @@ runs by command and exit code, the differences by command and field, and
 the first differences. It exits 1 if a difference is not named by an
 ``--expect``: ``CMD`` names every field of a command, ``CMD:FIELD`` one of
 ``stdout``, ``stderr``, ``exit`` and ``warnings``, or for ``audit_all``
-``report``, ``repeat``, ``weak`` and ``warnings``.
+``report``, ``repeat``, ``weak`` and ``warnings``. Each ``--env VAR=VALUE``
+sets a variable for this tree's worker alone, so that
+``--against HEAD --env OPENBLAS_CORETYPE=Haswell`` compares the tree with
+itself under another BLAS kernel.
 
 The documents cycle through the kinds of ``corpus.make_document`` (basis,
 rotated and signed-zero channels, with or without evolution) and five more
 families, and on a period of their own through ``OVERLAPS``, so that every
-20 documents ask for 4 near-pole and 4 lost postselections. A near-pole
-document has at least two dimensions, and only a ``near-zero`` document
-that asks for neither sets its own postselection:
+20 documents ask for 4 near-pole and 4 lost postselections. A document that
+asks for one is of a kind in ``LOADING_KINDS`` and has at least two
+dimensions, so that it loads and reaches its postselection. Only a
+``near-zero`` document that asks for neither sets its own postselection:
 
 - ``perturbed``: rotated channels, each with a Hermitian perturbation of
   size 1e-14 to 1e-9, around the tolerance of the projector proof;
@@ -73,8 +78,12 @@ KINDS = (
     "basis", "rotated", "signed-zero", "perturbed", "noncommuting", "rank1", "near-zero", "overflow"
 )
 
-#: Postselections of ``corpus.make_document``, cycled beside ``KINDS``:
-#: 5 is prime to 8, so each kind meets each in 40 documents.
+#: The kinds whose documents load, cycled in place of ``KINDS`` where a
+#: document asks for a near-pole or lost postselection.
+LOADING_KINDS = tuple(k for k in KINDS if k not in ("perturbed", "overflow"))
+
+#: Postselections of ``corpus.make_document``, cycled beside the kinds: 5 is
+#: prime to 6, so each loading kind meets each slot in 30 documents.
 OVERLAPS = (None, None, None, "near-pole", "lost")
 
 #: Pairs of ``audit-all --pairs`` and of the in-process ``audit_all``,
@@ -165,8 +174,9 @@ def _document(kind: str, overlap: str | None, seed: int, rng) -> str:
     from corpus import make_document
     from helpers import random_unit, random_unitary
 
-    # a one-dimensional postselection is the preselection's, up to phase
-    dim = int(rng.integers(2 if overlap == "near-pole" else 1, 7))
+    # a one-dimensional postselection is the preselection's, up to phase:
+    # never near the pole, and lost only as the zero vector, which fails to load
+    dim = int(rng.integers(2 if overlap else 1, 7))
     evolution = bool(rng.integers(2))
     base = kind if kind in ("basis", "signed-zero") else "rotated"
     with np.errstate(invalid="ignore"):  # a lost postselection of a zero vector
@@ -243,7 +253,9 @@ def _jobs(files: int, seed: int, where: Path) -> dict:
     audits = []
     rng = np.random.default_rng(seed)
     for i in range(files):
-        kind, overlap = KINDS[i % len(KINDS)], OVERLAPS[i % len(OVERLAPS)]
+        overlap = OVERLAPS[i % len(OVERLAPS)]
+        kinds = KINDS if overlap is None else LOADING_KINDS
+        kind = kinds[i % len(kinds)]
         path = where / f"d{i:03d}-{kind}.json"
         path.write_text(_document(kind, overlap, int(rng.integers(2**31)), rng), encoding="utf-8")
         audits.append([str(path), [[p["a"], p["b"], p["kind"]] for p in pairs]])
@@ -349,13 +361,14 @@ def _git(*args) -> str:
     return subprocess.run(cmd, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def _run_trees(trees: dict, jobs_path: Path, where: Path) -> dict:
-    """Each tree's results, from one worker subprocess per tree, run at once."""
+def _run_trees(trees: dict, jobs_path: Path, where: Path, extra: dict) -> dict:
+    """Each tree's results, from one worker subprocess per tree, run at once;
+    the worker of this tree alone also gets the variables ``extra``."""
     procs = {}
     for label, tree in trees.items():
         out = where / f"results-{label}.json"
         cmd = [sys.executable, __file__, "--worker", str(jobs_path), str(out)]
-        env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        env = {**os.environ, **(extra if label == "this" else {}), "PYTHONPATH": str(tree / "src")}
         proc = subprocess.Popen(cmd, cwd=tree, env=env, stderr=subprocess.PIPE, text=True)
         procs[label] = out, proc
     results = {}
@@ -420,6 +433,10 @@ def main(argv=None) -> int:
         "--expect", action="append", default=[], metavar="CMD[:FIELD]",
         help="a difference that is meant; may be repeated",
     )
+    parser.add_argument(
+        "--env", action="append", default=[], metavar="VAR=VALUE",
+        help="a variable set for this tree's worker alone; may be repeated",
+    )
     parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -427,6 +444,9 @@ def main(argv=None) -> int:
         return 0
     if not args.against:
         parser.error("--against is required")
+    if not all("=" in item for item in args.env):
+        parser.error("--env takes VAR=VALUE")
+    extra = dict(item.split("=", 1) for item in args.env)
     commit = _git("rev-parse", "--verify", f"{args.against}^{{commit}}")
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="weaklogic-differential-") as tmp:
@@ -437,13 +457,15 @@ def main(argv=None) -> int:
             jobs = _jobs(args.files, args.seed, where)
             jobs_path = where / "jobs.json"
             jobs_path.write_text(json.dumps(jobs), encoding="utf-8")
-            results = _run_trees({"against": checkout, "this": ROOT}, jobs_path, where)
+            results = _run_trees({"against": checkout, "this": ROOT}, jobs_path, where, extra)
         finally:
             _git("worktree", "remove", "--force", str(checkout))
     texts = len(_texts(jobs["audit"][0][1])) if jobs["audit"] else 0
     print(f"against {args.against} ({commit[:12]}): {args.files} documents, seed {args.seed}, "
           f"{len(jobs['cli'])} CLI runs per tree; on each document that loads, 2 audit_all "
           f"calls and {texts} weak_value_expr calls")
+    if extra:
+        print("this tree under " + " ".join(args.env))
     return 1 if compare(jobs, results["against"], results["this"], args.expect) else 0
 
 

@@ -78,16 +78,11 @@ class TestParse:
             parse("2same")
 
 
-class TestParseMemo:
-    """``parse`` keeps each text's immutable tree for the process, in a
-    bounded memo; a text that fails is parsed, and fails, on every call."""
+class TestParseCalls:
+    """``parse`` depends on nothing but its text: each call of a text gives
+    an equal tree, or the same error, in any thread."""
 
     TEXTS = ["L3*L5", "L1*L2 + R1*R2", "A*(B + C)", "((A))", "x_1 + y*z + w"]
-
-    def test_a_text_is_parsed_once(self):
-        for text in self.TEXTS:
-            assert parse(text) is parse(text)
-            assert parse(text) == parse.__wrapped__(text)
 
     @pytest.mark.parametrize("text, position", [("A + * B", 4), ("A +", 3), ("(A", 2), ("", 0)])
     def test_an_error_is_raised_on_every_call(self, text, position):
@@ -96,13 +91,10 @@ class TestParseMemo:
                 parse(text)
             assert caught.value.position == position
 
-    def test_the_memo_is_bounded(self):
-        assert 0 < parse.cache_info().maxsize < float("inf")
-
     def test_threads_get_equal_trees(self):
-        # more threads than cores, switching often, on texts none has parsed
+        # more threads than cores, switching often
         texts = [f"{t} + Q{i}" for i in range(200) for t in self.TEXTS[:2]]
-        want = [parse.__wrapped__(text) for text in texts]
+        want = [parse(text) for text in texts]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

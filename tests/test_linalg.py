@@ -142,6 +142,14 @@ class TestInner:
         with pytest.raises(ValueError, match="label mismatch"):
             inner(_state([1, 0], ("a", "b")), _state([1, 0], ("a", "c")))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_product_is_a_value_error(self):
+        big = State([1e200], ["a"])
+        with pytest.raises(
+            ValueError, match="^matrix element is not finite: the operator product overflows$"
+        ):
+            inner(big, big)
+
 
 class TestApply:
     def test_identity(self):

@@ -65,7 +65,12 @@ class TestBornProb:
         state = State(np.array([0.8, 0.6]), ("a", "b"))
         huge = np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
         s = build_scenario("x", state.labels, state.amps, [1, 0])
-        for call in (lambda: born_prob(state, huge), lambda: bayes_check(s, huge)):
+        calls = (
+            lambda: born_prob(state, huge),
+            lambda: cond_prob_post(s, huge),
+            lambda: bayes_check(s, huge),
+        )
+        for call in calls:
             with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match="^matrix element is not finite: the operator product overflows$"
             ):

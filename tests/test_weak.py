@@ -89,6 +89,13 @@ class TestErrorsAndFlags:
         assert w.near_pole
         assert w.value == pytest.approx(w.numerator / w.denominator, rel=1e-12)
 
+    def test_an_overflowing_numerator_is_a_value_error(self):
+        s = build_scenario("x", ("a", "b"), [1, 1], [1, 0])
+        with pytest.raises(
+            ValueError, match="^matrix element is not finite: the operator product overflows$"
+        ):
+            weak_value(s, np.full((2, 2), 1.7e308))
+
     def test_an_overflowing_ratio_is_a_value_error(self):
         # the numerator, about 1e302, is finite; its ratio to 1e-8 is not
         s = build_scenario("pole", ("a", "b"), [1, 0], [1e-8, 1])
