@@ -124,8 +124,9 @@ def _resolve_scenario(args) -> Scenario:
 
 def _projector(s: Scenario, text: str) -> np.ndarray:
     """The expression's operator, checked here because strong and abl
-    assume a projector without checking."""
-    (p,) = _Batch(s).projectors((text, f"expression {text!r}"))
+    assume a projector without checking; folded and proved in the
+    scenario's record, so that their calls share its kept numerators."""
+    (p,) = _Batch(s, kept=True).projectors((text, f"expression {text!r}"))
     return p
 
 

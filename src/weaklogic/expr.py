@@ -164,5 +164,13 @@ def _fold(node: Node, channels: Mapping[str, np.ndarray], multiply: Callable) ->
 
 
 def evaluate_text(text: str, channels: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Parse and evaluate in one step."""
-    return evaluate(parse(text), channels)
+    """Parse and evaluate in one step.
+
+    Over a scenario's own table ``s.channels``, which offers the fold as its
+    method ``_evaluate_text``, the text folds through the scenario's record:
+    the result is the operator the record keeps, read-only and the same
+    object at each call, with the bits ``evaluate`` gives over a plain copy
+    of the table, ``dict(s.channels)``. Copy it before changing it.
+    """
+    fold = getattr(type(channels), "_evaluate_text", None)
+    return evaluate(parse(text), channels) if fold is None else fold(channels, text)

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
-from .scenario import Scenario, _Batch, _amplitude
+from .scenario import Scenario, _Batch, _amplitude, _numerators
 from .tolerances import EXTINCT, GRID_GAP
 
 #: The float rounding unit eps.
@@ -158,8 +158,11 @@ def _packets(x: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
 
 
 def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
-    """alpha = <post|U (1 - P)|pre> and beta = <post|U P|pre> of a checked P."""
-    beta = _amplitude(s, _Batch(s).prove(p, "meter coupling"))
+    """alpha = <post|U (1 - P)|pre> and beta = <post|U P|pre> of a checked P;
+    beta, and the proof of P, kept in the scenario's record when that holds
+    P."""
+    batch = _numerators(s, p)
+    beta = batch.amplitude(batch.prove(p, "meter coupling"))
     return _amplitude(s) - beta, beta
 
 

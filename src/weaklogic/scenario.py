@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import json
 import sys
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
 from .errors import ScenarioError
-from .expr import _NAME_RE, _fold, parse
+from .expr import _NAME_RE, _fold, evaluate, parse
 from .linalg import (
     State,
     _act,
     _bounded,
+    _complement,
     _compose,
     _element,
     _proves_projector,
@@ -57,6 +58,11 @@ class Scenario:
     which intermediate-time matrix elements are taken, are derived, not
     arguments. Each scenario also keeps the private record of expression
     texts that ``_Batch`` describes; ``dataclasses.replace`` starts it empty.
+    ``channels`` is a read-only mapping over that record:
+    ``evaluate_text(text, s.channels)`` returns the read-only operator the
+    record keeps for the text, and the strong and weak calls and the meter
+    readouts reuse the numerators the record keeps for an operator it
+    holds.
     """
 
     name: str
@@ -111,7 +117,7 @@ class Scenario:
         evolved = () if ev is None else (ev,)
         for attr, value in (
             ("labels", labels), ("dim", dim), ("evolution", ev),
-            ("channels", MappingProxyType(table)),
+            ("channels", _Channels(table, self)),
             ("post_overlap", _element(post.amps, pre.amps, *evolved)),
             ("bra", post if ev is None else State(_act(ev.conj().T, post.amps), labels)),
             ("_record", _new_record(table)),
@@ -147,16 +153,48 @@ def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
     return _element(s.bra.amps, s.pre_state.amps, *ops)
 
 
+class _Channels(Mapping):
+    """A scenario's channel table: read-only, and over the scenario's record.
+
+    ``expr.evaluate_text`` over it calls ``_evaluate_text``, which folds the
+    text through the record (``_Batch.fold``). The table refers to its
+    scenario weakly, so that the two make no cycle that would keep the
+    scenario and its record alive; once the scenario is gone, a text folds
+    as over a plain dict of the channels."""
+
+    def __init__(self, table: dict[str, np.ndarray], owner: Scenario):
+        self._table = table
+        self._owner = weakref.ref(owner)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._table[name]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._table!r})"
+
+    def _evaluate_text(self, text: str) -> np.ndarray:
+        s = self._owner()
+        return evaluate(parse(text), self._table) if s is None else _Batch(s, kept=True).fold(text)
+
+
 #: Bytes of operators and texts that a scenario's record may hold when a
 #: call starts; past them the call starts the record over.
 _RECORD_CAP = 64 << 20
 
 
 def _new_record(channels: Mapping[str, np.ndarray]) -> tuple:
-    """A new record for ``_Batch``: its maps ``proven`` (seeded with
-    ``channels``), ``operands``, ``products``, ``orthogonal`` and
-    ``amplitudes``, and its list ``sizes``."""
-    return {id(p): p for p in channels.values()}, {}, {}, {}, {}, []
+    """A new record for ``_Batch``: its maps ``proven``, ``operands``,
+    ``products``, ``orthogonal``, ``amplitudes`` and ``held``, of which
+    ``proven`` and ``held`` are seeded with ``channels``, and its list
+    ``sizes``."""
+    seed = {id(p): p for p in channels.values()}
+    return seed, {}, {}, {}, {}, dict(seed), []
 
 
 class _Batch:
@@ -169,10 +207,13 @@ class _Batch:
     ``require_projector``; and each product PQ of proven factors that is
     self-adjoint within STRUCT_TOL, for then PQ = (PQ)^dagger = QP and
     (PQ)^2 = PPQQ = PQ. Its idempotence is not checked: (PQ)^2 - PQ =
-    P(QP - PQ)Q is at most QP - PQ in norm. Holding each value, the map
-    keeps its ids from being reused while the record lives, and so may key
-    the products, orthogonality flags and matrix elements of the operators
-    the record holds by id.
+    P(QP - PQ)Q is at most QP - PQ in norm. ``held`` maps ``id(P)`` to P
+    for each operator the record holds: the channels and each operator
+    ``fold`` returned. Holding each value, these maps keep its id from being
+    reused while the record lives, and so the record may key the products,
+    orthogonality flags and matrix elements of the operators it holds by id.
+    Whether it holds an operator a caller passes is a test of identity,
+    ``holds``: an equal copy is another object.
 
     ``_Batch(s)`` makes a record for one call, which the call drops when it
     returns: the classifiers and the meter prove the caller's own arrays,
@@ -182,8 +223,12 @@ class _Batch:
     the proofs of those, each product of proven operands, whether each
     pair of proven operands the audits tested is orthogonal, and the
     numerator <bra|P|pre> of each operator it holds and of each orthogonal
-    pair's sum. A failed proof is not kept. So the calls on one scenario
-    fold, prove, multiply, test and take each matrix element of these once.
+    pair's sum, and of 1 - P for each P whose ABL probability was asked. A
+    failed proof is not kept. So the calls on one scenario fold, prove,
+    multiply, test and take each matrix element of these once: ``audit_all``
+    and ``weak_value_expr`` through the texts they take, and
+    ``evaluate_text`` over ``s.channels``, the strong and weak calls and the
+    meter through an operator the record holds (``_numerators``).
     ``sizes`` lists the bytes of each operator the record made and of each
     text it holds, so that whitespace variants of one text count too. When
     a call starts with more than ``_RECORD_CAP`` of them in the record, it
@@ -200,7 +245,7 @@ class _Batch:
             object.__setattr__(s, "_record", _new_record(s.channels))
         record = s._record if kept else _new_record(s.channels)
         (self.proven, self.operands, self.products, self.orthogonal,
-         self.amplitudes, self.sizes) = record
+         self.amplitudes, self.held, self.sizes) = record
         self.weak_values: dict = {}  # id(P): weak value of proven P
 
     def product(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -245,12 +290,27 @@ class _Batch:
             value = self.amplitudes[key] = _amplitude(self.scenario, op)
         return value
 
+    def miss_amplitude(self, p: np.ndarray) -> complex:
+        """``_amplitude`` of 1 - P, the other outcome of the measurement
+        {P, 1 - P}, for an operator P the record holds; keyed by the
+        one-tuple ``(id(P),)``, apart from P's own, and taken once per
+        record."""
+        key = (id(p),)
+        value = self.amplitudes.get(key)
+        if value is None:
+            value = self.amplitudes[key] = _amplitude(self.scenario, _complement(p))
+        return value
+
+    def holds(self, p) -> bool:
+        """Whether the record holds the very object ``p``."""
+        return self.held.get(id(p)) is p
+
     def fold(self, text: str) -> np.ndarray:
-        """The operator of ``text``, bit for bit as ``evaluate_text(text,
-        s.channels)`` forms it, folded once per record and read-only. Of
-        two threads that fold it at once, both return the one stored
-        first, so that the record holds each operator whose numerator it
-        keeps."""
+        """The operator of ``text``, bit for bit as ``evaluate`` forms it over
+        a plain copy of the channel table, folded once per record, read-only
+        and held. Of two threads that fold it at once, both return the one
+        stored first, so that the record holds each operator whose numerator
+        it keeps."""
         op = self.operands.get(text)
         if op is None:
             op = _fold(parse(text), self.scenario.channels, self.product)
@@ -260,6 +320,7 @@ class _Batch:
                 size += op.nbytes
             self.sizes.append(size)
             op = self.operands.setdefault(text, op)
+            self.held[id(op)] = op
         return op
 
     def prove(self, op, what: str) -> np.ndarray:
@@ -278,6 +339,15 @@ class _Batch:
         before the first operator is proved."""
         ops = [self.fold(text) for text, _ in operands]
         return [self.prove(op, what) for op, (_, what) in zip(ops, operands)]
+
+
+def _numerators(s: Scenario, p) -> _Batch:
+    """The ``_Batch`` whose ``amplitude`` of ``p`` to take: over the record of
+    ``s`` when that holds the very object ``p``, so that the numerator is
+    kept for the next call, else the call's own, so that a caller's array,
+    which the caller may change in place, is weighed afresh."""
+    batch = _Batch(s, kept=True)
+    return batch if batch.holds(p) else _Batch(s)
 
 
 def build_scenario(

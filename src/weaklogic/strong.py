@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AblUndefinedError, ConsistencyError, ZeroProbabilityError
-from .linalg import State, _act, _complement, _element, as_operator
-from .scenario import Scenario, _amplitude
+from .linalg import State, _act, _element, as_operator
+from .scenario import Scenario, _numerators
 from .tolerances import BOUNDS_TOL, NULL_PROB, SCALAR_TOL
 
 
@@ -37,12 +37,12 @@ def born_prob(state: State, p: np.ndarray) -> float:
     """Outcome probability <psi|P|psi> for a projective measurement; ValueError on overflow."""
     p = as_operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _born(state, p)
+        return _born(state, _act(p, state.amps))
 
 
-def _born(state: State, p: np.ndarray) -> float:
-    """``born_prob`` of an operator that ``as_operator`` returned."""
-    value = _element(state.amps, state.amps, p)
+def _born(state: State, ket: np.ndarray) -> float:
+    """``born_prob`` from ket = P|psi>, of a P that ``as_operator`` returned."""
+    value = _element(state.amps, ket)
     if abs(value.imag) > SCALAR_TOL:
         raise ConsistencyError(
             f"expectation value has imaginary part {value.imag!r}; not a projector?"
@@ -54,10 +54,11 @@ def collapse(state: State, p: np.ndarray) -> CollapseOutcome:
     """Project a state and renormalize; ValueError on overflow."""
     p = as_operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        probability = _born(state, p)
+        ket = _act(p, state.amps)
+        probability = _born(state, ket)
         if probability <= NULL_PROB:
             raise ZeroProbabilityError("cannot collapse onto a zero-probability outcome")
-        return CollapseOutcome(probability, State(_act(p, state.amps), state.labels).normalize())
+        return CollapseOutcome(probability, State(ket, state.labels).normalize())
 
 
 def cond_prob_post(s: Scenario, p: np.ndarray) -> float:
@@ -66,18 +67,19 @@ def cond_prob_post(s: Scenario, p: np.ndarray) -> float:
     This is |<post|U P|pre>|^2, the joint probability of the intermediate
     outcome and the final postselection; it factorizes as
     prob(post | outcome) * prob(outcome | pre). ValueError on overflow.
+    The numerator <post|U P|pre> of an operator the scenario's record holds
+    is kept there.
     """
     p = as_operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _cond_post(s, p)
+        return _cond_post(_numerators(s, p).amplitude(p))
 
 
-def _cond_post(s: Scenario, p: np.ndarray) -> float:
-    """``cond_prob_post`` of an operator that ``as_operator`` returned. A
-    square beyond floating-point range counts as inf, which the range check
-    rejects."""
+def _cond_post(amplitude: complex) -> float:
+    """``cond_prob_post`` of its numerator <post|U P|pre>. A square beyond
+    floating-point range counts as inf, which the range check rejects."""
     try:
-        value = abs(_amplitude(s, p)) ** 2
+        value = abs(amplitude) ** 2
     except OverflowError:  # a Python float's ** raises where x * x gives inf
         value = math.inf
     return _checked_probability(value, "conditional probability")
@@ -86,13 +88,18 @@ def _cond_post(s: Scenario, p: np.ndarray) -> float:
 def _hit_miss(s: Scenario, p: np.ndarray) -> tuple[float, float]:
     """``cond_prob_post`` of p and of 1 - p, each formed once for the
     two-outcome measurement {p, 1 - p}, of a p that ``as_operator``
-    returned."""
-    return _cond_post(s, p), _cond_post(s, _complement(p))
+    returned. Both numerators of an operator the scenario's record holds
+    are kept there."""
+    batch = _numerators(s, p)
+    hit = _cond_post(batch.amplitude(p))
+    return hit, _cond_post(batch.miss_amplitude(p))
 
 
 def abl_prob(s: Scenario, p: np.ndarray) -> float:
     """Probability of the outcome p given both pre- and postselection,
-    for the two-outcome measurement {p, 1 - p}. ValueError on overflow."""
+    for the two-outcome measurement {p, 1 - p}. ValueError on overflow.
+    The numerators of p and of 1 - p, for a p the scenario's record holds,
+    are kept there."""
     p = as_operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
         hit, miss = _hit_miss(s, p)
@@ -119,7 +126,7 @@ def bayes_check(s: Scenario, p: np.ndarray) -> float:
     """
     p = as_operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        outcome_prob = _born(s.pre_state, p)
+        outcome_prob = _born(s.pre_state, _act(p, s.pre_state.amps))
         if outcome_prob <= NULL_PROB:
             return 0.0
         hit, miss = _hit_miss(s, p)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NearPoleWarning, PostselectionLostError
 from .linalg import as_operator
-from .scenario import Scenario, _Batch, _amplitude
+from .scenario import Scenario, _Batch, _numerators
 from .tolerances import POLE_TOL, ZERO_TOL
 
 
@@ -36,10 +36,12 @@ class WeakValue:
 
 def weak_value(s: Scenario, op: np.ndarray) -> WeakValue:
     """Weak value <post|U A|pre> / <post|U|pre> of an arbitrary operator;
-    ValueError where the numerator or the ratio overflows."""
+    ValueError where the numerator or the ratio overflows. The numerator of
+    an operator the scenario's record holds is kept there; the
+    ``WeakValue`` is built, and warns near the pole, at each call."""
     op = as_operator(op)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _weak_value(s, lambda: _amplitude(s, op), stacklevel=3)
+        w = _weak_value(s, lambda: _numerators(s, op).amplitude(op), stacklevel=3)
     if not cmath.isfinite(w.value):
         raise ValueError("weak value is not finite: it overflows")
     return w

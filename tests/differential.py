@@ -19,17 +19,23 @@ in one subprocess per tree, both at once:
 - in-process on each document, loaded once: ``audit_all`` over the pairs
   of the golden corpus and a few more, ``audit_all`` again over the same
   pairs in reversed order, and ``weak_value_expr`` of each distinct operand
-  text.
+  text;
+- in-process on each document, loaded again: for each distinct operand
+  text, ``abl_prob``, ``cond_prob_post`` and ``weak_value`` of
+  ``evaluate_text(text, s.channels)``, twice, so that a tree that keeps
+  their numerators in the scenario's record takes them first cold and then
+  warm.
 
 Job by job it compares stdout, stderr, exit code and warnings (category and
 message) of each CLI run, and for each document the reports of both
-``audit_all`` calls and the weak values, with the bits of every weak value,
-numerator and denominator. It prints this tree's
-runs by command and exit code, the differences by command and field, and
-the first differences. It exits 1 if a difference is not named by an
-``--expect``: ``CMD`` names every field of a command, ``CMD:FIELD`` one of
-``stdout``, ``stderr``, ``exit`` and ``warnings``, or for ``audit_all``
-``report``, ``repeat``, ``weak`` and ``warnings``. Each ``--env VAR=VALUE``
+``audit_all`` calls, the weak values and the strong and weak calls, with the
+bits of every probability, weak value, numerator and denominator. It prints
+this tree's runs by command and exit code, the differences by command and
+field, and the first differences. It exits 1 if a difference is not named
+by an ``--expect``: ``CMD`` names every field of a command, ``CMD:FIELD``
+one of ``stdout``, ``stderr``, ``exit`` and ``warnings``, or for
+``audit_all`` ``report``, ``repeat``, ``weak``, ``strong`` and
+``warnings``. Each ``--env VAR=VALUE``
 sets a variable for this tree's worker alone, so that
 ``--against HEAD --env OPENBLAS_CORETYPE=Haswell`` compares the tree with
 itself under another BLAS kernel.
@@ -321,17 +327,42 @@ def _entries(report) -> list:
     ]
 
 
+def _strong(s, texts) -> list:
+    """For each text, ``abl_prob``, ``cond_prob_post`` and ``weak_value`` of
+    its operator over ``s.channels``, twice, or what each raises."""
+    from weaklogic import abl_prob, cond_prob_post, evaluate_text, weak_value
+
+    runs = []
+    for text in texts:
+        p = _attempt(lambda: evaluate_text(text, s.channels))
+        if isinstance(p, str):
+            runs.append(p)
+            continue
+        runs.append([
+            [
+                _attempt(lambda: float(abl_prob(s, p)).hex()),
+                _attempt(lambda: float(cond_prob_post(s, p)).hex()),
+                _attempt(lambda: _weak_bits(weak_value(s, p))),
+            ]
+            for _ in range(2)
+        ])
+    return runs
+
+
 def _run_audit(path, pairs) -> dict:
     """One document loaded once, then audited twice, the second time in
     reversed pair order, and the weak value of each distinct operand text
-    taken; a scenario that keeps stale state across calls shows here."""
+    taken; then loaded again for the strong and weak calls of ``_strong``,
+    whose first calls find nothing kept. A scenario that keeps stale state
+    across calls shows here."""
     from weaklogic import audit_all, load_scenario, weak_value_expr
 
+    document = Path(path).read_text(encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        s = _attempt(lambda: load_scenario(Path(path).read_text(encoding="utf-8")))
+        s = _attempt(lambda: load_scenario(document))
         if isinstance(s, str):
-            results = {"report": s, "repeat": s, "weak": s}
+            results = {"report": s, "repeat": s, "weak": s, "strong": s}
         else:
             results = {
                 "report": _attempt(lambda: _entries(audit_all(s, pairs))),
@@ -339,6 +370,7 @@ def _run_audit(path, pairs) -> dict:
                 "weak": [
                     _attempt(lambda: _weak_bits(weak_value_expr(s, text))) for text in _texts(pairs)
                 ],
+                "strong": _strong(load_scenario(document), _texts(pairs)),
             }
     return {**results, "warnings": _caught(caught)}
 
@@ -461,9 +493,11 @@ def main(argv=None) -> int:
         finally:
             _git("worktree", "remove", "--force", str(checkout))
     texts = len(_texts(jobs["audit"][0][1])) if jobs["audit"] else 0
+    loaded = sum(not isinstance(r["strong"], str) for r in results["this"]["audit"])
     print(f"against {args.against} ({commit[:12]}): {args.files} documents, seed {args.seed}, "
-          f"{len(jobs['cli'])} CLI runs per tree; on each document that loads, 2 audit_all "
-          f"calls and {texts} weak_value_expr calls")
+          f"{len(jobs['cli'])} CLI runs per tree; on each of the {loaded} documents that load, "
+          f"2 audit_all calls, {texts} weak_value_expr calls, and abl_prob, cond_prob_post and "
+          f"weak_value twice on each of the {texts} operand texts")
     if extra:
         print("this tree under " + " ".join(args.env))
     return 1 if compare(jobs, results["against"], results["this"], args.expect) else 0

@@ -4,7 +4,9 @@ import json
 import sys
 import threading
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklogic import (
+    CATALOG_NAMES,
+    AblUndefinedError,
     AuditEntry,
     AuditPreconditionError,
     ExpressionError,
@@ -21,14 +25,17 @@ from weaklogic import (
     PhysicsError,
     ProductCase,
     SumCase,
+    abl_prob,
     audit_all,
     basis_projector,
+    born_prob,
     build_scenario,
     catalog,
     classify_product,
     classify_sum,
     collapse,
     commutes,
+    cond_prob_post,
     default_audit_pairs,
     evaluate,
     evaluate_text,
@@ -38,9 +45,10 @@ from weaklogic import (
     parse,
     sequential_disturbance,
     weak_limit_estimate,
+    weak_value,
     weak_value_expr,
 )
-from weaklogic import linalg, scenario
+from weaklogic import linalg, scenario, tolerances
 from weaklogic.audit import _audit_pair
 from weaklogic.linalg import dense
 from weaklogic.scenario import _amplitude
@@ -410,8 +418,8 @@ class TestStrongContrast:
             for entry in report.entries:
                 if entry.verdict is None or entry.verdict.consistent:
                     continue
-                pa = evaluate_text(entry.expr_a, s.channels)
-                pb = evaluate_text(entry.expr_b, s.channels)
+                pa = evaluate_text(entry.expr_a, dict(s.channels))
+                pb = evaluate_text(entry.expr_b, dict(s.channels))
                 state_a = collapse(s.pre_state, pa).state
                 state_b = collapse(s.pre_state, pb).state
                 fidelity = abs(inner(state_a, state_b))
@@ -558,6 +566,26 @@ class TestProofCost:
         # no product, residual test, proof, matrix element or sum
         assert calls == collections.Counter()
         assert bits(second) == bits(first)
+
+    def test_a_warm_strong_step_forms_no_product(self, s, calls):
+        # the benchmark's op on the rotated scenario: an audit batch, then
+        # the strong and weak calls on the operator of one product text.
+        # Warm, the one matrix-vector product left is born_prob's, which
+        # takes no scenario
+        pairs = [("L1*L2", "R1*R2", "sum"), ("L1", "L2", "product")]
+
+        def op():
+            audit_all(s, pairs)
+            p = evaluate_text("L1*L2", s.channels)
+            return bits((
+                abl_prob(s, p), cond_prob_post(s, p), born_prob(s.pre_state, p),
+                weak_value(s, p), weak_value_expr(s, "L1*L2"),
+            ))
+
+        first = op()
+        calls.clear()
+        assert op() == first
+        assert (calls["products"], calls["act"], calls["amplitudes"], calls["sums"]) == (0, 1, 0, 0)
 
     def test_weak_value_expr_forms_its_product_once(self, s, calls):
         first = weak_value_expr(s, "L1*L2")
@@ -998,7 +1026,7 @@ class TestBatchIsPairByPair:
         # every id that keys a flag or a numerator is that of an operator
         # the record holds, so no freed operator's id can be reused for
         # another while the record lives
-        proven, operands, products, orthogonal, amplitudes, _ = s._record
+        proven, operands, products, orthogonal, amplitudes, *_ = s._record
         held = {id(m) for kept in (proven, operands, products) for m in kept.values()}
         for key in (*orthogonal, *amplitudes):
             assert set(key if isinstance(key, tuple) else (key,)) <= held
@@ -1039,3 +1067,155 @@ class TestBatchIsPairByPair:
         self._hold_one(monkeypatch, linalg._sum, weigh)
         assert got == {"free": want, "held": want}
         self._keys_name_held_operators(s)
+
+
+def _catalog_and_readme_texts():
+    """(scenario, text) for each operand of a catalog scenario's default audit
+    batch and each expression of a README command line."""
+    texts = {
+        (name, text)
+        for name in CATALOG_NAMES
+        for a, b, _ in default_audit_pairs(name)
+        for text in (a, b)
+    }
+    readme = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cli_readme.json"
+    for entry in json.loads(readme.read_text(encoding="utf-8")):
+        argv = entry["argv"]
+        for flag in ("--expr", "--expr2"):
+            if flag in argv:
+                texts.add((argv[argv.index("--scenario") + 1], argv[argv.index(flag) + 1]))
+    return sorted(texts)
+
+
+class TestChannelTableFoldsThroughTheRecord:
+    """``evaluate_text`` over a scenario's own table returns the operator
+    its record keeps, and the strong, weak and meter calls reuse the
+    numerators the record keeps for an operator it holds: that very object,
+    never an equal copy. Each oracle here is a copy of the plain fold, which
+    the record never holds, so it takes every numerator afresh, and its ABL
+    probability is the quotient of two ``cond_prob_post`` calls."""
+
+    CFG = MeterConfig(sigma=1.0, g=0.1)
+
+    @staticmethod
+    def _abl_quotient(s, p):
+        """``abl_prob`` of p as hit / (hit + miss), with hit and miss the
+        ``cond_prob_post`` of new arrays of p and of 1 - p."""
+        hit = cond_prob_post(s, np.array(p))
+        miss = cond_prob_post(s, linalg._complement(p))
+        if hit + miss <= tolerances.NULL_PROB:
+            raise AblUndefinedError("postselection is unreachable")
+        return hit / (hit + miss)
+
+    @classmethod
+    def _values(cls, s, p, abl=abl_prob):
+        """The bits of ``abl``, ``cond_prob_post``, ``weak_value`` and
+        ``measure_pointer`` of p, or the kind of error each raises."""
+        calls = (abl, cond_prob_post, weak_value, lambda s, p: measure_pointer(s, p, cls.CFG))
+        values = []
+        for call in calls:
+            try:
+                values.append(bits(call(s, p)))
+            except (PhysicsError, ValueError) as exc:
+                values.append(type(exc).__name__)
+        return values
+
+    @classmethod
+    def _oracle(cls, s, p):
+        """``_values`` of a new array of p, with the ABL quotient."""
+        return cls._values(s, np.array(p), cls._abl_quotient)
+
+    @pytest.mark.parametrize("name, text", _catalog_and_readme_texts())
+    def test_each_text_is_one_read_only_operator_with_the_plain_bits(self, name, text):
+        s = catalog(name)
+        p = evaluate_text(text, s.channels)
+        plain = evaluate_text(text, dict(s.channels))
+        assert evaluate_text(text, s.channels) is p and not p.flags.writeable
+        assert bits(p) == bits(plain)
+        want = self._oracle(s, plain)
+        for _ in range(2):  # the first call keeps the numerators, the second reads them
+            assert self._values(s, p) == want
+
+    def test_an_operator_of_a_record_started_over_goes_the_cold_way(self, monkeypatch):
+        s = rotated_pigeonhole(np.random.default_rng(7), 3)
+        texts = ("L1*L2", "L1 + R1", "L1 + L2", "L1*R2")
+        want = {text: self._oracle(s, evaluate_text(text, dict(s.channels))) for text in texts}
+        # each call that starts with anything in the record starts it over
+        monkeypatch.setattr(scenario, "_RECORD_CAP", 0)
+        for text in texts:
+            p = evaluate_text(text, s.channels)
+            assert self._values(s, p) == want[text]
+            amplitudes = s._record[4]
+            assert not scenario._Batch(s, kept=True).holds(p)
+            assert id(p) not in amplitudes and (id(p),) not in amplitudes
+
+    def test_a_caller_copy_changed_in_place_never_takes_a_kept_numerator(self):
+        s = rotated_pigeonhole(np.random.default_rng(7), 3)
+        p, q = (evaluate_text(text, s.channels) for text in ("L1*L2", "R1*R2"))
+        copy = p.copy()
+        assert copy.flags.writeable
+        assert self._values(s, copy) == self._values(s, p) == self._oracle(s, p)
+        copy[...] = q
+        assert self._values(s, copy) == self._values(s, q) == self._oracle(s, q)
+        assert self._values(s, copy) != self._values(s, p)
+        amplitudes, held = s._record[4], s._record[5]
+        assert id(copy) not in held
+        assert id(copy) not in amplitudes and (id(copy),) not in amplitudes
+
+    def test_weak_values_and_their_warnings_stay_per_call(self):
+        s = TestBatchIsPairByPair._near_pole(rotated_pigeonhole(np.random.default_rng(13), 3))
+        p = evaluate_text("L1*L2", s.channels)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first, second = weak_value(s, p), weak_value(s, p)
+        assert [w.category for w in caught] == [NearPoleWarning] * 2
+        assert first is not second and bits(first) == bits(second)
+
+    def test_threads_fold_one_operator_per_text(self, monkeypatch):
+        # one thread is held inside the sum L1 + L2 while the main thread
+        # folds the same text: both get the operator stored first, which
+        # the record holds, so the numerators then kept for it are keyed
+        # by the id of a held operator
+        s = rotated_pigeonhole(np.random.default_rng(17), 3)
+        got = {}
+
+        def fold(who):
+            got[who] = evaluate_text("L1 + L2", s.channels)
+
+        TestBatchIsPairByPair._hold_one(monkeypatch, linalg._sum, fold)
+        assert got["free"] is got["held"] is s._record[1]["L1 + L2"]
+        assert scenario._Batch(s, kept=True).holds(got["held"])
+        abl_prob(s, got["held"])
+        TestBatchIsPairByPair._keys_name_held_operators(s)
+        assert {id(got["held"]), (id(got["held"]),)} <= set(s._record[4])
+
+    def test_threads_weigh_on_a_record_that_starts_over(self, monkeypatch):
+        # 4 threads fold and weigh texts on one scenario, whose record starts
+        # over at nearly every call: each value is the oracle's
+        s = rotated_pigeonhole(np.random.default_rng(17), 3)
+        texts = ("L1*L2", "L1 + R1", "L1 + L2", "R1*R2")
+        want = {text: self._oracle(s, evaluate_text(text, dict(s.channels))) for text in texts}
+        monkeypatch.setattr(scenario, "_RECORD_CAP", 16 * s.dim**2)
+
+        def weigh(t):
+            picks = [texts[(t + i) % len(texts)] for i in range(12)]
+            return [self._values(s, evaluate_text(text, s.channels)) == want[text] for text in picks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = [ok for thread in pool.map(weigh, range(4)) for ok in thread]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [True] * 48
+
+    def test_the_table_does_not_keep_its_scenario_alive(self):
+        s = catalog("three-box")
+        scenario_ref, table = weakref.ref(s), s.channels
+        evaluate_text("A + B", table)
+        del s
+        assert scenario_ref() is None  # freed on its last reference: no cycle
+        # without its scenario, the table folds as a plain dict does
+        p = evaluate_text("A + B", table)
+        assert p.flags.writeable and bits(p) == bits(evaluate_text("A + B", dict(table)))

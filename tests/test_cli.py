@@ -112,9 +112,9 @@ class TestStrongCommand:
         assert code == 2
         assert "projector" in err
 
-    def test_forms_five_amplitudes(self, capsys, monkeypatch):
-        # born needs none; cond_post needs P; abl and bayes_residual each
-        # need P and 1 - P once
+    def test_forms_two_amplitudes(self, capsys, monkeypatch):
+        # born needs none; cond_post, abl and bayes_residual need P and
+        # 1 - P, which the scenario's record keeps for the operator it folded
         calls = []
 
         def counted(*args):
@@ -126,7 +126,7 @@ class TestStrongCommand:
                 monkeypatch.setattr(module, "_amplitude", counted)
         code, _, _ = run(capsys, "strong", "--scenario", "three-box", "--expr", "A + B")
         assert code == 0
-        assert len(calls) == 5
+        assert len(calls) == 2
 
 
 class TestAblCommand:

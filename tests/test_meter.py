@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaklogic import meter, tolerances
+from weaklogic import meter, scenario, tolerances
 from weaklogic import (
     CATALOG_NAMES,
     MeterConfig,
@@ -640,31 +640,32 @@ class TestClosedForm:
 
 
 class TestSplitFormedOnce:
-    """The sweep forms alpha and beta once, not at every coupling. The proof
-    of its coupling is counted in ``test_scenario.py::TestOneProofRecord``."""
+    """The sweep forms alpha and beta once, not at every coupling; a channel
+    is an operator the scenario's record holds, which keeps beta for the next
+    call. The proof of its coupling is counted in
+    ``test_scenario.py::TestOneProofRecord``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = collections.Counter()
-        original = meter._amplitude
-
-        def counted(*args):
-            calls["_amplitude"] += 1
-            return original(*args)
-
-        monkeypatch.setattr(meter, "_amplitude", counted)
+        spy(monkeypatch, scenario._amplitude, lambda *args: calls.update(["_amplitude"]))
         return calls
 
     def test_sweep(self, calls):
         s = catalog("three-box")
         estimate = weak_limit_estimate(s, s.channel("C"), 1.0, SWEEP)
         assert calls == {"_amplitude": 2}
+        assert bits(weak_limit_estimate(s, s.channel("C"), 1.0, SWEEP)) == bits(estimate)
+        assert calls == {"_amplitude": 3}
         assert estimate == pytest.approx(weak_value(s, s.channel("C")).value, abs=1e-6)
 
     def test_single_readout(self, calls):
         s = catalog("three-box")
         measure_pointer(s, s.channel("C"), MeterConfig(sigma=1.0, g=0.1))
         assert calls == {"_amplitude": 2}
+        # a copy of the channel is the caller's array: beta is taken again
+        measure_pointer(s, np.array(s.channel("C")), MeterConfig(sigma=1.0, g=0.1))
+        assert calls == {"_amplitude": 4}
 
 
 class TestSequentialDisturbance:

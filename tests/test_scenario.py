@@ -562,13 +562,15 @@ def _cli(command):
 
 def _each(function):
     """``function`` of operand arrays, once per run, each distinct text of a
-    run evaluated once: a repeated text passes one array at each position,
-    and a channel name passes the scenario's channel itself."""
+    run evaluated once over a plain copy of the channel table, so that no
+    operand comes from the scenario's record: a repeated text passes one
+    array at each position, and a channel name passes the scenario's
+    channel itself."""
 
     def run(s, runs):
         errors = []
         for texts in runs:
-            ops = {text: evaluate_text(text, s.channels) for text in texts}
+            ops = {text: evaluate_text(text, dict(s.channels)) for text in texts}
             try:
                 function(s, *(ops[text] for text in texts))
                 errors.append(None)
@@ -863,8 +865,8 @@ class TestAuditPairData:
             for a, b, kind in pairs:
                 assert kind in ("sum", "product")
                 s = catalog(name)
-                evaluate_text(a, s.channels)
-                evaluate_text(b, s.channels)
+                evaluate_text(a, dict(s.channels))
+                evaluate_text(b, dict(s.channels))
 
     def test_unknown_scenario(self):
         with pytest.raises(ScenarioError):

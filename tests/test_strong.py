@@ -16,13 +16,17 @@ from weaklogic import (
     evaluate_text,
     identity,
 )
+from weaklogic import linalg
 from weaklogic.strong import _checked_probability
 from helpers import (
+    bits,
     matrix,
     random_basis_projector,
     random_projector_family,
     random_scenario,
     rephased,
+    rotated_pigeonhole,
+    spy,
 )
 
 
@@ -121,6 +125,19 @@ class TestCollapse:
             assert outcome.probability == pytest.approx(
                 float(np.vdot(projected, projected).real), abs=1e-12
             )
+
+    def test_the_projected_state_is_formed_once(self, monkeypatch):
+        # P|psi> gives both the probability <psi|P|psi> and the collapsed
+        # state: one matrix-vector product of a dense projector
+        s = rotated_pigeonhole(np.random.default_rng(5), 3)
+        p = s.channel("L1")
+        products = []
+        spy(monkeypatch, linalg._act, lambda m, amps: products.append(m.shape))
+        outcome = collapse(s.pre_state, p)
+        assert products == [(8, 8)]
+        ket = p @ s.pre_state.amps
+        assert bits(outcome.probability) == bits(born_prob(s.pre_state, p))
+        assert bits(outcome.state.amps) == bits(State(ket, s.labels).normalize().amps)
 
 
 class TestCondProbPost:
