@@ -24,7 +24,7 @@ in one table: ``_SUM_CASES`` by case, which the sum classifier's tests
 choose, and ``_PRODUCT_CASES`` by zero pattern, which gives the case too.
 
 Both classifiers reject an operand that is not a projector. Each call
-records which operators are proven in a ``scenario._Batch``: a channel of
+records which operators are proven in a ``scenario._Record``: a channel of
 the scenario was proved a projector once, when the scenario was built, and is
 not proved again; in the expression text ``audit_all`` takes, a product of
 proven factors is proven when it is self-adjoint within STRUCT_TOL, the step
@@ -35,10 +35,11 @@ coerced, scanned for NaN/Inf and proved. The weak values are then taken of
 the proven operands and their combination without checking them again.
 
 ``classify_sum`` and ``classify_product`` take the caller's arrays, which
-the caller may change in place, so each call keeps its record to itself.
-``audit_all`` works on the scenario's own record of expression texts, which
-holds only what the library made and lives as long as the scenario (up to
-64 MiB of operators and texts; past that, the next call starts it over). Each distinct
+the caller may change in place, so each call keeps a fresh record to
+itself. ``audit_all`` works on the record of expression texts that the
+scenario's channel table keeps, which holds only what the library made and
+lives as long as the table (up to 64 MiB of operators and texts; past
+that, the next call starts it over). Each distinct
 operand text is parsed and folded, each operand that needs the full proof
 proved, each product of two proven operands formed and tested, each pair's
 orthogonality tested (the sum audit requires it, the product audit refuses
@@ -48,7 +49,7 @@ pair's sum, once per record: a second call on the same scenario forms no
 product and takes no matrix element. A failed proof is not kept, so an
 operand that fails is proved again wherever it is named, and each error
 names its position. The ``WeakValue`` of each proven operand is built once
-per call. So the AND
+per call, in the call's own memo. So the AND
 audit ``Lj | Lk`` reuses the ``Lj*Lk`` of the OR audit ``Lj*Lk | Rj*Rk``,
 its numerator and, within the call, its weak value. A near-pole weak value
 warns once per call, from the classifier's line, when the call builds it;
@@ -65,7 +66,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import AuditPreconditionError, ExpressionError, PhysicsError
-from .scenario import Scenario, _Batch
+from .scenario import Scenario, _Record
 from .weak import WeakValue, _weak_value
 
 
@@ -170,35 +171,37 @@ class AuditVerdict:
         }
 
 
-def _weak(s: Scenario, op: np.ndarray, batch: _Batch) -> WeakValue:
+def _weak(s: Scenario, op: np.ndarray, record: _Record, weak_values: dict) -> WeakValue:
     """``_weak_value`` of a proven operand, built once per call from the
-    numerator ``batch`` keeps. Near the pole it warns when built, naming the
+    numerator ``record`` keeps and memoized in the call's ``weak_values``,
+    keyed by ``id(op)``. Near the pole it warns when built, naming the
     caller's line; a reuse does not warn again, and its ``near_pole`` flag
     still says so."""
-    w = batch.weak_values.get(id(op))
+    w = weak_values.get(id(op))
     if w is None:
-        w = batch.weak_values[id(op)] = _weak_value(s, lambda: batch.amplitude(op), stacklevel=3)
+        w = weak_values[id(op)] = _weak_value(s, lambda: record.amplitude(op), stacklevel=3)
     return w
 
 
 def classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the OR combination of two orthogonal projectors."""
-    batch = _Batch(s)
-    pa, pb = batch.prove(pa, "first operand"), batch.prove(pb, "second operand")
-    return _classify_sum(s, pa, pb, batch)
+    record = s.channels._fresh()
+    pa, pb = record.prove(pa, "first operand"), record.prove(pb, "second operand")
+    return _classify_sum(s, pa, pb, record, {})
 
 
-def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
+def _classify_sum(s: Scenario, pa, pb, record: _Record, weak_values: dict) -> AuditVerdict:
     """``classify_sum`` of two proven projectors, their orthogonality tested
-    and their numerators taken once per record of ``batch``."""
-    if not batch.orthogonal_pair(pa, pb):
+    and their numerators taken once per ``record``, and their weak values
+    built once per ``weak_values``."""
+    if not record.orthogonal_pair(pa, pb):
         raise AuditPreconditionError(
             "projectors are not orthogonal; their sum does not represent a "
             "disjunction of exclusive alternatives"
         )
-    wa = _weak(s, pa, batch)
-    wb = _weak(s, pb, batch)
-    ws = _weak_value(s, lambda: batch.amplitude(pa, pb))
+    wa = _weak(s, pa, record, weak_values)
+    wb = _weak(s, pb, record, weak_values)
+    ws = _weak_value(s, lambda: record.amplitude(pa, pb))
     if wa.is_zero and wb.is_zero:
         ws = replace(ws, is_zero=True)
         case = SumCase.I
@@ -214,29 +217,30 @@ def _classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) ->
 
 def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the AND combination of two commuting, non-orthogonal projectors."""
-    batch = _Batch(s)
-    pa, pb = batch.prove(pa, "first operand"), batch.prove(pb, "second operand")
-    return _classify_product(s, pa, pb, batch)
+    record = s.channels._fresh()
+    pa, pb = record.prove(pa, "first operand"), record.prove(pb, "second operand")
+    return _classify_product(s, pa, pb, record, {})
 
 
-def _classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray, batch: _Batch) -> AuditVerdict:
+def _classify_product(s: Scenario, pa, pb, record: _Record, weak_values: dict) -> AuditVerdict:
     """``classify_product`` of two proven projectors, their product formed
-    and tested and their numerators taken once per record of ``batch``."""
+    and tested and their numerators taken once per ``record``, and their
+    weak values built once per ``weak_values``."""
     # (PQ)^dagger = QP: the product is self-adjoint, and so proven, exactly
     # when P, Q commute
-    product = batch.product(pa, pb)
-    if id(product) not in batch.proven:
+    product = record.product(pa, pb)
+    if id(product) not in record.proven:
         raise AuditPreconditionError(
             "projectors do not commute; their product is not a projector"
         )
-    if batch.orthogonal_pair(pa, pb):
+    if record.orthogonal_pair(pa, pb):
         raise AuditPreconditionError(
             "projector product vanishes as an operator; the conjunction is "
             "trivially empty"
         )
-    wa = _weak(s, pa, batch)
-    wb = _weak(s, pb, batch)
-    wp = _weak(s, product, batch)
+    wa = _weak(s, pa, record, weak_values)
+    wb = _weak(s, pb, record, weak_values)
+    wp = _weak(s, product, record, weak_values)
     case, consistent, narrative = _PRODUCT_CASES[(wa.is_zero, wb.is_zero, wp.is_zero)]
     return AuditVerdict("product", case, consistent, (wa, wb, wp), narrative)
 
@@ -279,13 +283,15 @@ class AuditReport:
         }
 
 
-def _audit_pair(s: Scenario, expr_a: str, expr_b: str, kind: str, batch=None) -> AuditVerdict:
+def _audit_pair(s: Scenario, expr_a, expr_b, kind, record=None, weak_values=None) -> AuditVerdict:
     """Audit a pair of expressions: both are evaluated, then each is proved a
-    projector, the first before the second. ``batch`` is ``audit_all``'s."""
-    batch = batch or _Batch(s)
-    pa, pb = batch.projectors((expr_a, "first operand"), (expr_b, "second operand"))
+    projector, the first before the second. ``record`` and ``weak_values``
+    are ``audit_all``'s; alone, a pair takes a fresh record and memo."""
+    if record is None:
+        record, weak_values = s.channels._fresh(), {}
+    pa, pb = record.projectors((expr_a, "first operand"), (expr_b, "second operand"))
     classify = _classify_sum if kind == "sum" else _classify_product
-    return classify(s, pa, pb, batch)
+    return classify(s, pa, pb, record, weak_values)
 
 
 def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport:
@@ -293,18 +299,18 @@ def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport
 
     Errors in individual pairs are collected as entries rather than raised,
     so one bad pair does not abort the rest of the report. The pairs share
-    one ``_Batch`` over the scenario's record: each distinct operand text is
+    the record the scenario's channel table keeps: each distinct operand text is
     folded and proved, each product of proven operands formed, each
     orthogonality tested and each numerator taken once per record, and each
     weak value of a proven operand built once per call.
     """
-    batch = _Batch(s, kept=True)
+    record, weak_values = s.channels._kept(), {}
     entries = []
     for expr_a, expr_b, kind in pairs:
         try:
             if kind not in ("sum", "product"):
                 raise ValueError(f"audit kind must be 'sum' or 'product', got {kind!r}")
-            verdict = _audit_pair(s, expr_a, expr_b, kind, batch)
+            verdict = _audit_pair(s, expr_a, expr_b, kind, record, weak_values)
             entries.append(AuditEntry(expr_a, expr_b, kind, verdict, None))
         except (ExpressionError, PhysicsError, ValueError) as exc:
             entries.append(AuditEntry(expr_a, expr_b, kind, None, str(exc)))

@@ -39,7 +39,6 @@ from .meter import MeterConfig, measure_pointer, weak_limit_estimate
 from .scenario import (
     CATALOG_NAMES,
     Scenario,
-    _Batch,
     catalog,
     default_audit_pairs,
     load_scenario,
@@ -126,7 +125,7 @@ def _projector(s: Scenario, text: str) -> np.ndarray:
     """The expression's operator, checked here because strong and abl
     assume a projector without checking; folded and proved in the
     scenario's record, so that their calls share its kept numerators."""
-    (p,) = _Batch(s, kept=True).projectors((text, f"expression {text!r}"))
+    (p,) = s.channels._kept().projectors((text, f"expression {text!r}"))
     return p
 
 

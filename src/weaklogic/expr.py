@@ -167,10 +167,10 @@ def evaluate_text(text: str, channels: Mapping[str, np.ndarray]) -> np.ndarray:
     """Parse and evaluate in one step.
 
     Over a scenario's own table ``s.channels``, which offers the fold as its
-    method ``_evaluate_text``, the text folds through the scenario's record:
-    the result is the operator the record keeps, read-only and the same
-    object at each call, with the bits ``evaluate`` gives over a plain copy
-    of the table, ``dict(s.channels)``. Copy it before changing it.
+    method ``_evaluate_text``, the text folds through the record the table
+    keeps: the result is the operator the record keeps, read-only for good
+    and the same object at each call, with the bits ``evaluate`` gives over
+    a plain copy of the table, ``dict(s.channels)``. Copy it to change it.
     """
     fold = getattr(type(channels), "_evaluate_text", None)
     return evaluate(parse(text), channels) if fold is None else fold(channels, text)

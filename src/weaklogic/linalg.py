@@ -4,9 +4,10 @@ States carry basis labels so that reports stay readable. An operator is a
 complex square matrix or, for a real diagonal operator, its 1-D diagonal. The
 kernels here branch on the form: diagonals combine elementwise in O(d) with
 the bits of the dense products, and a diagonal meeting a matrix becomes one.
-Elsewhere only ``scenario._Batch.product`` reads the form, to skip the
+Elsewhere only ``scenario._Record.product`` reads the form, to skip the
 self-adjointness test of a product of two real diagonals. Everything is
-immutable and pure.
+immutable and pure: each array the library keeps, a state's amplitudes
+included, is a ``_frozen`` copy, which no caller can make writable again.
 
 Each public function that takes an operator coerces it with ``as_operator``,
 which also scans it for NaN/Inf, and hands it to a private kernel (``_act``,
@@ -65,15 +66,20 @@ def dense(entries, what: str = "operator") -> np.ndarray:
     return _matrix(as_operator(entries, what))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` over an immutable ``bytes`` buffer, with its bits:
+    neither it nor its ``.base`` can be made writable again."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+
+
 def _real_diagonal(m: np.ndarray) -> np.ndarray | None:
     """The real diagonal of an operator that ``as_operator`` returned, as a
-    read-only copy, or None when ``dense`` of it would not give back every
+    ``_frozen`` copy, or None when ``dense`` of it would not give back every
     bit of the operator, signed zeros included."""
-    d = np.array(np.diagonal(m) if m.ndim == 2 else m)
+    d = np.diagonal(m) if m.ndim == 2 else m
     if d.imag.any() or m.ndim == 2 and np.diag(d).tobytes() != m.tobytes():
         return None
-    d.setflags(write=False)
-    return d
+    return _frozen(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +90,7 @@ class State:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
+        amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("state amplitudes must form a non-empty vector")
         _check_finite(amps, "state")
@@ -93,8 +99,7 @@ class State:
             raise ValueError(f"{len(labels)} labels for {amps.size} amplitudes")
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _frozen(amps))
         object.__setattr__(self, "labels", labels)
 
     @property

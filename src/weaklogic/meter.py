@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
-from .scenario import Scenario, _Batch, _amplitude, _numerators
+from .scenario import Scenario, _amplitude, _numerators
 from .tolerances import EXTINCT, GRID_GAP
 
 #: The float rounding unit eps.
@@ -161,8 +161,8 @@ def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
     """alpha = <post|U (1 - P)|pre> and beta = <post|U P|pre> of a checked P;
     beta, and the proof of P, kept in the scenario's record when that holds
     P."""
-    batch = _numerators(s, p)
-    beta = batch.amplitude(batch.prove(p, "meter coupling"))
+    record = _numerators(s, p)
+    beta = record.amplitude(record.prove(p, "meter coupling"))
     return _amplitude(s) - beta, beta
 
 
@@ -370,8 +370,8 @@ def sequential_disturbance(
     """
     if g <= 0:
         raise ValueError("coupling strength g must be positive")
-    batch = _Batch(s)
-    p1, p2 = batch.prove(p1, "first meter coupling"), batch.prove(p2, "second meter coupling")
+    record = s.channels._fresh()
+    p1, p2 = record.prove(p1, "first meter coupling"), record.prove(p2, "second meter coupling")
 
     MeterConfig(sigma=sigma, g=g)
     k = _overlap(sigma, g)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
@@ -17,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ScenarioError
-from .expr import _NAME_RE, _fold, evaluate, parse
+from .expr import _NAME_RE, _fold, parse
 from .linalg import (
     State,
     _act,
@@ -25,6 +24,7 @@ from .linalg import (
     _complement,
     _compose,
     _element,
+    _frozen,
     _proves_projector,
     _real_diagonal,
     _self_adjoint,
@@ -51,18 +51,20 @@ class Scenario:
     SCALAR_TOL (checked, not renormalized); ``evolution`` (``None`` means
     identity) a ``dim x dim`` unitary; each channel named by an identifier
     and a projector. The evolution and each channel are coerced, scanned and
-    proved here, once, and held as the scenario's own read-only copy: a
-    channel as its 1-D diagonal when that is real and rebuilds it bit for
-    bit (every basis channel), else as its matrix (``linalg.dense``). ``dim``,
+    proved here, once, and held as the scenario's own ``linalg._frozen``
+    copy, as are the amplitudes of every ``State``: a channel as its 1-D
+    diagonal when that is real and rebuilds it bit for bit (every basis
+    channel), else as its matrix (``linalg.dense``). ``dim``,
     ``post_overlap`` = <post|U|pre> and ``bra`` = U^dagger |post>, against
     which intermediate-time matrix elements are taken, are derived, not
-    arguments. Each scenario also keeps the private record of expression
-    texts that ``_Batch`` describes; ``dataclasses.replace`` starts it empty.
-    ``channels`` is a read-only mapping over that record:
-    ``evaluate_text(text, s.channels)`` returns the read-only operator the
+    arguments. ``channels`` is the read-only table ``_Channels``, which
+    owns the record of expression texts that ``_Record`` describes:
+    ``evaluate_text(text, s.channels)`` returns the frozen operator the
     record keeps for the text, and the strong and weak calls and the meter
     readouts reuse the numerators the record keeps for an operator it
-    holds.
+    holds. ``copy.copy`` shares the table and its record,
+    ``dataclasses.replace`` builds a new table with an empty record, and
+    ``copy.deepcopy`` and ``pickle`` raise TypeError.
     """
 
     name: str
@@ -91,7 +93,7 @@ class Scenario:
                     raise ScenarioError(f"{which} state does not have unit norm")
         ev = self.evolution
         if ev is not None:
-            ev = dense(ev, "evolution").copy()
+            ev = _frozen(dense(ev, "evolution"))
             if ev.shape != (dim, dim):
                 raise ScenarioError(
                     f"evolution must be {dim}x{dim}, got {ev.shape[0]}x{ev.shape[1]}"
@@ -100,7 +102,6 @@ class Scenario:
             # fails before ev^dagger ev, which could overflow, is formed
             if not (_bounded(ev) and _within_struct_tol(ev.conj().T @ ev - identity(dim))):
                 raise ScenarioError("evolution is not unitary")
-            ev.setflags(write=False)
         table: dict[str, np.ndarray] = {}
         for ch_name, entries in self.channels.items():
             if not (isinstance(ch_name, str) and _NAME_RE.fullmatch(ch_name)):
@@ -109,18 +110,17 @@ class Scenario:
             if len(p) != dim:
                 raise ScenarioError(f"channel {ch_name!r} must be {dim}x{dim}")
             d = _real_diagonal(p)
-            p = p.copy() if d is None else d
+            p = _frozen(p) if d is None else d
             if not _proves_projector(p):
                 raise ScenarioError(f"channel {ch_name!r} is not a projector")
-            p.setflags(write=False)
             table[ch_name] = p
         evolved = () if ev is None else (ev,)
+        bra = post if ev is None else State(_act(ev.conj().T, post.amps), labels)
         for attr, value in (
             ("labels", labels), ("dim", dim), ("evolution", ev),
-            ("channels", _Channels(table, self)),
+            ("channels", _Channels(table, bra.amps, pre.amps)),
             ("post_overlap", _element(post.amps, pre.amps, *evolved)),
-            ("bra", post if ev is None else State(_act(ev.conj().T, post.amps), labels)),
-            ("_record", _new_record(table)),
+            ("bra", bra),
         ):
             object.__setattr__(self, attr, value)
 
@@ -144,8 +144,9 @@ def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
     """Matrix element <bra|ops[0] ... ops[-1]|pre>, i.e. <post|U ops|pre>,
     of operators that ``as_operator`` returned; the last operator acts first.
 
-    Every weak-value numerator, ABL amplitude and meter split is one of
-    these. Each operator must have the scenario's dimension; a product that
+    The meter's matrix elements are these; a record's numerators are the
+    same ``_element`` against the bra and pre amplitudes its table holds.
+    Each operator must have the scenario's dimension; a product that
     overflows raises ValueError. With no operators this is <post|U|pre>
     taken through the bra, which may differ from ``post_overlap`` in the
     last bits.
@@ -154,17 +155,20 @@ def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
 
 
 class _Channels(Mapping):
-    """A scenario's channel table: read-only, and over the scenario's record.
+    """A scenario's channel table: read-only, and the owner of the record
+    its expression texts fold through.
 
     ``expr.evaluate_text`` over it calls ``_evaluate_text``, which folds the
-    text through the record (``_Batch.fold``). The table refers to its
-    scenario weakly, so that the two make no cycle that would keep the
-    scenario and its record alive; once the scenario is gone, a text folds
-    as over a plain dict of the channels."""
+    text through the kept record (``_Record.fold``). The table holds the
+    channels, the bra and pre amplitudes and the records made from them,
+    and no reference to its scenario: the scenario is freed on its last
+    reference, and a table that outlives it still folds through its
+    record. It refuses ``copy.deepcopy`` and ``pickle``, as a copied record
+    would key its entries by the ids of the original's operators."""
 
-    def __init__(self, table: dict[str, np.ndarray], owner: Scenario):
-        self._table = table
-        self._owner = weakref.ref(owner)
+    def __init__(self, table: dict[str, np.ndarray], bra: np.ndarray, pre: np.ndarray):
+        self._table, self._amps = table, (bra, pre)
+        self._kept_record = self._fresh()
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._table[name]
@@ -178,9 +182,25 @@ class _Channels(Mapping):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._table!r})"
 
+    def __reduce__(self):
+        raise TypeError("a scenario cannot be deep-copied or pickled: "
+                        "use dataclasses.replace(s) or scenario_document(s)")
+
+    def _fresh(self) -> _Record:
+        """A new, empty record over the table, for one call on a caller's
+        arrays."""
+        return _Record(self._table, *self._amps)
+
+    def _kept(self) -> _Record:
+        """The record the table keeps. When a call starts with more than
+        ``_RECORD_CAP`` bytes in it, an empty one replaces it in one step;
+        a call in progress keeps the one it started with."""
+        if sum(self._kept_record.sizes) > _RECORD_CAP:
+            self._kept_record = self._fresh()
+        return self._kept_record
+
     def _evaluate_text(self, text: str) -> np.ndarray:
-        s = self._owner()
-        return evaluate(parse(text), self._table) if s is None else _Batch(s, kept=True).fold(text)
+        return self._kept().fold(text)
 
 
 #: Bytes of operators and texts that a scenario's record may hold when a
@@ -188,18 +208,9 @@ class _Channels(Mapping):
 _RECORD_CAP = 64 << 20
 
 
-def _new_record(channels: Mapping[str, np.ndarray]) -> tuple:
-    """A new record for ``_Batch``: its maps ``proven``, ``operands``,
-    ``products``, ``orthogonal``, ``amplitudes`` and ``held``, of which
-    ``proven`` and ``held`` are seeded with ``channels``, and its list
-    ``sizes``."""
-    seed = {id(p): p for p in channels.values()}
-    return seed, {}, {}, {}, {}, dict(seed), []
-
-
-class _Batch:
+class _Record:
     """A record of which operators are proven projectors, and an evaluation of
-    expressions over a scenario, each step made once.
+    expressions over a channel table, each step made once.
 
     ``proven`` maps ``id(P)`` to P for each proven P: the scenario's
     channels, all proved when it was made (a bare channel name evaluates to
@@ -215,38 +226,32 @@ class _Batch:
     Whether it holds an operator a caller passes is a test of identity,
     ``holds``: an equal copy is another object.
 
-    ``_Batch(s)`` makes a record for one call, which the call drops when it
-    returns: the classifiers and the meter prove the caller's own arrays,
-    which the caller may change in place before the next call.
-    ``_Batch(s, kept=True)`` works on the record of ``s``, which holds only
-    what the library made: the read-only operator of each text it folded,
-    the proofs of those, each product of proven operands, whether each
-    pair of proven operands the audits tested is orthogonal, and the
-    numerator <bra|P|pre> of each operator it holds and of each orthogonal
-    pair's sum, and of 1 - P for each P whose ABL probability was asked. A
-    failed proof is not kept. So the calls on one scenario fold, prove,
-    multiply, test and take each matrix element of these once: ``audit_all``
-    and ``weak_value_expr`` through the texts they take, and
-    ``evaluate_text`` over ``s.channels``, the strong and weak calls and the
-    meter through an operator the record holds (``_numerators``).
-    ``sizes`` lists the bytes of each operator the record made and of each
-    text it holds, so that whitespace variants of one text count too. When
-    a call starts with more than ``_RECORD_CAP`` of them in the record, it
-    binds a new one in a single step; a call in progress keeps the maps it
-    started with. ``weak_values`` is always the call's own, so each call
-    builds its own ``WeakValue`` and warns near the pole. Threads sharing a
-    scenario may both make a step; each makes the same bits, and both go on
-    with the operator stored first.
+    ``s.channels._fresh()`` makes a record for one call, which the call
+    drops when it returns: the classifiers and the meter prove the caller's
+    own arrays, which the caller may change in place before the next call.
+    ``s.channels._kept()`` is the record the table keeps, which holds only
+    what the library made, each operator ``_frozen``: the operator of each
+    text it folded, the proofs of those, each product of proven operands,
+    whether each pair of proven operands the audits tested is orthogonal,
+    and the numerator <bra|P|pre> of each operator it holds and of each
+    orthogonal pair's sum, and of 1 - P for each P whose ABL probability
+    was asked. A failed proof is not kept. So the calls on one scenario
+    fold, prove, multiply, test and take each matrix element of these
+    once: ``audit_all`` and ``weak_value_expr`` through the texts they
+    take, and ``evaluate_text`` over ``s.channels``, the strong and weak
+    calls and the meter through an operator the record holds
+    (``_numerators``). ``sizes`` lists the bytes of each operator the
+    record made and of each text it holds, so that whitespace variants of
+    one text count too; ``_Channels._kept`` reads them against
+    ``_RECORD_CAP``. Threads sharing a scenario may both make a step; each
+    makes the same bits, and both go on with the operator stored first.
     """
 
-    def __init__(self, s: Scenario, kept: bool = False):
-        self.scenario = s
-        if kept and sum(s._record[-1]) > _RECORD_CAP:
-            object.__setattr__(s, "_record", _new_record(s.channels))
-        record = s._record if kept else _new_record(s.channels)
-        (self.proven, self.operands, self.products, self.orthogonal,
-         self.amplitudes, self.held, self.sizes) = record
-        self.weak_values: dict = {}  # id(P): weak value of proven P
+    def __init__(self, channels: dict[str, np.ndarray], bra: np.ndarray, pre: np.ndarray):
+        self.channels, self.bra, self.pre = channels, bra, pre
+        self.proven = {id(p): p for p in channels.values()}
+        self.held, self.sizes = dict(self.proven), []
+        self.operands, self.products, self.orthogonal, self.amplitudes = {}, {}, {}, {}
 
     def product(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """PQ, formed and tested once when P and Q are both proven, and then
@@ -259,8 +264,7 @@ class _Batch:
             return _compose(p, q)
         m = self.products.get((id(p), id(q)))
         if m is None:
-            m = _compose(p, q)
-            m.setflags(write=False)
+            m = _frozen(_compose(p, q))
             if m.ndim == 1 or _self_adjoint(m):
                 self.proven[id(m)] = m
             self.sizes.append(m.nbytes)
@@ -280,25 +284,25 @@ class _Batch:
         return flag
 
     def amplitude(self, p: np.ndarray, q: np.ndarray | None = None) -> complex:
-        """``_amplitude`` of an operator the record holds, or with ``q`` of
+        """<bra|P|pre> of an operator the record holds, or with ``q`` that of
         the sum P + Q of an orthogonal pair, keyed like ``orthogonal``;
         taken once per record."""
         key = id(p) if q is None else (id(p), id(q))
         value = self.amplitudes.get(key)
         if value is None:
             op = p if q is None else _sum(p, q)
-            value = self.amplitudes[key] = _amplitude(self.scenario, op)
+            value = self.amplitudes[key] = _element(self.bra, self.pre, op)
         return value
 
     def miss_amplitude(self, p: np.ndarray) -> complex:
-        """``_amplitude`` of 1 - P, the other outcome of the measurement
-        {P, 1 - P}, for an operator P the record holds; keyed by the
+        """<bra|1 - P|pre>, for the other outcome of the measurement
+        {P, 1 - P}, of an operator P the record holds; keyed by the
         one-tuple ``(id(P),)``, apart from P's own, and taken once per
         record."""
         key = (id(p),)
         value = self.amplitudes.get(key)
         if value is None:
-            value = self.amplitudes[key] = _amplitude(self.scenario, _complement(p))
+            value = self.amplitudes[key] = _element(self.bra, self.pre, _complement(p))
         return value
 
     def holds(self, p) -> bool:
@@ -307,16 +311,15 @@ class _Batch:
 
     def fold(self, text: str) -> np.ndarray:
         """The operator of ``text``, bit for bit as ``evaluate`` forms it over
-        a plain copy of the channel table, folded once per record, read-only
-        and held. Of two threads that fold it at once, both return the one
-        stored first, so that the record holds each operator whose numerator
-        it keeps."""
+        the channel table, folded once per record, frozen and held. Of two
+        threads that fold it at once, both return the one stored first, so
+        that the record holds each operator whose numerator it keeps."""
         op = self.operands.get(text)
         if op is None:
-            op = _fold(parse(text), self.scenario.channels, self.product)
+            op = _fold(parse(text), self.channels, self.product)
             size = sys.getsizeof(text)
-            if id(op) not in self.proven:  # neither a channel nor a proven product
-                op.setflags(write=False)
+            if op.flags.writeable:  # neither a channel nor a kept product
+                op = _frozen(op)
                 size += op.nbytes
             self.sizes.append(size)
             op = self.operands.setdefault(text, op)
@@ -341,13 +344,13 @@ class _Batch:
         return [self.prove(op, what) for op, (_, what) in zip(ops, operands)]
 
 
-def _numerators(s: Scenario, p) -> _Batch:
-    """The ``_Batch`` whose ``amplitude`` of ``p`` to take: over the record of
-    ``s`` when that holds the very object ``p``, so that the numerator is
-    kept for the next call, else the call's own, so that a caller's array,
+def _numerators(s: Scenario, p) -> _Record:
+    """The record whose ``amplitude`` of ``p`` to take: the one ``s.channels``
+    keeps when that holds the very object ``p``, so that the numerator is
+    kept for the next call, else a fresh one, so that a caller's array,
     which the caller may change in place, is weighed afresh."""
-    batch = _Batch(s, kept=True)
-    return batch if batch.holds(p) else _Batch(s)
+    record = s.channels._kept()
+    return record if record.holds(p) else s.channels._fresh()
 
 
 def build_scenario(

@@ -90,9 +90,9 @@ def _hit_miss(s: Scenario, p: np.ndarray) -> tuple[float, float]:
     two-outcome measurement {p, 1 - p}, of a p that ``as_operator``
     returned. Both numerators of an operator the scenario's record holds
     are kept there."""
-    batch = _numerators(s, p)
-    hit = _cond_post(batch.amplitude(p))
-    return hit, _cond_post(batch.miss_amplitude(p))
+    record = _numerators(s, p)
+    hit = _cond_post(record.amplitude(p))
+    return hit, _cond_post(record.miss_amplitude(p))
 
 
 def abl_prob(s: Scenario, p: np.ndarray) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NearPoleWarning, PostselectionLostError
 from .linalg import as_operator
-from .scenario import Scenario, _Batch, _numerators
+from .scenario import Scenario, _numerators
 from .tolerances import POLE_TOL, ZERO_TOL
 
 
@@ -78,8 +78,8 @@ def _weak_value(s: Scenario, amplitude: Callable[[], complex], stacklevel: int =
 def weak_value_expr(s: Scenario, text: str) -> WeakValue:
     """Weak value of a projector expression over the scenario's channels. The
     text's operator and its numerator are taken once per scenario, in the
-    record that ``audit_all`` also keeps (``scenario._Batch``); the
+    record that ``audit_all`` also keeps (``scenario._Record``); the
     ``WeakValue`` is built, and warns near the pole, at each call."""
-    batch = _Batch(s, kept=True)
-    op = batch.fold(text)
-    return _weak_value(s, lambda: batch.amplitude(op), stacklevel=3)
+    record = s.channels._kept()
+    op = record.fold(text)
+    return _weak_value(s, lambda: record.amplitude(op), stacklevel=3)

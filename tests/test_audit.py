@@ -51,7 +51,6 @@ from weaklogic import (
 from weaklogic import linalg, scenario, tolerances
 from weaklogic.audit import _audit_pair
 from weaklogic.linalg import dense
-from weaklogic.scenario import _amplitude
 from helpers import (
     bits,
     dproj,
@@ -449,13 +448,15 @@ class TestProofCost:
     that; any other operand is proved once per call. One audit_all call
     forms and tests each product of two proven operands once. Counted on
     the d x d product kernel, the self-adjointness test, the proof kernel,
-    the residual test, the matrix element, the operator acting on a vector
-    and the operator sum, on a pigeonhole whose channels are all dense, made
-    afresh for each test: the scenario keeps its products, proofs and
+    the residual test, the matrix element of an operator (``_element``,
+    whose numerators <bra|P|pre> take one and whose <psi|P psi> takes
+    none), the operator acting on a vector and the operator sum, on a
+    pigeonhole whose channels are all dense, made afresh for each test and
+    before the spies: the scenario keeps its products, proofs and
     numerators across calls."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, monkeypatch, s):
         calls = collections.Counter()
 
         def product(a, b):
@@ -467,11 +468,15 @@ class TestProofCost:
         def proof(p):
             calls["proofs"] += 1
 
+        def element(bra, ket, *ops):
+            calls["amplitudes"] += bool(ops)
+
         spy(monkeypatch, linalg._product, product)
         spy(monkeypatch, linalg._self_adjoint, self_adjoint)
         spy(monkeypatch, linalg._proves_projector, proof)
-        for name, kernel in (("struct_tol", linalg._within_struct_tol), ("amplitudes", _amplitude),
-                             ("act", linalg._act), ("sums", linalg._sum)):
+        spy(monkeypatch, linalg._element, element)
+        for name, kernel in (("struct_tol", linalg._within_struct_tol), ("act", linalg._act),
+                             ("sums", linalg._sum)):
             spy(monkeypatch, kernel, lambda *args, name=name: calls.update([name]))
         return calls
 
@@ -690,8 +695,9 @@ class TestRecordKeepsWhatTheLibraryMade:
     def _held(s):
         """Bytes of the operators the record of ``s`` holds beyond its
         channels, each counted once."""
-        proven, operands, products = s._record[:3]
-        made = {id(m): m for held in (proven, operands, products) for m in held.values()}
+        record = s.channels._kept_record
+        made = {id(m): m for held in (record.proven, record.operands, record.products)
+                for m in held.values()}
         for p in s.channels.values():
             made.pop(id(p))
         return sum(m.nbytes for m in made.values())
@@ -720,7 +726,7 @@ class TestRecordKeepsWhatTheLibraryMade:
         monkeypatch.setattr(scenario, "_RECORD_CAP", 4096)
         want = bits(weak_value_expr(s, "L1*L2"))
         assert all(bits(weak_value_expr(s, "L1*L2" + " " * i)) == want for i in range(200))
-        assert len(s._record[1]) < 100
+        assert len(s.channels._kept_record.operands) < 100
 
     def test_threads_share_a_scenario_as_its_record_starts_over(self, monkeypatch):
         # 4 threads make 20 calls each on one scenario, whose record starts
@@ -758,7 +764,7 @@ class TestBatchCost:
         s = load_scenario(json.dumps(pigeonhole_document(8)))
         calls = collections.Counter()
         spy(monkeypatch, parse, lambda text: calls.update(["parse"]))
-        spy(monkeypatch, _amplitude, lambda s, *ops: calls.update(["amplitudes"]))
+        spy(monkeypatch, linalg._element, lambda *args: calls.update(["amplitudes"]))
         spy(monkeypatch, linalg._self_adjoint, lambda m: calls.update(["self_adjoint"]))
         spy(monkeypatch, linalg._within_struct_tol, lambda r: calls.update(["struct_tol"]))
         pairs = [
@@ -1026,9 +1032,10 @@ class TestBatchIsPairByPair:
         # every id that keys a flag or a numerator is that of an operator
         # the record holds, so no freed operator's id can be reused for
         # another while the record lives
-        proven, operands, products, orthogonal, amplitudes, *_ = s._record
-        held = {id(m) for kept in (proven, operands, products) for m in kept.values()}
-        for key in (*orthogonal, *amplitudes):
+        record = s.channels._kept_record
+        held = {id(m) for kept in (record.proven, record.operands, record.products)
+                for m in kept.values()}
+        for key in (*record.orthogonal, *record.amplitudes):
             assert set(key if isinstance(key, tuple) else (key,)) <= held
 
     def test_threads_share_a_scenario(self, monkeypatch):
@@ -1049,8 +1056,8 @@ class TestBatchIsPairByPair:
         assert got == {"free": want, "held": want}
         self._keys_name_held_operators(s)
         # both threads go on with the L1*L2 stored first
-        _, operands, products, *_ = s._record
-        assert operands["L1*L2"] is products[id(s.channel("L1")), id(s.channel("L2"))]
+        record = s.channels._kept_record
+        assert record.operands["L1*L2"] is record.products[id(s.channel("L1")), id(s.channel("L2"))]
 
     def test_threads_weigh_one_operator_per_text(self, monkeypatch):
         # one thread is held inside the sum L1 + L2, an operator that no
@@ -1145,9 +1152,9 @@ class TestChannelTableFoldsThroughTheRecord:
         for text in texts:
             p = evaluate_text(text, s.channels)
             assert self._values(s, p) == want[text]
-            amplitudes = s._record[4]
-            assert not scenario._Batch(s, kept=True).holds(p)
-            assert id(p) not in amplitudes and (id(p),) not in amplitudes
+            record = s.channels._kept_record
+            assert not record.holds(p)
+            assert id(p) not in record.amplitudes and (id(p),) not in record.amplitudes
 
     def test_a_caller_copy_changed_in_place_never_takes_a_kept_numerator(self):
         s = rotated_pigeonhole(np.random.default_rng(7), 3)
@@ -1158,9 +1165,9 @@ class TestChannelTableFoldsThroughTheRecord:
         copy[...] = q
         assert self._values(s, copy) == self._values(s, q) == self._oracle(s, q)
         assert self._values(s, copy) != self._values(s, p)
-        amplitudes, held = s._record[4], s._record[5]
-        assert id(copy) not in held
-        assert id(copy) not in amplitudes and (id(copy),) not in amplitudes
+        record = s.channels._kept_record
+        assert id(copy) not in record.held
+        assert id(copy) not in record.amplitudes and (id(copy),) not in record.amplitudes
 
     def test_weak_values_and_their_warnings_stay_per_call(self):
         s = TestBatchIsPairByPair._near_pole(rotated_pigeonhole(np.random.default_rng(13), 3))
@@ -1183,11 +1190,12 @@ class TestChannelTableFoldsThroughTheRecord:
             got[who] = evaluate_text("L1 + L2", s.channels)
 
         TestBatchIsPairByPair._hold_one(monkeypatch, linalg._sum, fold)
-        assert got["free"] is got["held"] is s._record[1]["L1 + L2"]
-        assert scenario._Batch(s, kept=True).holds(got["held"])
+        record = s.channels._kept_record
+        assert got["free"] is got["held"] is record.operands["L1 + L2"]
+        assert record.holds(got["held"])
         abl_prob(s, got["held"])
         TestBatchIsPairByPair._keys_name_held_operators(s)
-        assert {id(got["held"]), (id(got["held"]),)} <= set(s._record[4])
+        assert {id(got["held"]), (id(got["held"]),)} <= set(record.amplitudes)
 
     def test_threads_weigh_on_a_record_that_starts_over(self, monkeypatch):
         # 4 threads fold and weigh texts on one scenario, whose record starts
@@ -1213,9 +1221,10 @@ class TestChannelTableFoldsThroughTheRecord:
     def test_the_table_does_not_keep_its_scenario_alive(self):
         s = catalog("three-box")
         scenario_ref, table = weakref.ref(s), s.channels
-        evaluate_text("A + B", table)
+        p = evaluate_text("A + B", table)
         del s
         assert scenario_ref() is None  # freed on its last reference: no cycle
-        # without its scenario, the table folds as a plain dict does
-        p = evaluate_text("A + B", table)
-        assert p.flags.writeable and bits(p) == bits(evaluate_text("A + B", dict(table)))
+        # the table outlives its scenario, and still returns the read-only
+        # operator its record keeps
+        assert evaluate_text("A + B", table) is p and not p.flags.writeable
+        assert bits(p) == bits(evaluate_text("A + B", dict(table)))

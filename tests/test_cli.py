@@ -16,13 +16,13 @@ import pytest
 from weaklogic import (
     MeterConfig,
     catalog,
+    linalg,
     load_scenario,
     scenario_document,
     sequential_disturbance,
 )
 from weaklogic.cli import fmt_complex, fmt_real, main
-from weaklogic.scenario import _amplitude
-from helpers import rotated_pigeonhole
+from helpers import rotated_pigeonhole, spy
 
 THREE_BOX_FILE = {
     "name": "boxes",
@@ -114,16 +114,11 @@ class TestStrongCommand:
 
     def test_forms_two_amplitudes(self, capsys, monkeypatch):
         # born needs none; cond_post, abl and bayes_residual need P and
-        # 1 - P, which the scenario's record keeps for the operator it folded
+        # 1 - P, which the scenario's record keeps for the operator it
+        # folded. Counted on the one kernel of matrix elements, each of one
+        # operator: <post|pre> at the build and born's <pre|P pre> take none
         calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _amplitude(*args)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("weaklogic") and vars(module).get("_amplitude") is _amplitude:
-                monkeypatch.setattr(module, "_amplitude", counted)
+        spy(monkeypatch, linalg._element, lambda bra, ket, *ops: ops and calls.append(ops))
         code, _, _ = run(capsys, "strong", "--scenario", "three-box", "--expr", "A + B")
         assert code == 0
         assert len(calls) == 2

@@ -18,7 +18,6 @@ from weaklogic import (
 )
 from weaklogic.expr import MAX_NESTING, Name, Product, Sum
 from weaklogic.linalg import add, as_operator, compose
-from weaklogic.scenario import _Batch
 from helpers import dproj
 
 
@@ -248,7 +247,7 @@ class TestLimits:
 
         def proof():
             with pytest.raises(NotAProjectorError, match="deep is not a projector"):
-                _Batch(s).projectors((text, "deep"))
+                s.channels._fresh().projectors((text, "deep"))
 
         assert _with_frames_left(500, lambda: tree == twin)
         assert _with_frames_left(500, lambda: hash(tree)) == hash(twin)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaklogic import meter, scenario, tolerances
+from weaklogic import linalg, meter, tolerances
 from weaklogic import (
     CATALOG_NAMES,
     MeterConfig,
@@ -643,29 +643,32 @@ class TestSplitFormedOnce:
     """The sweep forms alpha and beta once, not at every coupling; a channel
     is an operator the scenario's record holds, which keeps beta for the next
     call. The proof of its coupling is counted in
-    ``test_scenario.py::TestOneProofRecord``."""
+    ``test_scenario.py::TestOneProofRecord``. Counted on ``_element``,
+    which takes every matrix element, once the scenario is built."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def s(self):
+        return catalog("three-box")
+
+    @pytest.fixture
+    def calls(self, monkeypatch, s):
         calls = collections.Counter()
-        spy(monkeypatch, scenario._amplitude, lambda *args: calls.update(["_amplitude"]))
+        spy(monkeypatch, linalg._element, lambda *args: calls.update(["_element"]))
         return calls
 
-    def test_sweep(self, calls):
-        s = catalog("three-box")
+    def test_sweep(self, s, calls):
         estimate = weak_limit_estimate(s, s.channel("C"), 1.0, SWEEP)
-        assert calls == {"_amplitude": 2}
+        assert calls == {"_element": 2}
         assert bits(weak_limit_estimate(s, s.channel("C"), 1.0, SWEEP)) == bits(estimate)
-        assert calls == {"_amplitude": 3}
+        assert calls == {"_element": 3}
         assert estimate == pytest.approx(weak_value(s, s.channel("C")).value, abs=1e-6)
 
-    def test_single_readout(self, calls):
-        s = catalog("three-box")
+    def test_single_readout(self, s, calls):
         measure_pointer(s, s.channel("C"), MeterConfig(sigma=1.0, g=0.1))
-        assert calls == {"_amplitude": 2}
+        assert calls == {"_element": 2}
         # a copy of the channel is the caller's array: beta is taken again
         measure_pointer(s, np.array(s.channel("C")), MeterConfig(sigma=1.0, g=0.1))
-        assert calls == {"_amplitude": 4}
+        assert calls == {"_element": 4}
 
 
 class TestSequentialDisturbance:

@@ -1,8 +1,10 @@
 import cmath
 import contextlib
+import copy
 import dataclasses
 import io
 import json
+import pickle
 import re
 import tracemalloc
 from importlib import resources
@@ -39,6 +41,7 @@ from weaklogic import (
     scenario_document,
     sequential_disturbance,
     weak_limit_estimate,
+    weak_value,
     weak_value_expr,
 )
 from weaklogic import linalg
@@ -53,6 +56,7 @@ from helpers import (
     random_projector_family,
     random_scenario,
     random_unitary,
+    rotated_pigeonhole,
     spy,
 )
 
@@ -446,7 +450,8 @@ class TestDiagonals:
         matrix = np.diag([1.0, 0.0]).astype(complex)
         flat = np.array([0.0, 1.0], dtype=complex)
         s = build_scenario("x", ("a", "b"), [1, 1], [1, 0], None, {"M": matrix, "F": flat})
-        assert s.channel("M").base is None and s.channel("F").base is None
+        assert not np.shares_memory(s.channel("M"), matrix)
+        assert not np.shares_memory(s.channel("F"), flat)
         matrix[0, 0] = flat[1] = 0.0
         assert list(s.channel("M")) == [1, 0] and list(s.channel("F")) == [0, 1]
 
@@ -485,6 +490,89 @@ class TestDiagonals:
         with pytest.raises(UnboundNameError) as dense_exc:
             evaluate_text("A + Z", matrices)
         assert str(exc.value) == str(dense_exc.value)
+
+
+class TestFrozen:
+    """Every array a scenario keeps is a ``linalg._frozen`` copy over an
+    immutable buffer: neither it nor its ``.base`` can be made writable
+    again, so no caller can change a channel the scenario proved, a state
+    it took a matrix element of, or an operator whose numerator its record
+    keeps."""
+
+    KINDS = ["diagonal channel", "matrix channel", "evolution", "pre", "post", "bra",
+             "folded sum", "kept product"]
+
+    @staticmethod
+    def _kept():
+        """One array of each kind, by kind."""
+        s = rotated_pigeonhole(np.random.default_rng(7), 2)
+        basis = load_scenario(json.dumps(pigeonhole_document(2)))
+        audit_all(s, [("L1", "L2", "product")])
+        l1, l2 = s.channel("L1"), s.channel("L2")
+        return {
+            "diagonal channel": basis.channel("L1"),
+            "matrix channel": l1,
+            "evolution": s.evolution,
+            "pre": s.pre_state.amps,
+            "post": s.post_state.amps,
+            "bra": s.bra.amps,
+            "folded sum": evaluate_text("L1 + R2", s.channels),
+            "kept product": s.channels._kept_record.products[id(l1), id(l2)],
+        }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_kept_array_cannot_be_reopened(self, kind):
+        a = self._kept()[kind]
+        assert kind != "diagonal channel" or a.ndim == 1
+        assert kind != "matrix channel" or a.ndim == 2
+        for array in (a, a.base):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="^cannot set WRITEABLE flag to True"):
+                array.setflags(write=True)
+
+    def test_a_folded_operator_keeps_its_numerator_honest(self):
+        # reopened and zeroed, A + B would still weigh 2, the kept numerator
+        s = catalog("three-box")
+        p = evaluate_text("A + B", s.channels)
+        with pytest.raises(ValueError, match="^cannot set WRITEABLE flag to True"):
+            p.setflags(write=True)
+        assert weak_value(s, p).value == weak_value(s, np.array(p)).value == 2
+
+    def test_a_state_keeps_the_overlap_honest(self):
+        # reopened and zeroed, hardy's pre amplitudes would make Ie weigh 0
+        s = catalog("hardy")
+        with pytest.raises(ValueError, match="^cannot set WRITEABLE flag to True"):
+            s.pre_state.amps.setflags(write=True)
+        assert weak_value_expr(s, "Ie").value == pytest.approx(1)
+
+
+class TestCopies:
+    """A channel table's record keys its entries by the ids of its
+    scenario's operators. So ``copy.copy`` shares the table and its record,
+    ``dataclasses.replace`` starts an empty one, and ``copy.deepcopy`` and
+    ``pickle``, whose copies would read entries keyed by ids a freed
+    original's operators gave up, raise."""
+
+    PAIRS = [("L1*L2", "R1*R2", "sum"), ("L1", "L2", "product")]
+
+    @pytest.fixture(params=["catalog", "rotated"])
+    def s(self, request):
+        if request.param == "catalog":
+            s = catalog("pigeonhole3")
+        else:
+            s = rotated_pigeonhole(np.random.default_rng(7), 3)
+        audit_all(s, self.PAIRS)
+        return s
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, pickle.dumps])
+    def test_a_deep_copy_or_pickle_raises(self, s, copier):
+        with pytest.raises(TypeError, match=r"dataclasses\.replace\(s\) or scenario_document\(s\)"):
+            copier(s)
+
+    def test_a_shallow_copy_shares_the_table_and_its_record(self, s):
+        t = copy.copy(s)
+        assert t.channels is s.channels
+        assert bits(audit_all(t, self.PAIRS)) == bits(audit_all(dataclasses.replace(s), self.PAIRS))
 
 
 class TestProvedOnce:
@@ -592,7 +680,7 @@ def _audit_all(kind):
 
 class TestOneProofRecord:
     """Each call records which operators are proven projectors in one
-    ``_Batch``, counted here on ``require_projector``, the full proof. A
+    ``_Record``, counted here on ``require_projector``, the full proof. A
     channel is passed on the proof it got when the scenario was built, and
     so is a product of two commuting channels that an expression or
     ``classify_product`` forms, by its self-adjointness. Any other projector
