@@ -34,27 +34,29 @@ operand, such as a sum, a non-commuting product or a copy of a channel, is
 coerced, scanned for NaN/Inf and proved. The weak values are then taken of
 the proven operands and their combination without checking them again.
 
-``classify_sum`` and ``classify_product`` take the caller's arrays, which
-the caller may change in place, so each call keeps a fresh record to
-itself. ``audit_all`` works on the record of expression texts that the
-scenario's channel table keeps, which holds only what the library made and
-lives as long as the table (up to 64 MiB of operators and texts; past
-that, the next call starts it over). Each distinct
-operand text is parsed and folded, each operand that needs the full proof
-proved, each product of two proven operands formed and tested, each pair's
-orthogonality tested (the sum audit requires it, the product audit refuses
-it: one test of PQ per pair, which the sum audit does not keep), and each
-numerator <post|U P|pre> taken, of a proven operand or of an orthogonal
-pair's sum, once per record: a second call on the same scenario forms no
-product and takes no matrix element. A failed proof is not kept, so an
-operand that fails is proved again wherever it is named, and each error
+Every call works in the record the scenario's channel table keeps when that
+holds every operand as the very object, else in a fresh record of its own
+(``_Channels._record``). ``audit_all`` takes expression text, which it folds
+in the table's record; ``classify_sum`` and ``classify_product`` work there
+on a channel or an operator the library returned, and on a caller's array,
+which the caller may change in place, in a record of their own. The table's
+record holds only what the library made and lives as long as the table (up
+to 64 MiB of operators and texts; past that, the next call starts it over).
+Each distinct operand text is parsed and folded, each operand that needs the
+full proof proved, each product of two proven operands formed and tested,
+each pair's orthogonality tested (the sum audit requires it, the product
+audit refuses it: one test of PQ per pair, which the sum audit does not
+keep), and each numerator <post|U P|pre> taken, of a proven operand or of an
+orthogonal pair's sum, once per record: a second call on the same scenario
+forms no product and takes no matrix element. A failed proof is not kept, so
+an operand that fails is proved again wherever it is named, and each error
 names its position. The ``WeakValue`` of each proven operand is built once
-per call, in the call's own memo. So the AND
-audit ``Lj | Lk`` reuses the ``Lj*Lk`` of the OR audit ``Lj*Lk | Rj*Rk``,
-its numerator and, within the call, its weak value. A near-pole weak value
-warns once per call, from the classifier's line, when the call builds it;
-its reuses do not warn again, and each verdict's weak values carry the
-``near_pole`` flag. Threads may share a scenario: each makes the same bits.
+per call, in the call's own memo. So the AND audit ``Lj | Lk`` reuses the
+``Lj*Lk`` of the OR audit ``Lj*Lk | Rj*Rk``, its numerator and, within the
+call, its weak value. A near-pole weak value warns once per call, from the
+classifier's line, when the call builds it; its reuses do not warn again,
+and each verdict's weak values carry the ``near_pole`` flag. Threads may
+share a scenario: each makes the same bits.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def _weak(s: Scenario, op: np.ndarray, record: _Record, weak_values: dict) -> We
 
 def classify_sum(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the OR combination of two orthogonal projectors."""
-    record = s.channels._fresh()
+    record = s.channels._record(pa, pb)
     pa, pb = record.prove(pa, "first operand"), record.prove(pb, "second operand")
     return _classify_sum(s, pa, pb, record, {})
 
@@ -217,7 +219,7 @@ def _classify_sum(s: Scenario, pa, pb, record: _Record, weak_values: dict) -> Au
 
 def classify_product(s: Scenario, pa: np.ndarray, pb: np.ndarray) -> AuditVerdict:
     """Audit the AND combination of two commuting, non-orthogonal projectors."""
-    record = s.channels._fresh()
+    record = s.channels._record(pa, pb)
     pa, pb = record.prove(pa, "first operand"), record.prove(pb, "second operand")
     return _classify_product(s, pa, pb, record, {})
 
@@ -283,12 +285,10 @@ class AuditReport:
         }
 
 
-def _audit_pair(s: Scenario, expr_a, expr_b, kind, record=None, weak_values=None) -> AuditVerdict:
-    """Audit a pair of expressions: both are evaluated, then each is proved a
-    projector, the first before the second. ``record`` and ``weak_values``
-    are ``audit_all``'s; alone, a pair takes a fresh record and memo."""
-    if record is None:
-        record, weak_values = s.channels._fresh(), {}
+def _audit_pair(s: Scenario, expr_a, expr_b, kind, record, weak_values) -> AuditVerdict:
+    """Audit a pair of expressions in ``record``: both are evaluated, then
+    each is proved a projector, the first before the second. Weak values
+    are memoized in ``weak_values``, one dict per call."""
     pa, pb = record.projectors((expr_a, "first operand"), (expr_b, "second operand"))
     classify = _classify_sum if kind == "sum" else _classify_product
     return classify(s, pa, pb, record, weak_values)
@@ -304,7 +304,7 @@ def audit_all(s: Scenario, pairs: Sequence[tuple[str, str, str]]) -> AuditReport
     orthogonality tested and each numerator taken once per record, and each
     weak value of a proven operand built once per call.
     """
-    record, weak_values = s.channels._kept(), {}
+    record, weak_values = s.channels._record(), {}
     entries = []
     for expr_a, expr_b, kind in pairs:
         try:

@@ -125,7 +125,7 @@ def _projector(s: Scenario, text: str) -> np.ndarray:
     """The expression's operator, checked here because strong and abl
     assume a projector without checking; folded and proved in the
     scenario's record, so that their calls share its kept numerators."""
-    (p,) = s.channels._kept().projectors((text, f"expression {text!r}"))
+    (p,) = s.channels._record().projectors((text, f"expression {text!r}"))
     return p
 
 
@@ -213,7 +213,7 @@ def _verdict_rows(kind: str, expr_a: str, expr_b: str, verdict) -> list[tuple[st
 
 
 def _cmd_audit_pair(s, args):
-    verdict = _audit_pair(s, args.expr, args.expr2, args.kind)
+    verdict = _audit_pair(s, args.expr, args.expr2, args.kind, s.channels._record(), {})
     payload = {"scenario": s.name, "expr_a": args.expr, "expr_b": args.expr2}
     payload.update(verdict.to_dict())
     rows = [("scenario", s.name)] + _verdict_rows(args.kind, args.expr, args.expr2, verdict)

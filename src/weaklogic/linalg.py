@@ -10,17 +10,20 @@ immutable and pure: each array the library keeps, a state's amplitudes
 included, is a ``_frozen`` copy, which no caller can make writable again.
 
 Each public function that takes an operator coerces it with ``as_operator``,
-which also scans it for NaN/Inf, and hands it to a private kernel (``_act``,
-``_sum``, ``_compose``, ``_proves_projector``, ``_element``) that does not
-coerce again; the library's own callers use the kernels, and
-``_complement``, on operators that were checked where they entered and on
-amplitudes that ``State`` scanned. A public function whose products or
-result can overflow forms them under ``np.errstate(over="ignore",
-invalid="ignore")`` and raises ValueError naming the overflow where one is
-not finite. Of the kernels only ``_element`` is guarded: it takes every
-matrix element the library forms, inner products included, and raises
-where one is not finite. The others are not, as the library's own operands
-are proven projectors, whose products are bounded.
+which also scans it for NaN/Inf; one that takes a scenario skips both for an
+operator the scenario's record holds (``scenario._Channels._operator``),
+which was scanned, or folded from scanned channels, when the library made
+it. Each hands the operator to a private kernel (``_act``, ``_sum``,
+``_compose``, ``_proves_projector``, ``_element``) that does not coerce
+again; the library's own callers use the kernels, and ``_complement``, on
+operators that were checked where they entered and on amplitudes that
+``State`` scanned. A public function whose products or result can overflow
+forms them under ``np.errstate(over="ignore", invalid="ignore")`` and raises
+ValueError naming the overflow where one is not finite. Of the kernels only
+``_element`` is guarded: it takes every matrix element the library forms,
+inner products included, and raises where one is not finite. The others are
+not, as the library's own operands are proven projectors, whose products are
+bounded.
 
 Every structural check (idempotence, self-adjointness, commutation,
 orthogonality, a vanishing product, unitarity) passes exactly when

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeterGridError, PostselectionLostError, SweepDivergenceError
-from .scenario import Scenario, _amplitude, _numerators
+from .scenario import Scenario, _amplitude
 from .tolerances import EXTINCT, GRID_GAP
 
 #: The float rounding unit eps.
@@ -161,7 +161,7 @@ def _split(s: Scenario, p: np.ndarray) -> tuple[complex, complex]:
     """alpha = <post|U (1 - P)|pre> and beta = <post|U P|pre> of a checked P;
     beta, and the proof of P, kept in the scenario's record when that holds
     P."""
-    record = _numerators(s, p)
+    record = s.channels._record(p)
     beta = record.amplitude(record.prove(p, "meter coupling"))
     return _amplitude(s) - beta, beta
 
@@ -370,13 +370,15 @@ def sequential_disturbance(
     """
     if g <= 0:
         raise ValueError("coupling strength g must be positive")
-    record = s.channels._fresh()
+    record = s.channels._record(p1, p2)
     p1, p2 = record.prove(p1, "first meter coupling"), record.prove(p2, "second meter coupling")
 
     MeterConfig(sigma=sigma, g=g)
     k = _overlap(sigma, g)
-    one, first = _amplitude(s), _amplitude(s, p1)
-    second, both = _amplitude(s, p2), _amplitude(s, p2, p1)
+    # <P1> and <P2> from the record, which keeps those of operators it
+    # holds; <P2 P1> formed here, as a kept product would move its bits
+    one, first = _amplitude(s), record.amplitude(p1)
+    second, both = record.amplitude(p2), _amplitude(s, p2, p1)
     # a_K = <bra|S2_K|pre> and c_JK = <bra|S2_K S1_J|pre>, with S_0 = 1 - P
     # and S_1 = P; the moments below are q-moments in units of g
     a0, a1 = one - second, second

@@ -60,9 +60,9 @@ class Scenario:
     arguments. ``channels`` is the read-only table ``_Channels``, which
     owns the record of expression texts that ``_Record`` describes:
     ``evaluate_text(text, s.channels)`` returns the frozen operator the
-    record keeps for the text, and the strong and weak calls and the meter
-    readouts reuse the numerators the record keeps for an operator it
-    holds. ``copy.copy`` shares the table and its record,
+    record keeps for the text, and every call weighs its operands in that
+    record when it holds every one of them, else in a record of its own
+    (``_Channels._record``). ``copy.copy`` shares the table and its record,
     ``dataclasses.replace`` builds a new table with an empty record, and
     ``copy.deepcopy`` and ``pickle`` raise TypeError.
     """
@@ -156,15 +156,20 @@ def _amplitude(s: Scenario, *ops: np.ndarray) -> complex:
 
 class _Channels(Mapping):
     """A scenario's channel table: read-only, and the owner of the record
-    its expression texts fold through.
+    its calls weigh operands in.
 
-    ``expr.evaluate_text`` over it calls ``_evaluate_text``, which folds the
-    text through the kept record (``_Record.fold``). The table holds the
-    channels, the bra and pre amplitudes and the records made from them,
-    and no reference to its scenario: the scenario is freed on its last
-    reference, and a table that outlives it still folds through its
-    record. It refuses ``copy.deepcopy`` and ``pickle``, as a copied record
-    would key its entries by the ids of the original's operators."""
+    Every call picks its record by one rule, ``_record(*ops)``: the
+    table's record when it holds every operand as the very object, else a
+    call's own, which the call drops when it returns. ``_operator(p)``
+    pairs that record with the operand to weigh in it. ``expr.evaluate_text``
+    over the table calls ``_evaluate_text``, which folds the text through
+    the table's record (``_Record.fold``). The table holds the channels, the
+    bra and pre amplitudes and the records made from them, and no reference
+    to its scenario: the scenario is freed on its last reference, and a
+    table that outlives it still folds through its record. ``copy.copy``
+    returns the table itself. It refuses ``copy.deepcopy`` and ``pickle``,
+    as a copied record would key its entries by the ids of the original's
+    operators."""
 
     def __init__(self, table: dict[str, np.ndarray], bra: np.ndarray, pre: np.ndarray):
         self._table, self._amps = table, (bra, pre)
@@ -182,25 +187,40 @@ class _Channels(Mapping):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._table!r})"
 
+    def __copy__(self) -> _Channels:
+        return self
+
     def __reduce__(self):
         raise TypeError("a scenario cannot be deep-copied or pickled: "
                         "use dataclasses.replace(s) or scenario_document(s)")
 
     def _fresh(self) -> _Record:
-        """A new, empty record over the table, for one call on a caller's
-        arrays."""
+        """A new, empty record over the table."""
         return _Record(self._table, *self._amps)
 
-    def _kept(self) -> _Record:
-        """The record the table keeps. When a call starts with more than
-        ``_RECORD_CAP`` bytes in it, an empty one replaces it in one step;
-        a call in progress keeps the one it started with."""
-        if sum(self._kept_record.sizes) > _RECORD_CAP:
-            self._kept_record = self._fresh()
-        return self._kept_record
+    def _record(self, *ops) -> _Record:
+        """The record a call on ``ops`` weighs them in: the one the table
+        keeps when that holds every operand as the very object, or when
+        there are none, else a fresh one. A held operator was scanned and
+        proved, or folded from proven channels, and frozen when the library
+        made it; a caller's array, read-only or not, is another object,
+        weighed afresh. When a call starts with more than ``_RECORD_CAP``
+        bytes in the kept record, an empty one replaces it in one step; a
+        call in progress keeps the one it started with."""
+        record = self._kept_record
+        if record.nbytes > _RECORD_CAP:
+            record = self._kept_record = self._fresh()
+        return record if all(map(record.holds, ops)) else self._fresh()
+
+    def _operator(self, p) -> tuple[_Record, np.ndarray]:
+        """``_record(p)`` and the operator to weigh in it: ``p`` itself when
+        that record holds it, else ``as_operator(p)``, coerced and scanned
+        for NaN/Inf."""
+        record = self._record(p)
+        return record, (p if record.holds(p) else as_operator(p))
 
     def _evaluate_text(self, text: str) -> np.ndarray:
-        return self._kept().fold(text)
+        return self._record().fold(text)
 
 
 #: Bytes of operators and texts that a scenario's record may hold when a
@@ -226,31 +246,29 @@ class _Record:
     Whether it holds an operator a caller passes is a test of identity,
     ``holds``: an equal copy is another object.
 
-    ``s.channels._fresh()`` makes a record for one call, which the call
-    drops when it returns: the classifiers and the meter prove the caller's
-    own arrays, which the caller may change in place before the next call.
-    ``s.channels._kept()`` is the record the table keeps, which holds only
-    what the library made, each operator ``_frozen``: the operator of each
-    text it folded, the proofs of those, each product of proven operands,
-    whether each pair of proven operands the audits tested is orthogonal,
-    and the numerator <bra|P|pre> of each operator it holds and of each
-    orthogonal pair's sum, and of 1 - P for each P whose ABL probability
-    was asked. A failed proof is not kept. So the calls on one scenario
-    fold, prove, multiply, test and take each matrix element of these
-    once: ``audit_all`` and ``weak_value_expr`` through the texts they
-    take, and ``evaluate_text`` over ``s.channels``, the strong and weak
-    calls and the meter through an operator the record holds
-    (``_numerators``). ``sizes`` lists the bytes of each operator the
-    record made and of each text it holds, so that whitespace variants of
-    one text count too; ``_Channels._kept`` reads them against
-    ``_RECORD_CAP``. Threads sharing a scenario may both make a step; each
-    makes the same bits, and both go on with the operator stored first.
+    A call weighs its operands in the table's record when that holds every
+    one of them, else in a call's own (``_Channels._record``). So the
+    table's record holds only what the library made, each operator
+    ``_frozen``: the operator of each text it folded, the proofs of those,
+    each product of proven operands, whether each pair of proven operands
+    the audits tested is orthogonal, and the numerator <bra|P|pre> of each
+    operator it holds and of each orthogonal pair's sum, and of 1 - P for
+    each P whose ABL probability was asked. A failed proof is not kept. So
+    the calls on one scenario fold, prove, multiply, test and take each
+    matrix element of these once, whether they name an operator by its
+    text or pass the operator the record returned. ``nbytes`` counts the
+    bytes of each operator the record made and of each text it holds, so
+    that whitespace variants of one text count too; ``_Channels._record``
+    reads it against ``_RECORD_CAP``. Threads sharing a scenario may both
+    make a step; each makes the same bits, and both go on with the operator
+    stored first. Two threads that add to ``nbytes`` at once may lose one
+    entry's bytes, which only delays the start-over.
     """
 
     def __init__(self, channels: dict[str, np.ndarray], bra: np.ndarray, pre: np.ndarray):
         self.channels, self.bra, self.pre = channels, bra, pre
         self.proven = {id(p): p for p in channels.values()}
-        self.held, self.sizes = dict(self.proven), []
+        self.held, self.nbytes = dict(self.proven), 0
         self.operands, self.products, self.orthogonal, self.amplitudes = {}, {}, {}, {}
 
     def product(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -267,7 +285,7 @@ class _Record:
             m = _frozen(_compose(p, q))
             if m.ndim == 1 or _self_adjoint(m):
                 self.proven[id(m)] = m
-            self.sizes.append(m.nbytes)
+            self.nbytes += m.nbytes
             m = self.products.setdefault((id(p), id(q)), m)
         return m
 
@@ -321,7 +339,7 @@ class _Record:
             if op.flags.writeable:  # neither a channel nor a kept product
                 op = _frozen(op)
                 size += op.nbytes
-            self.sizes.append(size)
+            self.nbytes += size
             op = self.operands.setdefault(text, op)
             self.held[id(op)] = op
         return op
@@ -342,15 +360,6 @@ class _Record:
         before the first operator is proved."""
         ops = [self.fold(text) for text, _ in operands]
         return [self.prove(op, what) for op, (_, what) in zip(ops, operands)]
-
-
-def _numerators(s: Scenario, p) -> _Record:
-    """The record whose ``amplitude`` of ``p`` to take: the one ``s.channels``
-    keeps when that holds the very object ``p``, so that the numerator is
-    kept for the next call, else a fresh one, so that a caller's array,
-    which the caller may change in place, is weighed afresh."""
-    record = s.channels._kept()
-    return record if record.holds(p) else s.channels._fresh()
 
 
 def build_scenario(

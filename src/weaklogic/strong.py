@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AblUndefinedError, ConsistencyError, ZeroProbabilityError
 from .linalg import State, _act, _element, as_operator
-from .scenario import Scenario, _numerators
+from .scenario import Scenario, _Record
 from .tolerances import BOUNDS_TOL, NULL_PROB, SCALAR_TOL
 
 
@@ -70,9 +70,9 @@ def cond_prob_post(s: Scenario, p: np.ndarray) -> float:
     The numerator <post|U P|pre> of an operator the scenario's record holds
     is kept there.
     """
-    p = as_operator(p)
+    record, p = s.channels._operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _cond_post(_numerators(s, p).amplitude(p))
+        return _cond_post(record.amplitude(p))
 
 
 def _cond_post(amplitude: complex) -> float:
@@ -85,14 +85,12 @@ def _cond_post(amplitude: complex) -> float:
     return _checked_probability(value, "conditional probability")
 
 
-def _hit_miss(s: Scenario, p: np.ndarray) -> tuple[float, float]:
+def _hit_miss(record: _Record, p: np.ndarray) -> tuple[float, float]:
     """``cond_prob_post`` of p and of 1 - p, each formed once for the
-    two-outcome measurement {p, 1 - p}, of a p that ``as_operator``
-    returned. Both numerators of an operator the scenario's record holds
-    are kept there."""
-    record = _numerators(s, p)
-    hit = _cond_post(record.amplitude(p))
-    return hit, _cond_post(record.miss_amplitude(p))
+    two-outcome measurement {p, 1 - p}, of the operator and record that
+    ``_Channels._operator`` returned. Both numerators of an operator the
+    scenario's record holds are kept there."""
+    return _cond_post(record.amplitude(p)), _cond_post(record.miss_amplitude(p))
 
 
 def abl_prob(s: Scenario, p: np.ndarray) -> float:
@@ -100,9 +98,9 @@ def abl_prob(s: Scenario, p: np.ndarray) -> float:
     for the two-outcome measurement {p, 1 - p}. ValueError on overflow.
     The numerators of p and of 1 - p, for a p the scenario's record holds,
     are kept there."""
-    p = as_operator(p)
+    record, p = s.channels._operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        hit, miss = _hit_miss(s, p)
+        hit, miss = _hit_miss(record, p)
     denominator = hit + miss
     if denominator <= NULL_PROB:
         raise AblUndefinedError(
@@ -124,12 +122,12 @@ def bayes_check(s: Scenario, p: np.ndarray) -> float:
     the outcome probability vanishes (conditioning on a null event).
     ValueError on overflow.
     """
-    p = as_operator(p)
+    record, p = s.channels._operator(p)
     with np.errstate(over="ignore", invalid="ignore"):
         outcome_prob = _born(s.pre_state, _act(p, s.pre_state.amps))
         if outcome_prob <= NULL_PROB:
             return 0.0
-        hit, miss = _hit_miss(s, p)
+        hit, miss = _hit_miss(record, p)
     post_prob = hit + miss
     if post_prob <= NULL_PROB:
         return 0.0

@@ -10,8 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NearPoleWarning, PostselectionLostError
-from .linalg import as_operator
-from .scenario import Scenario, _numerators
+from .scenario import Scenario
 from .tolerances import POLE_TOL, ZERO_TOL
 
 
@@ -39,9 +38,9 @@ def weak_value(s: Scenario, op: np.ndarray) -> WeakValue:
     ValueError where the numerator or the ratio overflows. The numerator of
     an operator the scenario's record holds is kept there; the
     ``WeakValue`` is built, and warns near the pole, at each call."""
-    op = as_operator(op)
+    record, op = s.channels._operator(op)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _weak_value(s, lambda: _numerators(s, op).amplitude(op), stacklevel=3)
+        w = _weak_value(s, lambda: record.amplitude(op), stacklevel=3)
     if not cmath.isfinite(w.value):
         raise ValueError("weak value is not finite: it overflows")
     return w
@@ -80,6 +79,6 @@ def weak_value_expr(s: Scenario, text: str) -> WeakValue:
     text's operator and its numerator are taken once per scenario, in the
     record that ``audit_all`` also keeps (``scenario._Record``); the
     ``WeakValue`` is built, and warns near the pole, at each call."""
-    record = s.channels._kept()
+    record = s.channels._record()
     op = record.fold(text)
     return _weak_value(s, lambda: record.amplitude(op), stacklevel=3)

@@ -28,6 +28,7 @@ from weaklogic import (
     abl_prob,
     audit_all,
     basis_projector,
+    bayes_check,
     born_prob,
     build_scenario,
     catalog,
@@ -728,6 +729,24 @@ class TestRecordKeepsWhatTheLibraryMade:
         assert all(bits(weak_value_expr(s, "L1*L2" + " " * i)) == want for i in range(200))
         assert len(s.channels._kept_record.operands) < 100
 
+    def test_nbytes_is_the_sum_of_each_text_and_each_operator_made(self, s):
+        # the bytes of each text the record holds and of each operator it
+        # made: a folded operator that is neither a channel nor a kept
+        # product, and each kept product, counted as each was stored
+        texts = ["L1*L2", "L1 *L2", "L1 + R1", "L1+R1", "(L1 + R1)*L2", "L3", "L1*L2*L3"]
+        kinds = ("sum", "product")
+        audit_all(s, [(a, b, kind) for a in texts for b in ("R2", "L3") for kind in kinds])
+        classify_product(s, s.channel("L2"), s.channel("L3"))
+        weak_value_expr(s, "L2 + R3")
+        record = s.channels._kept_record
+        products = {id(m) for m in record.products.values()}
+        made = [op for op in record.operands.values()
+                if id(op) not in products and all(op is not p for p in s.channels.values())]
+        want = sum(map(sys.getsizeof, record.operands))
+        want += sum(op.nbytes for op in made) + sum(m.nbytes for m in record.products.values())
+        assert len(record.products) >= 4 and len(made) >= 3
+        assert record.nbytes == want
+
     def test_threads_share_a_scenario_as_its_record_starts_over(self, monkeypatch):
         # 4 threads make 20 calls each on one scenario, whose record starts
         # over at nearly every call, while the other threads still use the
@@ -818,6 +837,81 @@ class TestScanCost:
         assert scans == ["first operand", "second operand"]
         classify(s, pa, s.channel(second))
         assert scans[2:] == ["first operand"]
+
+    @staticmethod
+    def _step(s, p):
+        """The bits of a strong-and-weak step on p."""
+        calls = (abl_prob, cond_prob_post, bayes_check, weak_value)
+        return [bits(born_prob(s.pre_state, p))] + [bits(call(s, p)) for call in calls]
+
+    def test_a_held_operator_is_scanned_only_by_born_prob(self, s, scans):
+        # born_prob takes no scenario, so it scans; the calls on s weigh
+        # the operator the record holds as it is
+        p = evaluate_text("L1*L2 + R1*R2", s.channels)
+        assert scans == []  # folded from channels, which were scanned at build
+        first = self._step(s, p)
+        assert scans == ["operator"]
+        assert self._step(s, p) == first
+        assert scans == ["operator"] * 2
+
+    def test_an_operator_of_a_record_started_over_is_scanned_again(self, s, scans, monkeypatch):
+        p = evaluate_text("L1*L2 + R1*R2", s.channels)
+        want = self._step(s, p)
+        scans.clear()
+        # a call that starts with anything in the record starts it over
+        monkeypatch.setattr(scenario, "_RECORD_CAP", 0)
+        assert self._step(s, p) == want
+        assert scans == ["operator"] * 5
+
+    def test_an_operator_held_by_another_scenario_is_scanned(self, s, scans):
+        p = evaluate_text("L1*L2 + R1*R2", s.channels)
+        want = self._step(s, p)
+        t = dataclasses.replace(s)
+        scans.clear()
+        assert self._step(t, p) == want
+        assert scans == ["operator"] * 5
+        assert not t.channels._kept_record.holds(p)
+
+
+class TestACallersFrozenArrayIsScanned:
+    """Only the very operators a scenario's record holds skip the scan. A
+    read-only array the record does not hold, here a ``linalg._frozen``
+    diagonal with a NaN, is a caller's, and each entry still rejects it with
+    the message it gives any array, at each position it may take."""
+
+    ENTRIES = {
+        "cond_prob_post": (lambda s, p, q: cond_prob_post(s, p), "operator"),
+        "abl_prob": (lambda s, p, q: abl_prob(s, p), "operator"),
+        "bayes_check": (lambda s, p, q: bayes_check(s, p), "operator"),
+        "weak_value": (lambda s, p, q: weak_value(s, p), "operator"),
+        "classify_sum": (classify_sum, "first operand"),
+        "classify_sum second": (lambda s, p, q: classify_sum(s, q, p), "second operand"),
+        "classify_product": (classify_product, "first operand"),
+        "classify_product second": (lambda s, p, q: classify_product(s, q, p), "second operand"),
+        "measure_pointer": (
+            lambda s, p, q: measure_pointer(s, p, MeterConfig(1.0, 0.1)), "meter coupling"
+        ),
+        "weak_limit_estimate": (
+            lambda s, p, q: weak_limit_estimate(s, p, 1.0, [0.2, 0.1]), "meter coupling"
+        ),
+        "sequential_disturbance": (
+            lambda s, p, q: sequential_disturbance(s, p, q, 1.0, 0.1), "first meter coupling"
+        ),
+        "sequential_disturbance second": (
+            lambda s, p, q: sequential_disturbance(s, q, p, 1.0, 0.1), "second meter coupling"
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_a_frozen_nan_raises_as_any_array_does(self, entry):
+        s = catalog("three-box")
+        held = evaluate_text("A + B", s.channels)
+        abl_prob(s, held)  # the record holds and weighs an operator
+        nan = linalg._frozen(np.diag(np.array([np.nan, 0, 0], dtype=complex)))
+        assert not nan.flags.writeable and not s.channels._kept_record.holds(nan)
+        call, what = self.ENTRIES[entry]
+        with pytest.raises(ValueError, match=f"^{what} contains non-finite entries$"):
+            call(s, nan, s.channel("C"))
 
 
 class TestProofStillRuns:
@@ -954,13 +1048,14 @@ class TestBatchIsPairByPair:
 
     @classmethod
     def _alone(cls, s, pairs):
-        """Each pair audited alone, as entries, and the warnings a batch of
-        them raises: each pair's own, less those of weak values taken before."""
+        """Each pair audited alone, in a record of its own, as entries, and
+        the warnings a batch of them raises: each pair's own, less those of
+        weak values taken before."""
         entries, kept, taken = [], [], set()
         for (expr_a, expr_b, kind), takes in zip(pairs, cls.TAKES):
             def one():
                 try:
-                    verdict = _audit_pair(s, expr_a, expr_b, kind)
+                    verdict = _audit_pair(s, expr_a, expr_b, kind, s.channels._fresh(), {})
                     return [AuditEntry(expr_a, expr_b, kind, verdict, None)]
                 except (ExpressionError, PhysicsError, ValueError) as exc:
                     return [AuditEntry(expr_a, expr_b, kind, None, str(exc))]

@@ -641,8 +641,9 @@ class TestClosedForm:
 
 class TestSplitFormedOnce:
     """The sweep forms alpha and beta once, not at every coupling; a channel
-    is an operator the scenario's record holds, which keeps beta for the next
-    call. The proof of its coupling is counted in
+    is an operator the scenario's record holds, which keeps beta, and
+    sequential_disturbance's <P1> and <P2>, for the next call. The proof of
+    its coupling is counted in
     ``test_scenario.py::TestOneProofRecord``. Counted on ``_element``,
     which takes every matrix element, once the scenario is built."""
 
@@ -669,6 +670,18 @@ class TestSplitFormedOnce:
         # a copy of the channel is the caller's array: beta is taken again
         measure_pointer(s, np.array(s.channel("C")), MeterConfig(sigma=1.0, g=0.1))
         assert calls == {"_element": 4}
+
+    def test_sequential_disturbance(self, s, calls):
+        # <post|U|pre> and <P2 P1> at each call; <P1> and <P2> of channels
+        # kept in the record by the first
+        a, b = s.channel("A"), s.channel("C")
+        first = sequential_disturbance(s, a, b, 1.0, 0.1)
+        assert calls == {"_element": 4}
+        assert bits(sequential_disturbance(s, a, b, 1.0, 0.1)) == bits(first)
+        assert calls == {"_element": 6}
+        # copies of the channels are the caller's arrays: all four again
+        assert bits(sequential_disturbance(s, np.array(a), np.array(b), 1.0, 0.1)) == bits(first)
+        assert calls == {"_element": 10}
 
 
 class TestSequentialDisturbance:

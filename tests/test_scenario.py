@@ -548,10 +548,10 @@ class TestFrozen:
 
 class TestCopies:
     """A channel table's record keys its entries by the ids of its
-    scenario's operators. So ``copy.copy`` shares the table and its record,
-    ``dataclasses.replace`` starts an empty one, and ``copy.deepcopy`` and
-    ``pickle``, whose copies would read entries keyed by ids a freed
-    original's operators gave up, raise."""
+    scenario's operators. So ``copy.copy`` of a scenario or of its table
+    shares the table and its record, ``dataclasses.replace`` starts an
+    empty one, and ``copy.deepcopy`` and ``pickle``, whose copies would read
+    entries keyed by ids a freed original's operators gave up, raise."""
 
     PAIRS = [("L1*L2", "R1*R2", "sum"), ("L1", "L2", "product")]
 
@@ -573,6 +573,12 @@ class TestCopies:
         t = copy.copy(s)
         assert t.channels is s.channels
         assert bits(audit_all(t, self.PAIRS)) == bits(audit_all(dataclasses.replace(s), self.PAIRS))
+
+    @pytest.mark.parametrize("copier", [copy.deepcopy, pickle.dumps])
+    def test_a_shallow_copy_of_the_table_is_the_table(self, s, copier):
+        assert copy.copy(s.channels) is s.channels
+        with pytest.raises(TypeError, match=r"dataclasses\.replace\(s\) or scenario_document\(s\)"):
+            copier(s.channels)
 
 
 class TestProvedOnce:

@@ -34,6 +34,7 @@ from weaklogic import (
     is_projector,
     linalg,
     meter,
+    scenario,
     sequential_disturbance,
     tolerances,
     weak_value,
@@ -290,11 +291,14 @@ class TestExtinct:
 
     @staticmethod
     def _disturbance(monkeypatch, amplitudes):
-        values = iter(amplitudes)
-        monkeypatch.setattr(meter, "_amplitude", lambda s, *ops: complex(next(values)))
+        # a new scenario, built before the patch, whose record keeps no
+        # amplitude yet; every matrix element is taken by scenario._element
         s = catalog("three-box")
         assert meter._overlap(1.0, 100.0) == 0.0
-        return sequential_disturbance(s, s.channel("A"), s.channel("B"), 1.0, 100.0)
+        values = iter(amplitudes)
+        with monkeypatch.context() as m:
+            m.setattr(scenario, "_element", lambda bra, ket, *ops: complex(next(values)))
+            return sequential_disturbance(s, s.channel("A"), s.channel("B"), 1.0, 100.0)
 
     @pytest.mark.parametrize("state", sorted(WEIGHTS))
     def test_two_meter_readout(self, monkeypatch, state):
